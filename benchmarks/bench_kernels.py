@@ -1,8 +1,10 @@
-"""Time the compiled kernels against the pure-numpy fallback.
+"""Time the R/S and DFA kernels on a rolling-sweep-shaped workload.
 
-Runs both implementations directly (regardless of HURSTLAB_DISABLE_NUMBA)
-on a rolling-sweep-shaped workload: many 250-sample windows, R/S over the
-ten-segment preset plus DFA over powers of two.
+Many 250-sample windows: R/S over the ten-segment preset, DFA over the
+default box schedule of a 250-sample window. Each kernel is timed two
+ways: batched, as the rolling sweep calls it (windows stacked as rows,
+one call per chunk and scale), and one window per call, as a standalone
+estimate calls it. The two must agree bit for bit.
 
     python3 benchmarks/bench_kernels.py [--windows 2000] [--repeat 3]
 """
@@ -12,23 +14,25 @@ import time
 import numpy as np
 
 from hurstlab import _kernels
+from hurstlab.dfa import default_box_sizes
 from hurstlab.rescaled_range import PRESET_250_SEGMENTS
+from hurstlab.rolling import _CHUNK_ROWS
 
 
-def bench(fn, windows, scales, repeat, kernel):
+def rs_statistic(x, n):
+    total, defined, _ = _kernels.rs_segment_sums(x, n, 0)
+    return total / np.maximum(defined, 1)
+
+
+def bench(fn, batches, scales, repeat):
+    """Best time over `repeat` passes, and the (windows, scales) results."""
     best = float("inf")
     for _ in range(repeat):
         start = time.perf_counter()
-        sink = 0.0
-        for window in windows:
-            for scale in scales:
-                if kernel == "rs":
-                    total, defined, _ = fn(window, scale, 0)
-                    sink += total / max(defined, 1)
-                else:
-                    sink += fn(window, scale)
+        results = [np.stack([fn(batch, scale) for scale in scales], axis=-1)
+                   for batch in batches]
         best = min(best, time.perf_counter() - start)
-    return best, sink
+    return best, np.vstack(results)
 
 
 def main():
@@ -39,36 +43,24 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    windows = [rng.standard_normal(250) for _ in range(args.windows)]
-    rs_scales = sorted(PRESET_250_SEGMENTS)
-    dfa_scales = [8, 16, 32]
+    windows = rng.standard_normal((args.windows, 250))
+    chunks = [windows[i:i + _CHUNK_ROWS]
+              for i in range(0, args.windows, _CHUNK_ROWS)]
+    singles = list(windows)
 
-    if not _kernels.HAVE_NUMBA:
-        print("numba unavailable or disabled; timing the numpy path only")
-
-    jobs = [("rs", rs_scales,
-             _kernels.rs_segment_sums_numpy,
-             _kernels.rs_segment_sums if _kernels.HAVE_NUMBA else None),
-            ("dfa", dfa_scales,
-             _kernels.dfa_box_fsq_numpy,
-             _kernels.dfa_box_fsq if _kernels.HAVE_NUMBA else None)]
-
-    for kernel, scales, numpy_fn, jit_fn in jobs:
+    jobs = [("rs", sorted(PRESET_250_SEGMENTS), rs_statistic),
+            ("dfa", default_box_sizes(250), _kernels.dfa_box_fsq)]
+    for kernel, scales, fn in jobs:
         evals = args.windows * len(scales)
-        numpy_time, numpy_sink = bench(numpy_fn, windows, scales,
-                                       args.repeat, kernel)
-        line = (f"{kernel:4s} {evals:7d} evals | numpy {numpy_time:8.3f}s "
-                f"({1e6 * numpy_time / evals:7.1f} us/eval)")
-        if jit_fn is not None:
-            jit_fn(windows[0], scales[0], 0) if kernel == "rs" else jit_fn(
-                windows[0], scales[0])  # compile outside the timer
-            jit_time, jit_sink = bench(jit_fn, windows, scales,
-                                       args.repeat, kernel)
-            assert abs(jit_sink - numpy_sink) < 1e-6 * max(abs(numpy_sink), 1.0)
-            line += (f" | numba {jit_time:8.3f}s "
-                     f"({1e6 * jit_time / evals:7.1f} us/eval) "
-                     f"| speedup {numpy_time / jit_time:5.1f}x")
-        print(line)
+        batched_time, batched = bench(fn, chunks, scales, args.repeat)
+        single_time, single = bench(fn, singles, scales, args.repeat)
+        if not np.array_equal(batched, single):
+            raise SystemExit(f"{kernel}: batched and one-window results differ")
+        print(f"{kernel:4s} {evals:7d} evals | numpy {batched_time:8.3f}s "
+              f"({1e6 * batched_time / evals:7.1f} us/eval) "
+              f"| one window per call {single_time:8.3f}s "
+              f"({1e6 * single_time / evals:7.1f} us/eval) "
+              f"| batch speedup {single_time / batched_time:5.1f}x")
 
 
 if __name__ == "__main__":

@@ -1,136 +1,49 @@
 """Hot numeric kernels: per-scale R/S segment sums and DFA box residuals.
 
-Each kernel has a pure-numpy implementation and, when numba is available,
-an @njit-compiled twin of the same arithmetic. The compiled path is the
-default; set HURSTLAB_DISABLE_NUMBA=1 to force the numpy fallback (the
-benchmark in benchmarks/bench_kernels.py times both).
-
-Both paths agree to ~1e-12 on the scales used here; tests pin the oracle
-tolerance at 1e-10.
+Each kernel takes windows stacked as an array of shape (..., length) and
+reduces over the last axis, so one call serves one window (a 1-D array)
+or a whole chunk of a rolling sweep. The arithmetic is elementwise
+products and last-axis sums only, never a BLAS dot: a window's result
+then does not depend on how many other windows share the call, which is
+what keeps a rolling-trace entry bit-for-bit equal to the standalone
+estimate of the same slice.
 """
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("HURSTLAB_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in ("1", "true", "yes")
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via HURSTLAB_DISABLE_NUMBA")
-    from numba import njit
+def rs_segment_sums(x: np.ndarray, n: int, ddof: int
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sum of R/S ratios over the floor(length/n) leading segments.
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-
-def rs_segment_sums_numpy(x: np.ndarray, n: int, ddof: int) -> tuple[float, int, int]:
-    """Sum of R/S ratios over the floor(len/n) leading segments.
-
-    Returns (ratio_sum, defined_count, segment_count); segments with zero
-    standard deviation contribute nothing to ratio_sum or defined_count.
+    Returns (ratio_sum, defined_count, segment_count); the first two have
+    x's leading shape. Segments with zero (or undefined) standard
+    deviation contribute nothing to ratio_sum or defined_count.
     """
-    v = x.size // n
-    seg = x[: v * n].reshape(v, n)
-    dev = seg - seg.mean(axis=1, keepdims=True)
-    std = np.sqrt((dev * dev).sum(axis=1) / (n - ddof))
-    walk = dev.cumsum(axis=1)
-    rng = walk.max(axis=1) - walk.min(axis=1)
+    v = x.shape[-1] // n
+    seg = x[..., : v * n].reshape(*x.shape[:-1], v, n)
+    dev = seg - seg.mean(axis=-1, keepdims=True)
+    std = np.sqrt((dev * dev).sum(axis=-1) / (n - ddof))
+    walk = dev.cumsum(axis=-1)
+    rng = walk.max(axis=-1) - walk.min(axis=-1)
     defined = std > 0.0
-    total = float((rng[defined] / std[defined]).sum())
-    return total, int(defined.sum()), v
+    ratio = np.divide(rng, std, out=np.zeros_like(rng), where=defined)
+    return ratio.sum(axis=-1), defined.sum(axis=-1), v
 
 
-def dfa_box_fsq_numpy(x: np.ndarray, tau: int) -> float:
+def dfa_box_fsq(x: np.ndarray, tau: int) -> np.ndarray:
     """Mean squared residual of per-box linear fits, averaged over boxes.
 
     Boxes are anchored at index 0; the trailing remainder is discarded.
     The fit uses the centered time axis for conditioning; residuals are
-    identical to an uncentered fit.
+    identical to an uncentered fit. Returns an array of x's leading shape.
     """
-    boxes = x.size // tau
-    seg = x[: boxes * tau].reshape(boxes, tau)
+    boxes = x.shape[-1] // tau
+    seg = x[..., : boxes * tau].reshape(*x.shape[:-1], boxes, tau)
     t = np.arange(tau, dtype=np.float64) - (tau - 1) / 2.0
-    stt = float(t @ t)
-    slope = (seg @ t) / stt
-    level = seg.mean(axis=1)
-    resid = seg - (level[:, None] + slope[:, None] * t[None, :])
-    fsq = (resid * resid).sum(axis=1) / tau
-    return float(fsq.mean())
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _rs_segment_sums_jit(x, n, ddof):  # pragma: no cover - compiled
-        v = x.shape[0] // n
-        total = 0.0
-        defined = 0
-        for s in range(v):
-            base = s * n
-            m = 0.0
-            for i in range(n):
-                m += x[base + i]
-            m /= n
-            var = 0.0
-            acc = 0.0
-            hi = -np.inf
-            lo = np.inf
-            for i in range(n):
-                d = x[base + i] - m
-                var += d * d
-                acc += d
-                if acc > hi:
-                    hi = acc
-                if acc < lo:
-                    lo = acc
-            std = math.sqrt(var / (n - ddof))
-            if std > 0.0:
-                total += (hi - lo) / std
-                defined += 1
-        return total, defined, v
-
-    @njit(cache=True)
-    def _dfa_box_fsq_jit(x, tau):  # pragma: no cover - compiled
-        boxes = x.shape[0] // tau
-        center = (tau - 1) / 2.0
-        stt = 0.0
-        for i in range(tau):
-            tc = i - center
-            stt += tc * tc
-        total = 0.0
-        for b in range(boxes):
-            base = b * tau
-            sy = 0.0
-            sty = 0.0
-            for i in range(tau):
-                y = x[base + i]
-                sy += y
-                sty += (i - center) * y
-            slope = sty / stt
-            level = sy / tau
-            ssr = 0.0
-            for i in range(tau):
-                r = x[base + i] - (level + slope * (i - center))
-                ssr += r * r
-            total += ssr / tau
-        return total / boxes
-
-    def rs_segment_sums(x: np.ndarray, n: int, ddof: int) -> tuple[float, int, int]:
-        total, defined, v = _rs_segment_sums_jit(
-            np.ascontiguousarray(x, dtype=np.float64), n, ddof
-        )
-        return float(total), int(defined), int(v)
-
-    def dfa_box_fsq(x: np.ndarray, tau: int) -> float:
-        return float(
-            _dfa_box_fsq_jit(np.ascontiguousarray(x, dtype=np.float64), tau)
-        )
-
-else:
-    rs_segment_sums = rs_segment_sums_numpy
-    dfa_box_fsq = dfa_box_fsq_numpy
+    slope = (seg * t).sum(axis=-1) / (t * t).sum()
+    level = seg.mean(axis=-1)
+    resid = seg - (level[..., None] + slope[..., None] * t)
+    fsq = (resid * resid).sum(axis=-1) / tau
+    return fsq.mean(axis=-1)

@@ -13,9 +13,7 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
-from .dfa import DfaConfig, FitTarget, default_box_sizes, estimate_hurst_dfa
+from .dfa import FitTarget
 from .downfalls import (
     DEFAULT_LOOKBACK_DAYS,
     classify_episode,
@@ -36,10 +34,15 @@ from .rescaled_range import (
     EstimatorKind,
     PartitionPolicy,
     StdMode,
-    build_partition_plan,
-    estimate_hurst_rs,
 )
-from .rolling import RollingConfig, TraceSummary, classify_market, summarize, sweep
+from .rolling import (
+    RollingConfig,
+    TraceSummary,
+    classify_market,
+    estimate_window,
+    summarize,
+    sweep,
+)
 from .series import (
     CsvConfig,
     PriceSeries,
@@ -156,16 +159,18 @@ def build_parser() -> _Parser:
 
 def _read_input(args) -> tuple[str, str]:
     """(text, sha256 fingerprint of the raw bytes)."""
-    if args.input == "-":
-        text = sys.stdin.read()
-        raw = text.encode("utf-8")
-    else:
-        try:
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+            raw = text.encode("utf-8")
+        else:
             with open(args.input, "rb") as handle:
                 raw = handle.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.input}: {exc}") from exc
-        text = raw.decode("utf-8")
+            text = raw.decode("utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {args.input}: {exc}") from exc
+    except UnicodeError as exc:
+        raise InputError(f"{args.input} is not UTF-8 text: {exc}") from exc
     return text, hashlib.sha256(raw).hexdigest()
 
 
@@ -186,23 +191,18 @@ def _load_returns(args) -> tuple[ReturnSeries, PriceSeries | None, str]:
     return log_returns(prices), prices, fingerprint
 
 
-def _resolve_plan(name: str, length: int) -> PartitionPolicy:
-    if name == "auto":
-        return (PartitionPolicy.PRESET_250 if length == 250
-                else PartitionPolicy.DIVISORS_ONLY)
-    return _PLANS[name]
-
-
-def _estimate(values: np.ndarray, args):
-    estimator = _ESTIMATORS[args.estimator]
-    if estimator is EstimatorKind.RESCALED_RANGE:
-        plan = build_partition_plan(values.size,
-                                    _resolve_plan(args.plan, values.size),
-                                    args.min_segment)
-        return estimate_hurst_rs(values, plan, _STD_MODES[args.std])
-    config = DfaConfig(box_sizes=default_box_sizes(values.size),
-                       fit_target=_FIT_TARGETS[args.fit_target])
-    return estimate_hurst_dfa(values, config)
+def _rolling_config(args, window: int, lag: int = 1) -> RollingConfig:
+    """The estimator flags, for estimate_window (one window) or sweep."""
+    return RollingConfig(
+        window=window,
+        lag=lag,
+        estimator=_ESTIMATORS[args.estimator],
+        transform=_TRANSFORMS[args.transform],
+        plan_policy=None if args.plan == "auto" else _PLANS[args.plan],
+        min_segment_length=args.min_segment,
+        std_mode=_STD_MODES[args.std],
+        dfa_fit_target=_FIT_TARGETS[args.fit_target],
+    )
 
 
 # -- report rendering --------------------------------------------------------
@@ -268,7 +268,8 @@ def _estimate_tables(est) -> dict:
 def cmd_hurst(args) -> int:
     returns, _, fingerprint = _load_returns(args)
     transformed = transform_returns(returns, _TRANSFORMS[args.transform])
-    est = _estimate(transformed.values, args)
+    est = estimate_window(transformed.values,
+                          _rolling_config(args, len(transformed)))
     report = {
         "command": _echo(args, ("transform", "estimator", "plan",
                                 "min_segment", "std", "returns")),
@@ -287,7 +288,8 @@ def cmd_vstat(args) -> int:
     returns, _, fingerprint = _load_returns(args)
     transformed = transform_returns(returns, _TRANSFORMS[args.transform])
     args.estimator = "rs"  # V statistic is defined on the R/S curve
-    est = _estimate(transformed.values, args)
+    est = estimate_window(transformed.values,
+                          _rolling_config(args, len(transformed)))
     curve = v_statistic(est.curve, flat_tolerance=args.flat_tolerance)
     report = {
         "command": _echo(args, ("transform", "plan", "min_segment",
@@ -317,17 +319,7 @@ def cmd_vstat(args) -> int:
 
 def cmd_rolling(args) -> int:
     returns, prices, fingerprint = _load_returns(args)
-    config = RollingConfig(
-        window=args.window,
-        lag=args.lag,
-        estimator=_ESTIMATORS[args.estimator],
-        transform=_TRANSFORMS[args.transform],
-        plan_policy=None if args.plan == "auto" else _PLANS[args.plan],
-        min_segment_length=args.min_segment,
-        std_mode=_STD_MODES[args.std],
-        dfa_fit_target=_FIT_TARGETS[args.fit_target],
-    )
-    trace = sweep(returns, config)
+    trace = sweep(returns, _rolling_config(args, args.window, args.lag))
     diagnostics = {"gaps": [[m.end_date.isoformat(), m.note]
                             for m in trace.measurements if m.is_gap]}
     summary = market = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BoxTooLargeError, InvalidPlanError
-from .regression import CurveKind, PowerLawFit, ScalingCurve, ols_line
+from .regression import CurveKind, PowerLawFit, ScalingCurve, ols_rows
 from .rescaled_range import EstimatorKind, HurstEstimate, estimate_from_curve
 
 
@@ -54,10 +54,11 @@ class DfaConfig:
 
 
 def default_box_sizes(length: int, min_box: int = 8) -> tuple[int, ...]:
-    """Powers of two from min_box up to length // 8."""
+    """Powers of two from min_box up to length // 4, the largest box
+    validate_for_length allows (a 250-value window gets 8, 16 and 32)."""
     sizes = []
     b = min_box
-    while b <= length // 8:
+    while b <= length // 4:
         sizes.append(b)
         b *= 2
     if len(sizes) < 3:
@@ -70,9 +71,9 @@ def default_box_sizes(length: int, min_box: int = 8) -> tuple[int, ...]:
 def profile(series: Sequence[float]) -> np.ndarray:
     """Cumulative sum of the mean-centered series; last element is ~0."""
     x = np.asarray(series, dtype=np.float64)
-    if x.size < 2:
-        raise ValueError(f"need at least 2 values, got {x.size}")
-    return np.cumsum(x - x.mean())
+    if x.shape[-1] < 2:
+        raise ValueError(f"need at least 2 values, got {x.shape[-1]}")
+    return np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
 
 
 def dfa_fluctuation(series: Sequence[float], tau: int,
@@ -91,31 +92,42 @@ def dfa_fluctuation(series: Sequence[float], tau: int,
         )
     integrate = True if config is None else config.integrate_first
     signal = profile(x) if integrate else x
-    return _kernels.dfa_box_fsq(signal, tau)
+    return float(_kernels.dfa_box_fsq(signal, tau))
+
+
+def dfa_curve_rows(rows: np.ndarray, config: DfaConfig) -> np.ndarray:
+    """<F^2(tau)> of every window of ``rows`` (shape (..., length)), as
+    (..., len(box_sizes)). A single window is the batch of one."""
+    config.validate_for_length(rows.shape[-1])
+    signal = profile(rows) if config.integrate_first else rows
+    return np.stack([_kernels.dfa_box_fsq(signal, tau)
+                     for tau in config.box_sizes], axis=-1)
 
 
 def dfa_scaling_curve(series: Sequence[float], config: DfaConfig) -> ScalingCurve:
     """(tau, <F^2(tau)>) over the configured box sizes."""
-    x = np.asarray(series, dtype=np.float64)
-    config.validate_for_length(x.size)
-    signal = profile(x) if config.integrate_first else x
-    stats = tuple(_kernels.dfa_box_fsq(signal, tau) for tau in config.box_sizes)
-    return ScalingCurve(scales=config.box_sizes, statistics=stats,
+    stats = dfa_curve_rows(np.asarray(series, dtype=np.float64), config)
+    return ScalingCurve(scales=config.box_sizes, statistics=tuple(stats.tolist()),
                         kind=CurveKind.DFA_FLUCTUATION)
+
+
+def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
+                 fit_target: FitTarget = FitTarget.FLUCTUATION_RMS,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise fit of <F^2> curves (..., k); the rms target halves the
+    log ordinate. Returns ols_rows' (slope, intercept, r_squared, flat)."""
+    log_fsq = np.log(fsq)
+    if fit_target is FitTarget.FLUCTUATION_RMS:
+        log_fsq = 0.5 * log_fsq
+    return ols_rows(np.log(scales), log_fsq)
 
 
 def estimate_dfa_from_curve(curve: ScalingCurve,
                             fit_target: FitTarget = FitTarget.FLUCTUATION_RMS,
                             ) -> HurstEstimate:
     """Fit a <F^2(tau)> curve; the rms target halves the log ordinate."""
-    log_tau = np.log(np.asarray(curve.scales, dtype=np.float64))
-    log_fsq = np.log(np.asarray(curve.statistics, dtype=np.float64))
-    if fit_target is FitTarget.FLUCTUATION_RMS:
-        slope, intercept, r_squared, flat = ols_line(log_tau, 0.5 * log_fsq)
-    else:
-        slope, intercept, r_squared, flat = ols_line(log_tau, log_fsq)
-    fit = PowerLawFit(exponent=slope, intercept=intercept,
-                      r_squared=r_squared, flat=flat)
+    fit = PowerLawFit(*(v.item() for v in dfa_fit_rows(
+        curve.scales, [curve.statistics], fit_target)))
     return estimate_from_curve(curve, EstimatorKind.DFA, fit=fit)
 
 

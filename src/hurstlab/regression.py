@@ -59,31 +59,50 @@ class PowerLawFit:
     flat: bool = False
 
 
+def ols_rows(x: np.ndarray, y: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """ols_line of each row of y (shape (..., k)) on the shared x (k,).
+
+    Returns (slope, intercept, r_squared, flat) arrays of y's leading
+    shape. Sums are last-axis reductions, never a BLAS dot, so a row's
+    result does not depend on how many rows share the call.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size < 2:
+        raise DegenerateCurveError("need at least 2 points for a line")
+    x_mean = x.mean()
+    xm = x - x_mean
+    sxx = (xm * xm).sum()
+    if sxx <= 0.0:
+        raise DegenerateCurveError("zero variance in the independent variable")
+    y_mean = y.mean(axis=-1)
+    ym = y - y_mean[..., None]
+    syy = (ym * ym).sum(axis=-1)
+    sxy = (xm * ym).sum(axis=-1)
+    flat = syy == 0.0
+    slope = np.where(flat, 0.0, sxy / sxx)
+    intercept = y_mean - slope * x_mean
+    r_squared = np.where(
+        flat, 0.0, np.minimum(1.0, (sxy * sxy) / (sxx * np.where(flat, 1.0, syy))))
+    return slope, intercept, r_squared, flat
+
+
 def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, bool]:
     """Plain OLS of y on x: (slope, intercept, r_squared, flat).
 
     Raises DegenerateCurveError when x has no variance. Zero variance in
     y gives slope 0, r_squared 0 and flat=True. Exactly collinear points
     report r_squared 1 even in the presence of rounding noise below
-    1e-15 of the data scale.
+    1e-15 of the data scale. This is the one-row case of ols_rows.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size < 2:
-        raise DegenerateCurveError("need at least 2 points for a line")
-    xm = x - x.mean()
-    ym = y - y.mean()
-    sxx = float(xm @ xm)
-    if sxx <= 0.0:
-        raise DegenerateCurveError("zero variance in the independent variable")
-    syy = float(ym @ ym)
-    if syy == 0.0:
-        return 0.0, float(y.mean()), 0.0, True
-    sxy = float(xm @ ym)
-    slope = sxy / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    r_squared = min(1.0, (sxy * sxy) / (sxx * syy))
-    return slope, intercept, r_squared, False
+    return tuple(v.item() for v in ols_rows(x, [y]))
+
+
+def fit_loglog_rows(scales: tuple[int, ...], statistics: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise fit_loglog of curves stacked as (..., len(scales))."""
+    return ols_rows(np.log(scales), np.log(statistics))
 
 
 def fit_loglog(curve: ScalingCurve) -> PowerLawFit:

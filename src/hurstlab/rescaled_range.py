@@ -149,8 +149,7 @@ def rs_at_scale(series: Sequence[float], n: int,
     constant segments are excluded from the average. Raises when every
     segment is constant.
     """
-    value, skipped = rs_at_scale_with_diagnostics(series, n, std_mode)
-    return value
+    return rs_at_scale_with_diagnostics(series, n, std_mode)[0]
 
 
 def rs_at_scale_with_diagnostics(
@@ -163,13 +162,39 @@ def rs_at_scale_with_diagnostics(
         raise ValueError(f"segment length must be >= 2, got {n}")
     if x.size // n < 1:
         raise ValueError(f"series of length {x.size} has no segment of length {n}")
+    stats, dropped = _rs_window(x, (n,), std_mode)
+    return stats[0], dropped[0]
+
+
+def rs_curve_rows(rows: np.ndarray, segment_lengths: Sequence[int],
+                  std_mode: StdMode = StdMode.POPULATION,
+                  ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(R/S)_n of every window of ``rows`` (shape (..., length)) at each n.
+
+    Returns (statistics, defined_counts) of shape (..., len(segment_lengths))
+    and floor(length/n) per scale. A statistic is NaN where every segment at
+    its scale is constant. A single window is the batch of one.
+    """
     ddof = 0 if std_mode is StdMode.POPULATION else 1
-    total, defined, segments = _kernels.rs_segment_sums(x, n, ddof)
-    if defined == 0:
-        raise AllSegmentsDegenerateError(
-            f"all {segments} segments of length {n} are constant"
-        )
-    return total / defined, segments - defined
+    sums = [_kernels.rs_segment_sums(rows, n, ddof) for n in segment_lengths]
+    totals = np.stack([total for total, _, _ in sums], axis=-1)
+    defined = np.stack([count for _, count, _ in sums], axis=-1)
+    stats = np.divide(totals, defined, out=np.full(totals.shape, np.nan),
+                      where=defined > 0)
+    return stats, defined, tuple(v for _, _, v in sums)
+
+
+def _rs_window(x: np.ndarray, segment_lengths: Sequence[int],
+               std_mode: StdMode) -> tuple[list[float], list[int]]:
+    """(R/S)_n and the dropped constant segments per scale of one window;
+    raises at the first scale whose segments are all constant."""
+    stats, defined, segments = rs_curve_rows(x, segment_lengths, std_mode)
+    dropped = [v - count for v, count in zip(segments, defined.tolist())]
+    for n, v, d in zip(segment_lengths, segments, dropped):
+        if d == v:
+            raise AllSegmentsDegenerateError(
+                f"all {v} segments of length {n} are constant")
+    return stats.tolist(), dropped
 
 
 def build_partition_plan(total_length: int,
@@ -230,17 +255,12 @@ def rs_scaling_curve(series: Sequence[float], plan: PartitionPlan,
         raise InvalidPlanError(
             f"plan built for length {plan.total_length}, series has {x.size}"
         )
-    stats = []
-    skipped = []
-    for n in plan.segment_lengths:
-        value, dropped = rs_at_scale_with_diagnostics(x, n, std_mode)
-        stats.append(value)
-        if dropped:
-            skipped.append((n, dropped))
+    stats, dropped = _rs_window(x, plan.segment_lengths, std_mode)
+    skipped = tuple((n, d) for n, d in zip(plan.segment_lengths, dropped) if d)
     curve = ScalingCurve(scales=plan.segment_lengths,
                          statistics=tuple(stats),
                          kind=CurveKind.RESCALED_RANGE)
-    return curve, tuple(skipped)
+    return curve, skipped
 
 
 def estimate_from_curve(curve: ScalingCurve, estimator: EstimatorKind,

@@ -1,9 +1,11 @@
 """Sliding-window ("dynamic") Hurst estimation over a long return series.
 
-Window i covers returns [i*lag, i*lag + window); every window is
-estimated independently, so a trace entry always equals the standalone
-estimate on that slice. Failed windows are kept as explicit gaps rather
-than dropped or interpolated.
+Window i covers returns [i*lag, i*lag + window). The sweep builds the
+R/S plan or DFA box schedule once and runs each scale's reduction and the
+log-log fit once per chunk of windows stacked as rows; a standalone
+estimate is the batch of one of the same code, so a trace entry equals
+the standalone estimate on that slice bit for bit. Failed windows are
+kept as explicit gaps rather than dropped or interpolated.
 """
 from __future__ import annotations
 
@@ -12,8 +14,16 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dfa import DfaConfig, FitTarget, default_box_sizes, estimate_hurst_dfa
+from .dfa import (
+    DfaConfig,
+    FitTarget,
+    default_box_sizes,
+    dfa_curve_rows,
+    dfa_fit_rows,
+    estimate_hurst_dfa,
+)
 from .errors import (
     ComputationError,
     ConfigError,
@@ -24,12 +34,19 @@ from .errors import (
 from .rescaled_range import (
     DEFAULT_MIN_SEGMENT,
     EstimatorKind,
+    PartitionPlan,
     PartitionPolicy,
     StdMode,
     build_partition_plan,
     estimate_hurst_rs,
+    rs_curve_rows,
 )
+from .regression import fit_loglog_rows
 from .series import ReturnSeries, Transform, transform_returns
+
+#: Windows per batched call: bounds the working set (0.5 MB per temporary
+#: at window 250) whatever the series length; results do not depend on it.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -138,15 +155,37 @@ class MarketClass:
     rationale: str
 
 
+def _scheme(config: RollingConfig, length: int) -> PartitionPlan | DfaConfig:
+    """The R/S partition plan or DFA box schedule for windows of a length."""
+    if config.estimator is EstimatorKind.RESCALED_RANGE:
+        return build_partition_plan(length, config.resolved_policy(),
+                                    config.min_segment_length)
+    return DfaConfig(box_sizes=default_box_sizes(length),
+                     fit_target=config.dfa_fit_target)
+
+
 def estimate_window(values: np.ndarray, config: RollingConfig):
     """Standalone estimate of one window under a rolling config."""
-    if config.estimator is EstimatorKind.RESCALED_RANGE:
-        plan = build_partition_plan(values.size, config.resolved_policy(),
-                                    config.min_segment_length)
-        return estimate_hurst_rs(values, plan, config.std_mode)
-    dfa_config = DfaConfig(box_sizes=default_box_sizes(values.size),
-                           fit_target=config.dfa_fit_target)
-    return estimate_hurst_dfa(values, dfa_config)
+    scheme = _scheme(config, values.size)
+    if isinstance(scheme, PartitionPlan):
+        return estimate_hurst_rs(values, scheme, config.std_mode)
+    return estimate_hurst_dfa(values, scheme)
+
+
+def _fit_rows(rows: np.ndarray, scheme: PartitionPlan | DfaConfig,
+              std_mode: StdMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, r_squared, fitted) for windows stacked as (rows, window); fitted
+    is False exactly where the standalone estimate of the window raises."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(scheme, PartitionPlan):
+            stats = rs_curve_rows(rows, scheme.segment_lengths, std_mode)[0]
+            h, _, r_squared, _ = fit_loglog_rows(scheme.segment_lengths, stats)
+        else:
+            stats = dfa_curve_rows(rows, scheme)
+            h, _, r_squared, _ = dfa_fit_rows(scheme.box_sizes, stats,
+                                              scheme.fit_target)
+        fitted = (np.isfinite(stats) & (stats > 0.0)).all(axis=-1)
+    return h, r_squared, fitted
 
 
 def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
@@ -158,24 +197,26 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
         raise SeriesTooShortError(
             f"{length} returns cannot fill a window of {config.window}"
         )
-    count = (length - config.window) // config.lag + 1
+    scheme = _scheme(config, config.window)
+    windows = sliding_window_view(values, config.window)[::config.lag]
+    chunks = [_fit_rows(np.ascontiguousarray(windows[i:i + _CHUNK_ROWS]),
+                        scheme, config.std_mode)
+              for i in range(0, len(windows), _CHUNK_ROWS)]
+    h, r_squared, fitted = (np.concatenate(part).tolist() for part in zip(*chunks))
     measurements = []
-    for i in range(count):
-        start = i * config.lag
-        stop = start + config.window
-        end_date = transformed.dates[stop - 1]
-        try:
-            estimate = estimate_window(values[start:stop], config)
+    for i, (h_i, r2_i, ok) in enumerate(zip(h, r_squared, fitted)):
+        end_date = transformed.dates[i * config.lag + config.window - 1]
+        if ok:
+            measurements.append(RollingMeasurement(end_date, h_i, r2_i))
+            continue
+        try:  # the standalone estimate supplies the gap's note
+            estimate = estimate_window(windows[i], config)
         except ComputationError as exc:
             measurements.append(RollingMeasurement(
-                end_date=end_date, h=None, r_squared=None,
-                note=f"{type(exc).__name__}: {exc}",
-            ))
+                end_date, None, None, note=f"{type(exc).__name__}: {exc}"))
         else:
             measurements.append(RollingMeasurement(
-                end_date=end_date, h=estimate.h,
-                r_squared=estimate.r_squared,
-            ))
+                end_date, estimate.h, estimate.r_squared))
     return RollingTrace(config=config, measurements=tuple(measurements))
 
 

@@ -18,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    ConfigError,
     FactorizationFailureError,
     HOutOfRangeError,
     LengthTooLargeError,
@@ -183,7 +184,9 @@ def random_walk_prices(length: int, seed: int, drift: float = 0.0,
 def generate(spec: GeneratorSpec):
     """Dispatch on spec.kind; returns an array or a PriceSeries."""
     if spec.length < 2:
-        raise ValueError("length must be >= 2")
+        raise ConfigError(f"length must be >= 2, got {spec.length}")
+    if not (np.isfinite(spec.drift) and np.isfinite(spec.volatility)):
+        raise ConfigError("drift and volatility must be finite")
     if spec.kind is GeneratorKind.WHITE_NOISE:
         return white_noise(spec.length, spec.seed)
     if spec.kind is GeneratorKind.FGN:

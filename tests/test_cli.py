@@ -48,6 +48,15 @@ def test_synth_fgn_requires_h(capsys):
     assert json.loads(err.strip())["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv", [("--n", "1"), ("--n", "64", "--vol", "nan"),
+                                  ("--n", "64", "--vol", "inf")])
+def test_synth_invalid_config_exit_4(capsys, argv):
+    code, out, err = run_cli(capsys, "synth", *argv)
+    assert code == 4
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "ConfigError"
+
+
 def test_synth_unknown_flag_exit_4(capsys):
     code, _, err = run_cli(capsys, "synth", "--n", "64", "--bogus", "1")
     assert code == 4
@@ -121,6 +130,14 @@ def test_hurst_malformed_input_exit_2(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "MalformedRowError"
 
 
+def test_hurst_non_utf8_input_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"date,close\n2020-01-01,1.0\n2020-01-02,\xff\xfe\n")
+    code, _, err = run_cli(capsys, "hurst", str(path))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "InputError"
+
+
 def test_hurst_stdin(tmp_path, capsys, monkeypatch):
     csv_text = synth_csv(capsys, "--kind", "white-noise", "--n", "512",
                          "--seed", "9")
@@ -173,6 +190,17 @@ def test_rolling_emits_price_table(tmp_path, capsys):
     assert "# trace" in table_out
     assert "# prices" in table_out
     assert "date,close" in table_out
+
+
+def test_rolling_dfa_default_window(tmp_path, capsys):
+    csv_text = synth_csv(capsys, "--kind", "prices", "--n", "600",
+                         "--seed", "14", "--vol", "0.02")
+    path = write_fixture(tmp_path, "px.csv", csv_text)
+    code, out, err = run_cli(capsys, "rolling", path, "--estimator", "dfa")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["results"]["count"] == (599 - 250) // 5 + 1
+    assert all(row[1] is not None for row in report["results"]["trace"])
 
 
 def test_rolling_too_short_exit_3(tmp_path, capsys):

@@ -3,9 +3,15 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from hurstlab.errors import SeriesTooShortError, TraceTooShortError
-from hurstlab.rescaled_range import EstimatorKind, PartitionPolicy
+from hurstlab.dfa import FitTarget
+from hurstlab.errors import (
+    ComputationError,
+    SeriesTooShortError,
+    TraceTooShortError,
+)
+from hurstlab.rescaled_range import EstimatorKind, PartitionPolicy, StdMode
 from hurstlab.rolling import (
+    _CHUNK_ROWS,
     RollingConfig,
     classify_market,
     estimate_window,
@@ -58,6 +64,71 @@ def test_window_measurements_match_standalone_bit_for_bit():
     for i in (0, 7, len(trace.measurements) - 1):
         start = i * config.lag
         standalone = estimate_window(values[start:start + 250], config)
+        assert trace.measurements[i].h == standalone.h
+        assert trace.measurements[i].r_squared == standalone.r_squared
+
+
+def reference_trace(values, config):
+    """The per-window loop over the public single-window API."""
+    entries = []
+    for start in range(0, values.size - config.window + 1, config.lag):
+        try:
+            est = estimate_window(values[start:start + config.window], config)
+        except ComputationError as exc:
+            entries.append((None, None, f"{type(exc).__name__}: {exc}"))
+        else:
+            entries.append((est.h, est.r_squared, ""))
+    return entries
+
+
+def with_constant_block(length, seed):
+    # Windows inside the block, or ending just past it (every small-scale
+    # segment constant), are gaps; others overlapping it skip segments.
+    values = white_noise(length, seed=seed).copy()
+    values[400:700] = 1.5
+    return values
+
+
+DFA = EstimatorKind.DFA
+
+
+@pytest.mark.parametrize("length, config", [
+    (1100, RollingConfig(window=250, lag=1)),
+    (2000, RollingConfig(window=250, lag=7)),
+    (1400, RollingConfig(window=500, lag=3)),
+    (900, RollingConfig(window=250, lag=2, std_mode=StdMode.SAMPLE)),
+    (1200, RollingConfig(window=256, lag=1, estimator=DFA)),
+    (1200, RollingConfig(window=256, lag=3, estimator=DFA,
+                         dfa_fit_target=FitTarget.FLUCTUATION_SQUARED)),
+])
+def test_sweep_matches_per_window_reference(length, config):
+    values = with_constant_block(length, seed=length + config.lag)
+    trace = sweep(make_returns(values), config)
+    expected = reference_trace(values, config)
+    assert trace.count == len(expected)
+    assert [m.note for m in trace.measurements] == [e[2] for e in expected]
+    for m, (h, r_squared, _) in zip(trace.measurements, expected):
+        if h is None:
+            assert m.h is None and m.r_squared is None
+        else:
+            assert abs(m.h - h) <= 1e-12
+            assert abs(m.r_squared - r_squared) <= 1e-12
+    if config.window == 250 and config.lag == 1:
+        assert trace.count > 2 * _CHUNK_ROWS
+        assert any(m.is_gap for m in trace.measurements)
+
+
+@pytest.mark.parametrize("config", [
+    RollingConfig(window=250, lag=1),
+    RollingConfig(window=256, lag=1, estimator=DFA),
+])
+def test_trace_equals_standalone_at_chunk_boundaries(config):
+    values = white_noise(1100, seed=13)
+    trace = sweep(make_returns(values), config)
+    boundaries = range(_CHUNK_ROWS, trace.count, _CHUNK_ROWS)
+    assert len(boundaries) >= 2
+    for i in [j for b in boundaries for j in (b - 1, b)] + [trace.count - 1]:
+        standalone = estimate_window(values[i:i + config.window], config)
         assert trace.measurements[i].h == standalone.h
         assert trace.measurements[i].r_squared == standalone.r_squared
 
