@@ -5,6 +5,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -98,52 +99,25 @@ class CsvConfig:
     date_format: str = "%Y-%m-%d"
 
 
-def parse_price_csv(raw_text: str, config: CsvConfig = CsvConfig(),
-                    symbol: str = "SERIES") -> PriceSeries:
-    """Parse delimiter-separated text with a header row into a PriceSeries.
-
-    Rows are sorted by date if the input is unsorted; duplicate dates,
-    non-positive prices and unparseable rows are hard errors.
-    """
-    reader = csv.reader(io.StringIO(raw_text), delimiter=config.delimiter)
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise TooShortError("empty input")
-    needed = max(config.date_column, config.close_column)
-    observations: list[tuple[dt.date, float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) <= needed:
-            raise MalformedRowError(f"row {lineno}: expected at least "
-                                    f"{needed + 1} columns, got {len(row)}")
-        date_text = row[config.date_column].strip()
-        close_text = row[config.close_column].strip()
-        try:
-            date = dt.datetime.strptime(date_text, config.date_format).date()
-        except ValueError as exc:
-            raise MalformedRowError(f"row {lineno}: bad date {date_text!r}") from exc
-        try:
-            close = float(close_text)
-        except ValueError as exc:
-            raise MalformedRowError(f"row {lineno}: bad price {close_text!r}") from exc
-        if not math.isfinite(close):
-            raise MalformedRowError(f"row {lineno}: non-finite price {close_text!r}")
-        if close <= 0.0:
-            raise NonPositivePriceError(f"row {lineno}: close {close} on {date}")
-        observations.append((date, close))
-    if len(observations) < 2:
-        raise TooShortError(f"need at least 2 rows, got {len(observations)}")
-    observations.sort(key=lambda pair: pair[0])
-    dates = tuple(date for date, _ in observations)
-    closes = np.array([close for _, close in observations])
-    return PriceSeries(symbol=symbol, dates=dates, closes=closes)
+#: An ASCII YYYY-MM-DD date; strptime("%Y-%m-%d") accepts more spellings
+#: (2000-1-3, non-ASCII digits), and date.fromisoformat others (20000103,
+#: 2000-W01-1), so only this exact shape takes the fast path.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def parse_return_csv(raw_text: str, config: CsvConfig = CsvConfig(),
-                     symbol: str = "SERIES") -> ReturnSeries:
-    """Parse a (date, value) CSV into a raw ReturnSeries.
+def _parse_date(text: str, fmt: str) -> dt.date:
+    """datetime.strptime(text, fmt).date(), ~10x faster on ISO dates."""
+    if fmt == "%Y-%m-%d" and _ISO_DATE.fullmatch(text):
+        return dt.date.fromisoformat(text)
+    return dt.datetime.strptime(text, fmt).date()
 
-    Same layout rules as parse_price_csv (the close column holds the
-    return value) but values may be negative.
+
+def _parse_rows(raw_text: str, config: CsvConfig, what: str,
+                positive: bool) -> list[tuple[dt.date, float]]:
+    """Date-sorted (date, value) pairs of the data rows after the header.
+
+    Each row is checked in order: column count, date, value (a finite
+    float, and > 0 when positive is set).
     """
     reader = csv.reader(io.StringIO(raw_text), delimiter=config.delimiter)
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
@@ -158,19 +132,47 @@ def parse_return_csv(raw_text: str, config: CsvConfig = CsvConfig(),
         date_text = row[config.date_column].strip()
         value_text = row[config.close_column].strip()
         try:
-            date = dt.datetime.strptime(date_text, config.date_format).date()
+            date = _parse_date(date_text, config.date_format)
         except ValueError as exc:
             raise MalformedRowError(f"row {lineno}: bad date {date_text!r}") from exc
         try:
             value = float(value_text)
         except ValueError as exc:
-            raise MalformedRowError(f"row {lineno}: bad value {value_text!r}") from exc
+            raise MalformedRowError(f"row {lineno}: bad {what} {value_text!r}") from exc
         if not math.isfinite(value):
-            raise MalformedRowError(f"row {lineno}: non-finite value {value_text!r}")
+            raise MalformedRowError(f"row {lineno}: non-finite {what} {value_text!r}")
+        if positive and value <= 0.0:
+            raise NonPositivePriceError(f"row {lineno}: close {value} on {date}")
         entries.append((date, value))
+    entries.sort(key=lambda pair: pair[0])
+    return entries
+
+
+def parse_price_csv(raw_text: str, config: CsvConfig = CsvConfig(),
+                    symbol: str = "SERIES") -> PriceSeries:
+    """Parse delimiter-separated text with a header row into a PriceSeries.
+
+    Rows are sorted by date if the input is unsorted; duplicate dates,
+    non-positive prices and unparseable rows are hard errors.
+    """
+    observations = _parse_rows(raw_text, config, "price", positive=True)
+    if len(observations) < 2:
+        raise TooShortError(f"need at least 2 rows, got {len(observations)}")
+    dates = tuple(date for date, _ in observations)
+    closes = np.array([close for _, close in observations])
+    return PriceSeries(symbol=symbol, dates=dates, closes=closes)
+
+
+def parse_return_csv(raw_text: str, config: CsvConfig = CsvConfig(),
+                     symbol: str = "SERIES") -> ReturnSeries:
+    """Parse a (date, value) CSV into a raw ReturnSeries.
+
+    Same layout rules as parse_price_csv (the close column holds the
+    return value) but values may be negative.
+    """
+    entries = _parse_rows(raw_text, config, "value", positive=False)
     if not entries:
         raise TooShortError("no data rows")
-    entries.sort(key=lambda pair: pair[0])
     for (d1, _), (d2, _) in zip(entries, entries[1:]):
         if d1 == d2:
             raise DuplicateDateError(f"duplicate date {d1}")

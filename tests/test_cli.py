@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import pytest
 
@@ -55,6 +56,32 @@ def test_synth_invalid_config_exit_4(capsys, argv):
     assert code == 4
     assert out == ""
     assert json.loads(err.strip())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "64", "--seed", "-1"),
+    ("--kind", "prices", "--n", "64", "--vol", "1e308"),
+    ("--kind", "prices", "--n", "64", "--drift=-1e308"),
+    ("--kind", "white-noise", "--n", "3000000"),
+])
+def test_synth_out_of_range_config_exit_4(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "synth", *argv)
+    assert [str(w.message) for w in caught] == []
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert set(json.loads(err)) == {"error", "message"}
+
+
+def test_synth_fgn_near_one_fails_factorization_exit_3(capsys):
+    code, out, err = run_cli(capsys, "synth", "--kind", "fgn", "--n", "4096",
+                             "--h", "0.999999999999")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "FactorizationFailureError"
 
 
 def test_synth_unknown_flag_exit_4(capsys):

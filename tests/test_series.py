@@ -72,6 +72,23 @@ def test_parse_rejects_bad_date_and_bad_price():
         parse_price_csv("date,close\n2020-01-02\n2020-01-03,101.0\n")
 
 
+@pytest.mark.parametrize("parse", [parse_price_csv, parse_return_csv])
+@pytest.mark.parametrize("text", ["20000103", "2000-W01-1", "2000-02-30",
+                                  "0000-01-01", "2000-01-03x"])
+def test_parse_rejects_non_strptime_dates(parse, text):
+    # date.fromisoformat accepts the first two; strptime does not.
+    with pytest.raises(MalformedRowError):
+        parse(f"date,close\n{text},1.0\n2000-01-04,2.0\n")
+
+
+@pytest.mark.parametrize("parse", [parse_price_csv, parse_return_csv])
+@pytest.mark.parametrize("text", ["2000-1-3", "2000-01-03",
+                                  "\uff12\uff10\uff10\uff10-01-03"])
+def test_parse_accepts_strptime_dates(parse, text):
+    series = parse(f"date,close\n{text},1.0\n2000-01-04,2.0\n")
+    assert series.dates == (dt.date(2000, 1, 3), dt.date(2000, 1, 4))
+
+
 def test_parse_custom_columns_and_delimiter():
     config = CsvConfig(delimiter=";", date_column=1, close_column=2,
                        date_format="%d/%m/%Y")

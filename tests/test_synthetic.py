@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from hurstlab.errors import HOutOfRangeError, LengthTooLargeError
+from hurstlab import synthetic
+from hurstlab.errors import (
+    ConfigError,
+    FactorizationFailureError,
+    HOutOfRangeError,
+    LengthTooLargeError,
+)
 from hurstlab.series import PriceSeries
 from hurstlab.synthetic import (
     DENSE_FGN_MAX,
@@ -84,9 +90,47 @@ def test_fgn_half_reduces_to_white_noise():
 
 
 def test_fgn_lag_one_autocov_dense_path():
-    # n = 4096 runs through the dense Cholesky factorization
+    # n = 4096 runs through the Schur-factored Toeplitz route
     values = [sample_autocov(fgn(4096, 0.7, seed=s), 1) for s in range(8)]
     assert abs(np.mean(values) - 0.3195079107728942) < 0.03
+
+
+def reference_factor(h, n):
+    """Dense LAPACK Cholesky of the fGn Toeplitz covariance.
+
+    gamma is evaluated by the same numpy expression as the generator's:
+    at h = 0.95 the covariance is ill-conditioned enough that the last-ulp
+    differences of the scalar fgn_autocovariance move the factor by ~1e-10.
+    """
+    lags = np.arange(n)
+    e = 2.0 * h
+    gamma = 0.5 * (np.abs(lags + 1) ** e - 2.0 * np.abs(lags) ** e
+                   + np.abs(lags - 1) ** e)
+    return np.linalg.cholesky(gamma[np.abs(lags[:, None] - lags[None, :])])
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3, 0.7, 0.95])
+@pytest.mark.parametrize("n", [2, 3, 257, 1024])
+def test_schur_factor_matches_dense_cholesky(h, n):
+    factor = synthetic._cholesky_factor(h, n)
+    reference = reference_factor(h, n)
+    assert np.array_equal(factor, np.tril(factor))
+    assert np.abs(factor - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3, 0.7, 0.95])
+def test_fgn_matches_dense_reference_draw(h):
+    n, seed = 1024, 17
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
+    expected = reference_factor(h, n) @ z
+    assert np.abs(fgn(n, h, seed=seed) - expected).max() <= 1e-10
+
+
+def test_schur_rejects_indefinite_toeplitz():
+    with pytest.raises(FactorizationFailureError):
+        synthetic._toeplitz_cholesky(np.array([1.0, 1.5]))
+    with pytest.raises(FactorizationFailureError):
+        synthetic._toeplitz_cholesky(np.array([1.0, 1.0, 1.0]))
 
 
 def test_fgn_lag_one_autocov_circulant_path():
@@ -110,6 +154,12 @@ def test_dense_and_circulant_paths_agree_statistically():
 def test_fgn_unit_variance():
     x = fgn(2 ** 13, 0.7, seed=21)
     assert abs(x.var() - 1.0) < 0.15
+
+
+def test_prices_reject_non_finite_walk():
+    for drift, vol in ((0.0, 1e308), (-1e308, 1.0), (1e300, 1.0)):
+        with pytest.raises(ConfigError):
+            random_walk_prices(64, seed=0, drift=drift, volatility=vol)
 
 
 def test_fgn_rejects_out_of_range():
