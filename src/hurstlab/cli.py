@@ -1,7 +1,9 @@
 """Command-line front end: hurst, dfa, rolling, vstat, downfalls, synth.
 
-Reports are a single JSON tree on stdout (--format table switches to
-comma-separated tables with headers). Exit codes: 0 success, 2 input
+Each analysis command builds one report, a JSON tree on stdout.
+--format table prints values of the report's "results" instead, each as
+a comma-separated block under a "# name" line and a header row. Exit
+codes: 0 success (also when the reader closes stdout early), 2 input
 error, 3 computation error, 4 configuration/usage error. Failures print
 a machine-readable {"error", "message"} object on stderr.
 """
@@ -11,6 +13,7 @@ import argparse
 import datetime as dt
 import hashlib
 import json
+import os
 import sys
 
 from .dfa import FitTarget
@@ -25,9 +28,10 @@ from .downfalls import (
 from .errors import (
     ComputationError,
     ConfigError,
+    EmptyTraceError,
     HurstLabError,
     InputError,
-    TooFewError,
+    TraceTooShortError,
 )
 from .rescaled_range import (
     DEFAULT_MIN_SEGMENT,
@@ -37,7 +41,6 @@ from .rescaled_range import (
 )
 from .rolling import (
     RollingConfig,
-    TraceSummary,
     classify_market,
     estimate_window,
     summarize,
@@ -214,14 +217,28 @@ def _echo(args, keys: tuple[str, ...]) -> dict:
     return echo
 
 
-def _emit(report: dict, fmt: str, tables: dict[str, tuple[tuple, list]]) -> None:
+def _emit(report: dict, fmt: str, tables: list[tuple]) -> None:
+    """Print the report as JSON, or the given values of its results.
+
+    Each table is (name, header, value). The value is a list of rows
+    (lists, or dicts keyed by the header), a dict shown as key/value rows
+    of its scalars, or None to leave the table out.
+    """
     if fmt == "json":
         print(json.dumps(report, indent=2))
         return
     blocks = []
-    for name, (header, rows) in tables.items():
+    for name, header, value in tables:
+        if value is None:
+            continue
+        if isinstance(value, dict):
+            rows = [(key, item) for key, item in value.items()
+                    if not isinstance(item, (list, dict))]
+        else:
+            rows = [[row[key] for key in header] if isinstance(row, dict)
+                    else row for row in value]
         lines = [f"# {name}", ",".join(header)]
-        lines.extend(",".join(_cell(value) for value in row) for row in rows)
+        lines.extend(",".join(_cell(item) for item in row) for row in rows)
         blocks.append("\n".join(lines))
     print("\n\n".join(blocks))
 
@@ -234,8 +251,14 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _estimate_payload(est) -> dict:
-    return {
+# -- subcommands -------------------------------------------------------------
+
+def cmd_hurst(args) -> int:
+    returns, _, fingerprint = _load_returns(args)
+    transformed = transform_returns(returns, _TRANSFORMS[args.transform])
+    est = estimate_window(transformed.values,
+                          _rolling_config(args, len(transformed)))
+    results = {
         "h": est.h,
         "r_squared": est.r_squared,
         "autocorrelation_c": est.autocorrelation_c,
@@ -245,42 +268,20 @@ def _estimate_payload(est) -> dict:
         "curve": [[int(n), float(s)]
                   for n, s in zip(est.curve.scales, est.curve.statistics)],
     }
-
-
-def _estimate_tables(est) -> dict:
-    summary_rows = [
-        ("h", est.h),
-        ("r_squared", est.r_squared),
-        ("autocorrelation_c", est.autocorrelation_c),
-        ("fractal_dimension", est.fractal_dimension),
-        ("persistence", est.persistence.value),
-        ("estimator", est.estimator.value),
-    ]
-    curve_rows = list(zip(est.curve.scales, est.curve.statistics))
-    return {
-        "estimate": (("key", "value"), summary_rows),
-        "scaling_curve": (("scale", "statistic"), curve_rows),
-    }
-
-
-# -- subcommands -------------------------------------------------------------
-
-def cmd_hurst(args) -> int:
-    returns, _, fingerprint = _load_returns(args)
-    transformed = transform_returns(returns, _TRANSFORMS[args.transform])
-    est = estimate_window(transformed.values,
-                          _rolling_config(args, len(transformed)))
     report = {
         "command": _echo(args, ("transform", "estimator", "plan",
                                 "min_segment", "std", "returns")),
         "input": {"fingerprint": fingerprint, "returns": len(transformed)},
-        "results": _estimate_payload(est),
+        "results": results,
         "diagnostics": {
             "skipped_segments": [list(pair) for pair in est.skipped_segments],
             "flags": list(est.flags),
         },
     }
-    _emit(report, args.format, _estimate_tables(est))
+    _emit(report, args.format, [
+        ("estimate", ("key", "value"), results),
+        ("scaling_curve", ("scale", "statistic"), results["curve"]),
+    ])
     return 0
 
 
@@ -291,29 +292,24 @@ def cmd_vstat(args) -> int:
     est = estimate_window(transformed.values,
                           _rolling_config(args, len(transformed)))
     curve = v_statistic(est.curve, flat_tolerance=args.flat_tolerance)
+    results = {
+        "trend": curve.trend.value,
+        "slope": curve.slope,
+        "peak_scale": curve.peak_scale,
+        "points": [[ln, v] for ln, v in zip(curve.log_scales, curve.v_values)],
+        "h": est.h,
+    }
     report = {
         "command": _echo(args, ("transform", "plan", "min_segment",
                                 "flat_tolerance", "returns")),
         "input": {"fingerprint": fingerprint, "returns": len(transformed)},
-        "results": {
-            "trend": curve.trend.value,
-            "slope": curve.slope,
-            "peak_scale": curve.peak_scale,
-            "points": [[ln, v] for ln, v in zip(curve.log_scales,
-                                                curve.v_values)],
-            "h": est.h,
-        },
+        "results": results,
         "diagnostics": {"flags": list(est.flags)},
     }
-    tables = {
-        "vstat": (("key", "value"), [("trend", curve.trend.value),
-                                     ("slope", curve.slope),
-                                     ("peak_scale", curve.peak_scale),
-                                     ("h", est.h)]),
-        "v_curve": (("log_n", "v"), list(zip(curve.log_scales,
-                                             curve.v_values))),
-    }
-    _emit(report, args.format, tables)
+    _emit(report, args.format, [
+        ("vstat", ("key", "value"), results),
+        ("v_curve", ("log_n", "v"), results["points"]),
+    ])
     return 0
 
 
@@ -323,69 +319,64 @@ def cmd_rolling(args) -> int:
     diagnostics = {"gaps": [[m.end_date.isoformat(), m.note]
                             for m in trace.measurements if m.is_gap]}
     summary = market = None
-    if trace.h_values().size:
+    try:
         summary = summarize(trace, tuple(args.cuts))
-        if trace.h_values().size >= 10:
-            market = classify_market(trace)
-        else:
-            diagnostics["notes"] = ["fewer than 10 measurements; market "
-                                    "class omitted"]
-    else:
+        market = classify_market(trace)
+    except EmptyTraceError:
         diagnostics["notes"] = ["no usable windows; summary omitted"]
+    except TraceTooShortError:
+        diagnostics["notes"] = ["fewer than 10 measurements; market "
+                                "class omitted"]
+    results = {
+        "count": trace.count,
+        "trace": [[m.end_date.isoformat(), m.h, m.r_squared]
+                  for m in trace.measurements],
+        "summary": ({
+            "h_min": summary.h_min,
+            "h_max": summary.h_max,
+            "h_mean": summary.h_mean,
+            "first_measurement_date":
+                summary.first_measurement_date.isoformat(),
+            "count": summary.count,
+            "proportions_above": {str(cut): frac
+                                  for cut, frac in summary.proportions.items()},
+            "fraction_below_half": summary.fraction_below_half,
+        } if summary is not None else None),
+        "market_class": ({"class": market.kind.value,
+                          "rationale": market.rationale}
+                         if market else None),
+        "prices": ([[d.isoformat(), float(c)] for d, c in prices.observations]
+                   if prices is not None else None),
+    }
     report = {
         "command": _echo(args, ("window", "lag", "estimator", "transform",
                                 "plan", "cuts", "returns")),
         "input": {"fingerprint": fingerprint, "returns": len(returns)},
-        "results": {
-            "count": trace.count,
-            "trace": [[m.end_date.isoformat(), m.h, m.r_squared]
-                      for m in trace.measurements],
-            "summary": _summary_payload(summary),
-            "market_class": ({"class": market.kind.value,
-                              "rationale": market.rationale}
-                             if market else None),
-            "prices": ([[d.isoformat(), float(c)]
-                        for d, c in prices.observations]
-                       if prices is not None else None),
-        },
+        "results": results,
         "diagnostics": diagnostics,
     }
-    tables = {
-        "trace": (("date", "h", "r_squared"),
-                  [(m.end_date.isoformat(), m.h, m.r_squared)
-                   for m in trace.measurements]),
-    }
-    if prices is not None:
-        tables["prices"] = (("date", "close"),
-                            [(d.isoformat(), c) for d, c in prices.observations])
-    if summary is not None:
-        rows = [("count", summary.count), ("h_min", summary.h_min),
-                ("h_max", summary.h_max), ("h_mean", summary.h_mean),
-                ("first_measurement_date",
-                 summary.first_measurement_date.isoformat()),
-                ("fraction_below_half", summary.fraction_below_half)]
-        rows.extend((f"fraction_above_{cut}", frac)
-                    for cut, frac in summary.proportions.items())
-        if market is not None:
-            rows.append(("market_class", market.kind.value))
-        tables["summary"] = (("key", "value"), rows)
-    _emit(report, args.format, tables)
+    _emit(report, args.format, [
+        ("trace", ("date", "h", "r_squared"), results["trace"]),
+        ("prices", ("date", "close"), results["prices"]),
+        ("summary", ("key", "value"), _summary_rows(results)),
+    ])
     return 0
 
 
-def _summary_payload(summary: TraceSummary | None) -> dict | None:
+def _summary_rows(results: dict) -> list | None:
+    """Rows of the summary table: count, extrema, mean, first date and the
+    share below 0.5, then one row per cut, then the market class."""
+    summary = results["summary"]
     if summary is None:
         return None
-    return {
-        "h_min": summary.h_min,
-        "h_max": summary.h_max,
-        "h_mean": summary.h_mean,
-        "first_measurement_date": summary.first_measurement_date.isoformat(),
-        "count": summary.count,
-        "proportions_above": {str(cut): frac
-                              for cut, frac in summary.proportions.items()},
-        "fraction_below_half": summary.fraction_below_half,
-    }
+    rows = [(key, summary[key]) for key in (
+        "count", "h_min", "h_max", "h_mean", "first_measurement_date",
+        "fraction_below_half")]
+    rows.extend((f"fraction_above_{cut}", frac)
+                for cut, frac in summary["proportions_above"].items())
+    if results["market_class"] is not None:
+        rows.append(("market_class", results["market_class"]["class"]))
+    return rows
 
 
 def cmd_downfalls(args) -> int:
@@ -400,15 +391,12 @@ def cmd_downfalls(args) -> int:
     try:
         scan = progressive_kurtosis(episodes, include_open=args.include_open)
         critical = critical_cutoff(scan)
-    except (TooFewError, ComputationError) as exc:
+    except ComputationError as exc:
         diagnostics["notes"] = [f"kurtosis scan unavailable: {exc}"]
-    rank_size = []
-    if episodes:
-        try:
-            rank_size = rank_size_points(episodes,
-                                         include_open=args.include_open)
-        except ComputationError:
-            rank_size = []
+    try:
+        rank_size = rank_size_points(episodes, include_open=args.include_open)
+    except ComputationError:
+        rank_size = []
     episode_rows = []
     for ep in episodes:
         regime = (classify_episode(ep, critical).value
@@ -423,46 +411,35 @@ def cmd_downfalls(args) -> int:
             "open": ep.is_open,
             "regime": regime,
         })
+    results = {
+        "episodes": episode_rows,
+        "rank_size": [[lr, ld] for lr, ld in rank_size],
+        "kurtosis_scan": ({
+            "entries": [[e.upper_index, e.upper_value, e.excess_kurtosis]
+                        for e in scan.entries],
+            "skipped_subsets": list(scan.skipped_subsets),
+        } if scan is not None else None),
+        "critical": ({
+            "cutoff_depth": critical.cutoff_depth,
+            "cutoff_index": critical.cutoff_index,
+            "kurtosis_at_cutoff": critical.kurtosis_at_cutoff,
+        } if critical is not None else None),
+    }
     report = {
         "command": _echo(args, ("lookback", "min_depth", "include_open")),
         "input": {"fingerprint": fingerprint, "rows": len(prices)},
-        "results": {
-            "episodes": episode_rows,
-            "rank_size": [[lr, ld] for lr, ld in rank_size],
-            "kurtosis_scan": ({
-                "entries": [[e.upper_index, e.upper_value, e.excess_kurtosis]
-                            for e in scan.entries],
-                "skipped_subsets": list(scan.skipped_subsets),
-            } if scan is not None else None),
-            "critical": ({
-                "cutoff_depth": critical.cutoff_depth,
-                "cutoff_index": critical.cutoff_index,
-                "kurtosis_at_cutoff": critical.kurtosis_at_cutoff,
-            } if critical is not None else None),
-        },
+        "results": results,
         "diagnostics": diagnostics,
     }
-    tables = {
-        "episodes": (("peak_date", "trough_date", "recovery_date", "depth",
-                      "duration_days", "open", "regime"),
-                     [(row["peak_date"], row["trough_date"],
-                       row["recovery_date"], row["depth"],
-                       row["duration_days"], row["open"], row["regime"])
-                      for row in episode_rows]),
-        "rank_size": (("log_rank", "log_depth"), rank_size),
-    }
-    if scan is not None:
-        tables["kurtosis_scan"] = (
-            ("upper_index", "upper_value", "excess_kurtosis"),
-            [(e.upper_index, e.upper_value, e.excess_kurtosis)
-             for e in scan.entries])
-    if critical is not None:
-        tables["critical"] = (("key", "value"),
-                              [("cutoff_depth", critical.cutoff_depth),
-                               ("cutoff_index", critical.cutoff_index),
-                               ("kurtosis_at_cutoff",
-                                critical.kurtosis_at_cutoff)])
-    _emit(report, args.format, tables)
+    scan_payload = results["kurtosis_scan"]
+    _emit(report, args.format, [
+        ("episodes", ("peak_date", "trough_date", "recovery_date", "depth",
+                      "duration_days", "open", "regime"), results["episodes"]),
+        ("rank_size", ("log_rank", "log_depth"), results["rank_size"]),
+        ("kurtosis_scan", ("upper_index", "upper_value", "excess_kurtosis"),
+         scan_payload["entries"] if scan_payload is not None else None),
+        ("critical", ("key", "value"), results["critical"]),
+    ])
     return 0
 
 
@@ -474,24 +451,32 @@ def cmd_synth(args) -> int:
                          h=args.h, drift=args.drift, volatility=args.vol)
     result = generate(spec)
     if isinstance(result, PriceSeries):
-        sys.stdout.write(serialize_price_csv(result))
+        print(serialize_price_csv(result), end="")
         return 0
     lines = ["date,value"]
     for i, value in enumerate(result.tolist()):
         date = SYNTHETIC_EPOCH + dt.timedelta(days=i)
         lines.append(f"{date.isoformat()},{value!r}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    print("\n".join(lines))
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        code = _dispatch(argv)
+        print(end="", flush=True)  # flushes stdout; a no-op if it is closed
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        _detach_stdout()
+        return 0
+    return code
+
+
+def _dispatch(argv) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    try:
-        return args.func(args)
     except InputError as exc:
         return _fail(exc, 2)
     except ComputationError as exc:
@@ -500,6 +485,18 @@ def main(argv=None) -> int:
         return _fail(exc, 4)
     except HurstLabError as exc:  # pragma: no cover - safety net
         return _fail(exc, 3)
+
+
+def _detach_stdout() -> None:
+    """Point stdout's file descriptor at devnull, so that the output still
+    buffered is dropped at exit instead of raising BrokenPipeError again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # an in-memory stream has no fd
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _fail(exc: HurstLabError, code: int) -> int:

@@ -104,6 +104,8 @@ def extract_downfalls(prices: PriceSeries,
     """
     if lookback_days < 1:
         raise ConfigError("lookback_days must be >= 1")
+    if not (math.isfinite(min_depth) and min_depth >= 0.0):
+        raise ConfigError(f"min_depth must be finite and >= 0, got {min_depth}")
     closes = prices.closes
     dates = prices.dates
     n = closes.size

@@ -10,6 +10,7 @@ kept as explicit gaps rather than dropped or interpolated.
 from __future__ import annotations
 
 import datetime as dt
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -223,6 +224,8 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
 def summarize(trace: RollingTrace, cut_points: tuple[float, ...] = (0.5, 0.6, 0.7)
               ) -> TraceSummary:
     """Extrema/mean/proportions of the usable measurements."""
+    if not all(math.isfinite(c) for c in cut_points):
+        raise ConfigError(f"cut points must be finite, got {list(cut_points)}")
     h = trace.h_values()
     if h.size == 0:
         raise EmptyTraceError("trace has no usable measurements")

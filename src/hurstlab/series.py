@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     AlreadyTransformedError,
+    ConfigError,
     DuplicateDateError,
     MalformedRowError,
     NonPositivePriceError,
@@ -98,6 +99,13 @@ class CsvConfig:
     close_column: int = 1
     date_format: str = "%Y-%m-%d"
 
+    def __post_init__(self):
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be one character, got "
+                              f"{self.delimiter!r}")
+        if self.date_column < 0 or self.close_column < 0:
+            raise ConfigError("column indices must be >= 0")
+
 
 #: An ASCII YYYY-MM-DD date; strptime("%Y-%m-%d") accepts more spellings
 #: (2000-1-3, non-ASCII digits), and date.fromisoformat others (20000103,
@@ -120,7 +128,10 @@ def _parse_rows(raw_text: str, config: CsvConfig, what: str,
     float, and > 0 when positive is set).
     """
     reader = csv.reader(io.StringIO(raw_text), delimiter=config.delimiter)
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise MalformedRowError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         raise TooShortError("empty input")
     needed = max(config.date_column, config.close_column)

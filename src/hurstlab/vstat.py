@@ -8,11 +8,13 @@ upward, so the band must absorb that tilt).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from .errors import ConfigError
 from .regression import CurveKind, ScalingCurve, ols_line
 
 #: Half-width of the flat band, in V units per unit log n. Calibrated so
@@ -48,6 +50,9 @@ def v_statistic(curve: ScalingCurve,
     """Compute V_n from a rescaled-range curve and classify its trend."""
     if curve.kind is not CurveKind.RESCALED_RANGE:
         raise ValueError("V statistic is defined on rescaled-range curves")
+    if not (math.isfinite(flat_tolerance) and flat_tolerance >= 0.0):
+        raise ConfigError(f"flat_tolerance must be finite and >= 0, got "
+                          f"{flat_tolerance}")
     scales = np.asarray(curve.scales, dtype=np.float64)
     stats = np.asarray(curve.statistics, dtype=np.float64)
     v = stats / np.sqrt(scales)

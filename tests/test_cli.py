@@ -1,5 +1,11 @@
+import datetime as dt
 import io
 import json
+import math
+import os
+import random
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -141,7 +147,6 @@ def test_hurst_dfa_alias(tmp_path, capsys):
 
 
 def test_hurst_constant_prices_exit_3(tmp_path, capsys):
-    import datetime as dt
     rows = "\n".join(
         f"{dt.date(2020, 1, 1) + dt.timedelta(days=i)},50.0" for i in range(65))
     path = write_fixture(tmp_path, "const.csv", "date,close\n" + rows + "\n")
@@ -309,3 +314,170 @@ def test_downfalls_table_format(tmp_path, capsys):
     assert code == 0
     assert "# episodes" in out
     assert "# critical" in out
+
+
+# -- input and flag checks ---------------------------------------------------
+
+@pytest.mark.parametrize("argv", [("--delimiter=",), ("--delimiter=ab",),
+                                  ("--date-column=-5",)])
+def test_bad_csv_layout_exit_4(tmp_path, capsys, argv):
+    path = write_fixture(tmp_path, "px.csv", "date,close\n2020-01-01,1.0\n"
+                                             "2020-01-02,2.0\n")
+    code, out, err = run_cli(capsys, "hurst", path, *argv)
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+def test_oversized_csv_field_exit_2(tmp_path, capsys):
+    path = write_fixture(tmp_path, "big.csv", "date,close\n2020-01-01,"
+                                              + "9" * 200_000 + "\n")
+    code, out, err = run_cli(capsys, "hurst", path)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "MalformedRowError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("vstat", "--flat-tolerance=nan"),
+    ("vstat", "--flat-tolerance=-1"),
+    ("downfalls", "--min-depth=nan"),
+    ("downfalls", "--min-depth=-0.1"),
+    ("rolling", "--cuts=nan"),
+    ("rolling", "--cuts", "0.5", "inf"),
+])
+def test_bad_float_flag_exit_4(tmp_path, capsys, argv):
+    csv_text = synth_csv(capsys, "--kind", "prices", "--n", "513",
+                         "--seed", "17", "--vol", "0.02")
+    path = write_fixture(tmp_path, "px.csv", csv_text)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv,nbytes", [
+    (("rolling", "--lag", "1"), 10),  # the report is far larger than 10 bytes
+    (("hurst",), 0),  # closed before the report, still buffered, is flushed
+])
+def test_closed_stdout_exits_0_silently(tmp_path, capsys, argv, nbytes):
+    csv_text = synth_csv(capsys, "--kind", "prices", "--n", "2049",
+                         "--seed", "18", "--vol", "0.02")
+    path = write_fixture(tmp_path, "px.csv", csv_text)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # Block-buffered stdout, the default: what is still buffered when the
+    # pipe closes is what the interpreter's exit flush would fail on.
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hurstlab.cli", argv[0], path, *argv[1:]],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(nbytes)) == nbytes
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+# -- tables against the JSON report -------------------------------------------
+
+def _cell(value):
+    """The table's rendering of one JSON value."""
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _scalars(mapping):
+    return [[key, value] for key, value in mapping.items()
+            if not isinstance(value, (list, dict))]
+
+
+def expected_tables(command, results):
+    """(name, header, rows) of each table, read off the JSON results."""
+    if command in ("hurst", "dfa"):
+        return [("estimate", ["key", "value"], _scalars(results)),
+                ("scaling_curve", ["scale", "statistic"], results["curve"])]
+    if command == "vstat":
+        return [("vstat", ["key", "value"], _scalars(results)),
+                ("v_curve", ["log_n", "v"], results["points"])]
+    if command == "rolling":
+        tables = [("trace", ["date", "h", "r_squared"], results["trace"])]
+        if results["prices"] is not None:
+            tables.append(("prices", ["date", "close"], results["prices"]))
+        summary = results["summary"]
+        if summary is not None:
+            rows = [[key, summary[key]] for key in (
+                "count", "h_min", "h_max", "h_mean", "first_measurement_date",
+                "fraction_below_half")]
+            rows += [[f"fraction_above_{cut}", frac]
+                     for cut, frac in summary["proportions_above"].items()]
+            if results["market_class"] is not None:
+                rows.append(["market_class", results["market_class"]["class"]])
+            tables.append(("summary", ["key", "value"], rows))
+        return tables
+    columns = ["peak_date", "trough_date", "recovery_date", "depth",
+               "duration_days", "open", "regime"]
+    tables = [("episodes", columns,
+               [[row[c] for c in columns] for row in results["episodes"]]),
+              ("rank_size", ["log_rank", "log_depth"], results["rank_size"])]
+    if results["kurtosis_scan"] is not None:
+        tables.append(("kurtosis_scan",
+                       ["upper_index", "upper_value", "excess_kurtosis"],
+                       results["kurtosis_scan"]["entries"]))
+    if results["critical"] is not None:
+        tables.append(("critical", ["key", "value"],
+                       _scalars(results["critical"])))
+    return tables
+
+
+def parse_tables(text):
+    tables = []
+    for block in text.rstrip("\n").split("\n\n"):
+        lines = block.split("\n")
+        assert lines[0].startswith("# ")
+        tables.append((lines[0][2:], lines[1].split(","),
+                       [line.split(",") for line in lines[2:]]))
+    return tables
+
+
+def _flat_prices():
+    """Random-walk closes with a 400-day flat stretch (gap windows)."""
+    rng, close, rows = random.Random(19), 100.0, []
+    for i in range(900):
+        if not 300 <= i < 700:
+            close *= math.exp(rng.gauss(0.0, 0.02))
+        rows.append(f"{dt.date(2001, 1, 1) + dt.timedelta(days=i)},{close!r}")
+    return "date,close\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("hurst", "px.csv"),
+    ("hurst", "px.csv", "--plan", "divisors", "--std", "sample"),
+    ("dfa", "px.csv", "--fit-target", "squared"),
+    ("vstat", "px.csv"),
+    ("rolling", "px.csv", "--lag", "25"),
+    ("rolling", "flat.csv", "--lag", "10"),
+    ("rolling", "px.csv", "--returns", "--window", "300", "--lag", "40"),
+    ("downfalls", "px.csv", "--include-open"),
+    ("downfalls", "few.csv"),
+])
+def test_table_matches_json_results(tmp_path, capsys, argv):
+    write_fixture(tmp_path, "px.csv", synth_csv(
+        capsys, "--kind", "prices", "--n", "1025", "--seed", "20",
+        "--vol", "0.02"))
+    write_fixture(tmp_path, "flat.csv", _flat_prices())
+    write_fixture(tmp_path, "few.csv", "date,close\n" + "\n".join(
+        f"2020-01-{d:02d},{c}" for d, c in
+        enumerate([10, 9, 11, 12, 11, 13, 14, 13.5, 15], start=1)) + "\n")
+    argv = (argv[0], str(tmp_path / argv[1]), *argv[2:])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    report = json.loads(out)
+    code, table_out, err = run_cli(capsys, *argv, "--format", "table")
+    assert code == 0, err
+    expected = [(name, header, [[_cell(v) for v in row] for row in rows])
+                for name, header, rows in expected_tables(argv[0],
+                                                          report["results"])]
+    assert parse_tables(table_out) == expected

@@ -1,4 +1,5 @@
-"""Property test of the CLI exit-code contract over `synth` argv.
+"""Property tests of the CLI exit-code contract over `synth` argv and over
+the analysis subcommands' argv and input bytes.
 
 Every invocation must exit 0, 2, 3 or 4; stderr must be empty or exactly
 one JSON {"error", "message"} line; no exception may escape and no
@@ -8,6 +9,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import tempfile
 import warnings
 
 from hypothesis import HealthCheck, event, given, settings
@@ -53,10 +56,8 @@ def synth_argv(draw):
     return argv
 
 
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(argv=synth_argv())
-def test_synth_argv_keeps_exit_code_contract(argv):
+def run_main(argv):
+    """(exit code, stdout) of cli.main, after the contract checks."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -68,8 +69,105 @@ def test_synth_argv_keeps_exit_code_contract(argv):
     lines = err.getvalue().splitlines()
     if code == 0:
         assert lines == []
-        assert out.getvalue().startswith("date,")
     else:
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
         assert out.getvalue() == ""
+    return code, out.getvalue()
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=synth_argv())
+def test_synth_argv_keeps_exit_code_contract(argv):
+    code, out = run_main(argv)
+    if code == 0:
+        assert out.startswith("date,")
+
+
+def _seeded_prices() -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["synth", "--kind", "prices", "--n", "300",
+                         "--seed", "21", "--vol", "0.02"]) == 0
+    return out.getvalue().encode()
+
+
+PRICES = _seeded_prices()
+
+_FLOAT_TEXT = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.05", "0.5", "0.7",
+                     "1e308"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+def _often(draw, value, strategy):
+    """A valid value three times in four, else a draw of the strategy."""
+    return value if draw(st.sampled_from([True, True, True, False])) \
+        else draw(strategy)
+
+
+@st.composite
+def analysis_input(draw):
+    """The seeded price CSV, a copy with a few bytes changed, or noise."""
+    kind = draw(st.sampled_from(["prices", "prices", "edited", "noise"]))
+    if kind == "noise":
+        return draw(st.binary(max_size=300))
+    data = bytearray(PRICES)
+    if kind == "edited":
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@st.composite
+def analysis_argv(draw):
+    command = draw(st.sampled_from(["hurst", "dfa", "vstat", "rolling",
+                                    "downfalls"]))
+    delimiters = st.sampled_from([";", "", "ab", "\t", '"'])
+    columns = st.integers(-3, 3)
+    flags = [f"--format={draw(st.sampled_from(['json', 'table']))}",
+             f"--delimiter={_often(draw, ',', delimiters)}",
+             f"--date-column={_often(draw, 0, columns)}",
+             f"--close-column={_often(draw, 1, columns)}"]
+    if draw(st.sampled_from([False, False, False, True])):
+        flags.append("--returns")
+    if command != "downfalls":
+        flags += [
+            f"--min-segment={_often(draw, 8, st.integers(-2, 200))}",
+            f"--plan={draw(st.sampled_from(['auto', 'divisors', 'preset250']))}",
+            f"--transform={draw(st.sampled_from(['raw', 'absolute', 'squared']))}",
+        ]
+    if command == "rolling":
+        flags += [
+            f"--window={_often(draw, 250, st.integers(-2, 320))}",
+            f"--lag={_often(draw, 5, st.integers(-1, 60))}",
+            f"--estimator={draw(st.sampled_from(['rs', 'dfa']))}",
+            "--cuts",
+            *(_often(draw, "0.5", _FLOAT_TEXT)
+              for _ in range(draw(st.integers(1, 3)))),
+        ]
+    elif command == "vstat":
+        flags.append(f"--flat-tolerance={_often(draw, '0.09', _FLOAT_TEXT)}")
+    elif command == "downfalls":
+        flags += [f"--min-depth={_often(draw, '0', _FLOAT_TEXT)}",
+                  f"--lookback={_often(draw, 250, st.integers(-1, 400))}"]
+    return command, flags, draw(analysis_input())
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=analysis_argv())
+def test_analysis_argv_keeps_exit_code_contract(case):
+    command, flags, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.csv")
+        with open(path, "wb") as handle:
+            handle.write(data)
+        code, out = run_main([command, path, *flags])
+    if code == 0 and "--format=table" in flags:
+        blocks = out.rstrip("\n").split("\n\n")
+        assert all(block.startswith("# ") for block in blocks)
+    elif code == 0:
+        json.loads(out)
