@@ -29,6 +29,7 @@ from .errors import (
     ComputationError,
     ConfigError,
     EmptyTraceError,
+    InvalidPlanError,
     SeriesTooShortError,
     TraceTooShortError,
 )
@@ -55,7 +56,8 @@ class RollingConfig:
     """Window size, lag and estimator for one sweep.
 
     ``plan_policy`` None selects the fixed 250-sample fragmentation when
-    window == 250 and the divisors plan otherwise.
+    window == 250 and the divisors plan otherwise, with a doubling plan
+    when the divisors are too few (see ``_scheme``).
     """
 
     window: int = 250
@@ -157,12 +159,29 @@ class MarketClass:
 
 
 def _scheme(config: RollingConfig, length: int) -> PartitionPlan | DfaConfig:
-    """The R/S partition plan or DFA box schedule for windows of a length."""
-    if config.estimator is EstimatorKind.RESCALED_RANGE:
-        return build_partition_plan(length, config.resolved_policy(),
-                                    config.min_segment_length)
-    return DfaConfig(box_sizes=default_box_sizes(length),
-                     fit_target=config.dfa_fit_target)
+    """The R/S partition plan or DFA box schedule for windows of a length.
+
+    When the default plan resolves to divisors and the length has too few
+    of them (a prime, say), the segments are the doubling lengths
+    min_segment * 2^k <= length/2 instead; as with preset250, each scale
+    discards the trailing remainder.
+    """
+    if config.estimator is EstimatorKind.DFA:
+        return DfaConfig(box_sizes=default_box_sizes(length),
+                         fit_target=config.dfa_fit_target)
+    policy = config.resolved_policy()
+    try:
+        return build_partition_plan(length, policy, config.min_segment_length)
+    except InvalidPlanError:
+        if (config.plan_policy is not None
+                or policy is not PartitionPolicy.DIVISORS_ONLY):
+            raise
+    # A bad min_segment or length fails the same checks again below.
+    base = config.min_segment_length
+    doubling = [base * 2 ** k for k in range(length.bit_length())
+                if base * 2 ** k <= length // 2]
+    return build_partition_plan(length, PartitionPolicy.EXPLICIT,
+                                config.min_segment_length, explicit=doubling)
 
 
 def estimate_window(values: np.ndarray, config: RollingConfig):
@@ -226,6 +245,8 @@ def summarize(trace: RollingTrace, cut_points: tuple[float, ...] = (0.5, 0.6, 0.
     """Extrema/mean/proportions of the usable measurements."""
     if not all(math.isfinite(c) for c in cut_points):
         raise ConfigError(f"cut points must be finite, got {list(cut_points)}")
+    if len(set(cut_points)) < len(cut_points):
+        raise ConfigError(f"cut points must be distinct, got {list(cut_points)}")
     h = trace.h_values()
     if h.size == 0:
         raise EmptyTraceError("trace has no usable measurements")

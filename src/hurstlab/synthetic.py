@@ -1,15 +1,14 @@
 """Seeded ground-truth generators: white noise, fGn, fBm, random-walk prices.
 
-Fractional Gaussian noise is generated exactly. At desk scale the
-Cholesky factor of the symmetric positive-definite Toeplitz covariance
-is built by the Schur recursion on its generator, the autocovariance
-vector alone: O(n^2) time, no dense covariance is formed, and the factor
-is cached per (h, n) so repeated seeds cost one matrix-vector product.
-Above DENSE_FGN_MAX the circulant embedding of the same covariance is
-factored by FFT instead (Davies-Harte construction, also exact in
-distribution; the embedding of the fGn autocovariance is positive
-semidefinite for every h in (0, 1)). Both paths draw from a seeded PCG64
-stream, so identical specs yield bit-identical output.
+Fractional Gaussian noise is generated exactly at every length by the
+circulant embedding of its Toeplitz covariance (Davies and Harte): the
+autocovariance vector is embedded in a circulant of size 2n, which is
+non-negative definite for every h in (0, 1) (Dietrich and Newsam). One
+FFT gives the circulant's eigenvalues; a second FFT of complex Gaussian
+noise scaled by their square roots gives the draw. O(n log n) time and
+O(n) memory, and the module keeps no state between calls. Draws come
+from a seeded PCG64 stream, so identical specs yield bit-identical
+output.
 """
 from __future__ import annotations
 
@@ -30,20 +29,11 @@ from .series import PriceSeries
 #: Hard bound for exact fGn/fBm generation.
 MAX_EXACT_LENGTH = 2 ** 16
 
-#: Largest n for which the Schur-factored route is used; beyond this the
-#: circulant-embedding route takes over (the cached triangular factor
-#: needs O(n^2) memory and each draw an O(n^2) product).
-DENSE_FGN_MAX = 4096
-
 #: Synthetic calendars start here (a Monday), one observation per day.
 SYNTHETIC_EPOCH = dt.date(2000, 1, 3)
 
 #: Longest synthetic calendar: its last date is dt.date.max.
 MAX_CALENDAR_LENGTH = (dt.date.max - SYNTHETIC_EPOCH).days + 1
-
-_chol_cache: dict[tuple[float, int], np.ndarray] = {}
-_eig_cache: dict[tuple[float, int], np.ndarray] = {}
-_CACHE_LIMIT = 8
 
 
 class GeneratorKind(Enum):
@@ -88,11 +78,6 @@ def white_noise(length: int, seed: int) -> np.ndarray:
     return _rng(seed).standard_normal(length)
 
 
-def _evict(cache: dict) -> None:
-    while len(cache) > _CACHE_LIMIT:
-        cache.pop(next(iter(cache)))
-
-
 def _fgn_gamma(h: float, n: int) -> np.ndarray:
     """fgn_autocovariance(h, k) for k = 0 .. n-1, vectorised."""
     lags = np.arange(n)
@@ -101,70 +86,22 @@ def _fgn_gamma(h: float, n: int) -> np.ndarray:
                   + np.abs(lags - 1) ** e)
 
 
-def _toeplitz_cholesky(gamma: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the Toeplitz matrix with first column gamma.
-
-    Schur (Bareiss) recursion on the displacement generator (a, b): row k
-    of the upper factor is a; then a is shifted one place and (a, b) is
-    hyperbolically rotated by rho = b[0] / a[0], which zeroes b[0].
-    |rho| < 1 at every step exactly when the matrix is positive definite.
-    Should rounding drive a[0] to zero (near h = 1), the division stays
-    silent and the non-finite rho fails the same check.
-    """
-    n = gamma.size
-    upper = np.zeros((n, n))
-    a = gamma / np.sqrt(gamma[0])
-    b = a.copy()
-    b[0] = 0.0
-    upper[0] = a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(1, n):
-            a = a[:-1]
-            b = b[1:]
-            rho = b[0] / a[0]
-            if not abs(rho) < 1.0:
-                raise FactorizationFailureError(
-                    f"Toeplitz covariance (n={n}) failed Cholesky: Schur "
-                    f"step {k} has reflection coefficient {rho}; the exact "
-                    "fGn covariance is positive definite, so this is a "
-                    "numerical limit"
-                )
-            s = 1.0 / np.sqrt(1.0 - rho * rho)
-            a, b = (a - rho * b) * s, (b - rho * a) * s
-            upper[k, k:] = a
-    return upper.T
-
-
-def _cholesky_factor(h: float, n: int) -> np.ndarray:
-    key = (h, n)
-    factor = _chol_cache.get(key)
-    if factor is None:
-        factor = _toeplitz_cholesky(_fgn_gamma(h, n))
-        _chol_cache[key] = factor
-        _evict(_chol_cache)
-    return factor
-
-
 def _circulant_sqrt_eigs(h: float, n: int) -> np.ndarray:
-    key = (h, n)
-    sqrt_eigs = _eig_cache.get(key)
-    if sqrt_eigs is None:
-        m = 2 * n
-        gamma = _fgn_gamma(h, n + 1)
-        row = np.empty(m)
-        row[: n + 1] = gamma
-        row[n + 1:] = gamma[1:n][::-1]
-        eigs = np.fft.fft(row).real
-        if eigs.min() < -1e-8:
-            raise FactorizationFailureError(
-                f"circulant embedding (h={h}, n={n}) has eigenvalue "
-                f"{eigs.min():.3e}; the fGn embedding is provably PSD, so "
-                "this is a numerical bug"
-            )
-        sqrt_eigs = np.sqrt(np.clip(eigs, 0.0, None))
-        _eig_cache[key] = sqrt_eigs
-        _evict(_eig_cache)
-    return sqrt_eigs
+    """Square roots of the eigenvalues of the size-2n circulant whose first
+    row embeds the fGn autocovariance at lags 0 .. n."""
+    m = 2 * n
+    gamma = _fgn_gamma(h, n + 1)
+    row = np.empty(m)
+    row[: n + 1] = gamma
+    row[n + 1:] = gamma[1:n][::-1]
+    eigs = np.fft.fft(row).real
+    if eigs.min() < -1e-8:
+        raise FactorizationFailureError(
+            f"circulant embedding (h={h}, n={n}) has eigenvalue "
+            f"{eigs.min():.3e}; the exact fGn embedding is non-negative "
+            "definite, so this is a numerical limit of rounding near h = 1"
+        )
+    return np.sqrt(np.clip(eigs, 0.0, None))
 
 
 def fgn(length: int, h: float, seed: int) -> np.ndarray:
@@ -179,9 +116,6 @@ def fgn(length: int, h: float, seed: int) -> np.ndarray:
     if h == 0.5:
         # Covariance is exactly the identity.
         return rng.standard_normal(length)
-    if length <= DENSE_FGN_MAX:
-        factor = _cholesky_factor(h, length)
-        return factor @ rng.standard_normal(length)
     m = 2 * length
     sqrt_eigs = _circulant_sqrt_eigs(h, length)
     z = rng.standard_normal(m) + 1j * rng.standard_normal(m)

@@ -244,6 +244,42 @@ def test_rolling_too_short_exit_3(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "SeriesTooShortError"
 
 
+def _prime_length_prices(tmp_path, capsys):
+    """3,000 prices: 2,999 returns, a prime, so no divisor plan exists."""
+    csv_text = synth_csv(capsys, "--kind", "prices", "--n", "3000",
+                         "--seed", "1", "--vol", "0.02")
+    return write_fixture(tmp_path, "px3000.csv", csv_text)
+
+
+@pytest.mark.parametrize("argv", [("hurst",), ("vstat",),
+                                  ("rolling", "--window", "251")])
+def test_auto_plan_uses_doubling_scales_without_divisors(tmp_path, capsys,
+                                                         argv):
+    path = _prime_length_prices(tmp_path, capsys)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    if argv[0] == "hurst":
+        assert [n for n, _ in results["curve"]] == [8 * 2 ** k
+                                                    for k in range(8)]
+    elif argv[0] == "vstat":
+        assert len(results["points"]) == 8
+    else:
+        assert results["count"] == (2999 - 251) // 5 + 1
+        assert all(row[1] is not None for row in results["trace"])
+
+
+@pytest.mark.parametrize("argv", [("hurst",),
+                                  ("rolling", "--window", "251")])
+def test_divisors_plan_without_divisors_exit_4(tmp_path, capsys, argv):
+    path = _prime_length_prices(tmp_path, capsys)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:],
+                             "--plan", "divisors")
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "InvalidPlanError"
+
+
 # -- vstat -------------------------------------------------------------------
 
 def test_vstat_white_noise_flat(tmp_path, capsys):
@@ -345,6 +381,7 @@ def test_oversized_csv_field_exit_2(tmp_path, capsys):
     ("downfalls", "--min-depth=-0.1"),
     ("rolling", "--cuts=nan"),
     ("rolling", "--cuts", "0.5", "inf"),
+    ("rolling", "--cuts", "0.5", "0.50"),
 ])
 def test_bad_float_flag_exit_4(tmp_path, capsys, argv):
     csv_text = synth_csv(capsys, "--kind", "prices", "--n", "513",

@@ -18,9 +18,6 @@ from hypothesis import strategies as st
 
 from hurstlab import cli
 
-#: The Schur route is O(n^2) per (h, n); keep its examples small.
-DENSE_FUZZ_MAX = 1024
-
 _H_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, -0.5, 0.5,
                      1e-300, 0.999999999999, 1.0 + 1e-15]),
@@ -40,11 +37,7 @@ _SEEDS = st.one_of(st.integers(0, 10),
 def synth_argv(draw):
     kind = draw(st.sampled_from(["prices", "white-noise", "fgn", "fbm",
                                  "bogus"]))
-    if kind in ("fgn", "fbm"):
-        n = draw(st.one_of(st.integers(-3, DENSE_FUZZ_MAX),
-                           st.integers(4098, 70000)))
-    else:
-        n = draw(st.integers(-3, 70000))
+    n = draw(st.integers(-3, 70000))
     argv = ["synth", f"--kind={kind}", f"--n={n}",
             f"--seed={draw(_SEEDS)}"]
     if draw(st.booleans()):

@@ -4,13 +4,11 @@ import pytest
 from hurstlab import synthetic
 from hurstlab.errors import (
     ConfigError,
-    FactorizationFailureError,
     HOutOfRangeError,
     LengthTooLargeError,
 )
 from hurstlab.series import PriceSeries
 from hurstlab.synthetic import (
-    DENSE_FGN_MAX,
     MAX_EXACT_LENGTH,
     GeneratorKind,
     GeneratorSpec,
@@ -90,47 +88,19 @@ def test_fgn_half_reduces_to_white_noise():
 
 
 def test_fgn_lag_one_autocov_dense_path():
-    # n = 4096 runs through the Schur-factored Toeplitz route
+    # n = 4096 over 8 seeds, the length the seeded ground-truth checks use
     values = [sample_autocov(fgn(4096, 0.7, seed=s), 1) for s in range(8)]
     assert abs(np.mean(values) - 0.3195079107728942) < 0.03
 
 
-def reference_factor(h, n):
-    """Dense LAPACK Cholesky of the fGn Toeplitz covariance.
-
-    gamma is evaluated by the same numpy expression as the generator's:
-    at h = 0.95 the covariance is ill-conditioned enough that the last-ulp
-    differences of the scalar fgn_autocovariance move the factor by ~1e-10.
-    """
-    lags = np.arange(n)
-    e = 2.0 * h
-    gamma = 0.5 * (np.abs(lags + 1) ** e - 2.0 * np.abs(lags) ** e
-                   + np.abs(lags - 1) ** e)
-    return np.linalg.cholesky(gamma[np.abs(lags[:, None] - lags[None, :])])
-
-
 @pytest.mark.parametrize("h", [0.05, 0.3, 0.7, 0.95])
-@pytest.mark.parametrize("n", [2, 3, 257, 1024])
-def test_schur_factor_matches_dense_cholesky(h, n):
-    factor = synthetic._cholesky_factor(h, n)
-    reference = reference_factor(h, n)
-    assert np.array_equal(factor, np.tril(factor))
-    assert np.abs(factor - reference).max() <= 1e-12
-
-
-@pytest.mark.parametrize("h", [0.05, 0.3, 0.7, 0.95])
-def test_fgn_matches_dense_reference_draw(h):
-    n, seed = 1024, 17
-    z = np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
-    expected = reference_factor(h, n) @ z
-    assert np.abs(fgn(n, h, seed=seed) - expected).max() <= 1e-10
-
-
-def test_schur_rejects_indefinite_toeplitz():
-    with pytest.raises(FactorizationFailureError):
-        synthetic._toeplitz_cholesky(np.array([1.0, 1.5]))
-    with pytest.raises(FactorizationFailureError):
-        synthetic._toeplitz_cholesky(np.array([1.0, 1.0, 1.0]))
+@pytest.mark.parametrize("n", [2, 3, 257, 1024, 4096])
+def test_circulant_embedding_reproduces_autocovariance(h, n):
+    # The squared amplitudes are the circulant's eigenvalues; its first row,
+    # and so the covariance of the draw, must be gamma at lags 0 .. n-1.
+    sqrt_eigs = synthetic._circulant_sqrt_eigs(h, n)
+    implied = np.fft.ifft(sqrt_eigs ** 2).real[:n]
+    assert np.abs(implied - synthetic._fgn_gamma(h, n)).max() <= 1e-12
 
 
 def test_fgn_lag_one_autocov_circulant_path():
@@ -139,16 +109,15 @@ def test_fgn_lag_one_autocov_circulant_path():
     assert abs(sample_autocov(x, 1) - 0.3195079107728942) < 0.03
 
 
-def test_dense_and_circulant_paths_agree_statistically():
-    # Both construct the same exact law; compare sample lag-1 autocov of
-    # the dense route at n=2048 against the circulant route forced via a
-    # larger length, at h = 0.3 (negative correlation).
+def test_short_and_long_draws_agree_statistically():
+    # Sample lag-1 autocov at h = 0.3 (negative correlation): the mean over
+    # ten n = 2048 draws and one n = 16384 draw both match the exact law.
     target = fgn_autocovariance(0.3, 1)
-    dense = np.mean([sample_autocov(fgn(2048, 0.3, seed=s), 1)
+    short = np.mean([sample_autocov(fgn(2048, 0.3, seed=s), 1)
                      for s in range(10)])
-    circulant = sample_autocov(fgn(DENSE_FGN_MAX * 4, 0.3, seed=0), 1)
-    assert abs(dense - target) < 0.03
-    assert abs(circulant - target) < 0.03
+    long = sample_autocov(fgn(16384, 0.3, seed=0), 1)
+    assert abs(short - target) < 0.03
+    assert abs(long - target) < 0.03
 
 
 def test_fgn_unit_variance():
