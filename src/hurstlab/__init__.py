@@ -26,9 +26,8 @@ from .downfalls import (
     progressive_kurtosis,
     rank_size_points,
 )
-from .regression import CurveKind, PowerLawFit, ScalingCurve, fit_loglog
+from .regression import EstimatorKind, PowerLawFit, ScalingCurve, fit_loglog
 from .rescaled_range import (
-    EstimatorKind,
     HurstEstimate,
     PartitionPlan,
     PartitionPolicy,

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: per-scale R/S segment sums and DFA box residuals.
+"""Hot numeric kernels: per-scale R/S segment statistics and DFA residuals.
 
 Each kernel takes windows stacked as an array of shape (..., length) and
 reduces over the last axis, so one call serves one window (a 1-D array)
@@ -13,6 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 
+def rs_segments(x: np.ndarray, n: int, ddof: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, standard deviation and cumulative-deviation range of each of
+    the floor(length/n) leading segments, each of shape (..., segments)."""
+    v = x.shape[-1] // n
+    seg = x[..., : v * n].reshape(*x.shape[:-1], v, n)
+    mean = seg.mean(axis=-1, keepdims=True)
+    dev = seg - mean
+    std = np.sqrt((dev * dev).sum(axis=-1) / (n - ddof))
+    walk = dev.cumsum(axis=-1)
+    return mean[..., 0], std, walk.max(axis=-1) - walk.min(axis=-1)
+
+
 def rs_segment_sums(x: np.ndarray, n: int, ddof: int
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """Sum of R/S ratios over the floor(length/n) leading segments.
@@ -21,15 +34,10 @@ def rs_segment_sums(x: np.ndarray, n: int, ddof: int
     x's leading shape. Segments with zero (or undefined) standard
     deviation contribute nothing to ratio_sum or defined_count.
     """
-    v = x.shape[-1] // n
-    seg = x[..., : v * n].reshape(*x.shape[:-1], v, n)
-    dev = seg - seg.mean(axis=-1, keepdims=True)
-    std = np.sqrt((dev * dev).sum(axis=-1) / (n - ddof))
-    walk = dev.cumsum(axis=-1)
-    rng = walk.max(axis=-1) - walk.min(axis=-1)
+    _, std, rng = rs_segments(x, n, ddof)
     defined = std > 0.0
     ratio = np.divide(rng, std, out=np.zeros_like(rng), where=defined)
-    return ratio.sum(axis=-1), defined.sum(axis=-1), v
+    return ratio.sum(axis=-1), defined.sum(axis=-1), x.shape[-1] // n
 
 
 def dfa_box_fsq(x: np.ndarray, tau: int) -> np.ndarray:

@@ -82,6 +82,15 @@ class _Parser(argparse.ArgumentParser):
               file=sys.stderr)
         raise SystemExit(4)
 
+    def _parse_optional(self, arg_string):
+        # Any float (-1e-3, -inf) is a value, never an option: argparse's
+        # own negative-number pattern misses some forms, by Python version.
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hurstlab",

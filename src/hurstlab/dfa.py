@@ -18,8 +18,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import BoxTooLargeError, InvalidPlanError
-from .regression import CurveKind, PowerLawFit, ScalingCurve, ols_rows
-from .rescaled_range import EstimatorKind, HurstEstimate, estimate_from_curve
+from .regression import EstimatorKind, PowerLawFit, ScalingCurve, ols_rows
+from .rescaled_range import HurstEstimate, estimate_from_curve
 
 
 class FitTarget(Enum):
@@ -104,13 +104,6 @@ def dfa_curve_rows(rows: np.ndarray, config: DfaConfig) -> np.ndarray:
                      for tau in config.box_sizes], axis=-1)
 
 
-def dfa_scaling_curve(series: Sequence[float], config: DfaConfig) -> ScalingCurve:
-    """(tau, <F^2(tau)>) over the configured box sizes."""
-    stats = dfa_curve_rows(np.asarray(series, dtype=np.float64), config)
-    return ScalingCurve(scales=config.box_sizes, statistics=tuple(stats.tolist()),
-                        kind=CurveKind.DFA_FLUCTUATION)
-
-
 def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
                  fit_target: FitTarget = FitTarget.FLUCTUATION_RMS,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -122,16 +115,11 @@ def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
     return ols_rows(np.log(scales), log_fsq)
 
 
-def estimate_dfa_from_curve(curve: ScalingCurve,
-                            fit_target: FitTarget = FitTarget.FLUCTUATION_RMS,
-                            ) -> HurstEstimate:
-    """Fit a <F^2(tau)> curve; the rms target halves the log ordinate."""
-    fit = PowerLawFit(*(v.item() for v in dfa_fit_rows(
-        curve.scales, [curve.statistics], fit_target)))
-    return estimate_from_curve(curve, EstimatorKind.DFA, fit=fit)
-
-
 def estimate_hurst_dfa(series: Sequence[float], config: DfaConfig) -> HurstEstimate:
-    """DFA Hurst estimate; the retained curve stores <F^2(tau)>."""
-    curve = dfa_scaling_curve(series, config)
-    return estimate_dfa_from_curve(curve, config.fit_target)
+    """DFA estimate: the curve stores <F^2(tau)>, fitted as the sweep's rows."""
+    stats = dfa_curve_rows(np.asarray(series, dtype=np.float64), config)
+    curve = ScalingCurve(scales=config.box_sizes, statistics=tuple(stats.tolist()),
+                         kind=EstimatorKind.DFA)
+    fit = PowerLawFit(*(v.item() for v in dfa_fit_rows(
+        config.box_sizes, stats, config.fit_target)))
+    return estimate_from_curve(curve, EstimatorKind.DFA, fit=fit)

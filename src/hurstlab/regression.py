@@ -9,9 +9,9 @@ import numpy as np
 from .errors import DegenerateCurveError
 
 
-class CurveKind(Enum):
+class EstimatorKind(Enum):
     RESCALED_RANGE = "rescaled_range"
-    DFA_FLUCTUATION = "dfa_fluctuation"
+    DFA = "dfa"
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class ScalingCurve:
 
     scales: tuple[int, ...]
     statistics: tuple[float, ...]
-    kind: CurveKind
+    kind: EstimatorKind
 
     def __post_init__(self):
         if len(self.scales) != len(self.statistics):
@@ -97,12 +97,6 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, bool]:
     1e-15 of the data scale. This is the one-row case of ols_rows.
     """
     return tuple(v.item() for v in ols_rows(x, [y]))
-
-
-def fit_loglog_rows(scales: tuple[int, ...], statistics: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise fit_loglog of curves stacked as (..., len(scales))."""
-    return ols_rows(np.log(scales), np.log(statistics))
 
 
 def fit_loglog(curve: ScalingCurve) -> PowerLawFit:

@@ -21,7 +21,7 @@ from .errors import (
     InvalidPlanError,
     NonPositiveHError,
 )
-from .regression import CurveKind, PowerLawFit, ScalingCurve, fit_loglog
+from .regression import EstimatorKind, PowerLawFit, ScalingCurve, fit_loglog
 
 #: Smallest segment the estimator will accept by default. R/S on tiny
 #: segments is dominated by discreteness noise.
@@ -41,11 +41,6 @@ class PartitionPolicy(Enum):
 class StdMode(Enum):
     POPULATION = "population"  # sqrt(sum((x-m)^2) / n)
     SAMPLE = "sample"          # sqrt(sum((x-m)^2) / (n-1))
-
-
-class EstimatorKind(Enum):
-    RESCALED_RANGE = "rescaled_range"
-    DFA = "dfa"
 
 
 class Persistence(Enum):
@@ -126,17 +121,14 @@ def segment_stats(segment: Sequence[float],
     """Mean, standard deviation, cumulative-deviation range and R/S ratio.
 
     The walk X_k sums the first k deviations from the segment mean, so
-    X_n is 0 and the range is always non-negative.
+    X_n is 0 and the range is always non-negative. The values are the
+    kernel's, so ratio is rs_at_scale(segment, len(segment)) exactly.
     """
     x = np.asarray(segment, dtype=np.float64)
     if x.size < 2:
         raise ValueError(f"segment needs at least 2 values, got {x.size}")
-    m = float(x.mean())
-    dev = x - m
     ddof = 0 if std_mode is StdMode.POPULATION else 1
-    std = float(np.sqrt((dev * dev).sum() / (x.size - ddof)))
-    walk = dev.cumsum()
-    rng = float(walk.max() - walk.min())
+    m, std, rng = (float(v[0]) for v in _kernels.rs_segments(x, x.size, ddof))
     ratio = rng / std if std > 0.0 else None
     return RSSegmentStats(mean=m, std_dev=std, range=rng, ratio=ratio)
 
@@ -246,23 +238,6 @@ def build_partition_plan(total_length: int,
                          segment_lengths=lengths, policy=policy)
 
 
-def rs_scaling_curve(series: Sequence[float], plan: PartitionPlan,
-                     std_mode: StdMode = StdMode.POPULATION,
-                     ) -> tuple[ScalingCurve, tuple[tuple[int, int], ...]]:
-    """(n, (R/S)_n) over the plan's scales, plus skipped-segment counts."""
-    x = np.asarray(series, dtype=np.float64)
-    if x.size != plan.total_length:
-        raise InvalidPlanError(
-            f"plan built for length {plan.total_length}, series has {x.size}"
-        )
-    stats, dropped = _rs_window(x, plan.segment_lengths, std_mode)
-    skipped = tuple((n, d) for n, d in zip(plan.segment_lengths, dropped) if d)
-    curve = ScalingCurve(scales=plan.segment_lengths,
-                         statistics=tuple(stats),
-                         kind=CurveKind.RESCALED_RANGE)
-    return curve, skipped
-
-
 def estimate_from_curve(curve: ScalingCurve, estimator: EstimatorKind,
                         fit: PowerLawFit | None = None,
                         skipped_segments: tuple[tuple[int, int], ...] = (),
@@ -290,7 +265,15 @@ def estimate_from_curve(curve: ScalingCurve, estimator: EstimatorKind,
 
 def estimate_hurst_rs(series: Sequence[float], plan: PartitionPlan,
                       std_mode: StdMode = StdMode.POPULATION) -> HurstEstimate:
-    """Full rescaled-range estimate over a partition plan."""
-    curve, skipped = rs_scaling_curve(series, plan, std_mode)
+    """Rescaled-range estimate over a plan: the rolling sweep's batch of one."""
+    x = np.asarray(series, dtype=np.float64)
+    if x.size != plan.total_length:
+        raise InvalidPlanError(
+            f"plan built for length {plan.total_length}, series has {x.size}"
+        )
+    stats, dropped = _rs_window(x, plan.segment_lengths, std_mode)
+    curve = ScalingCurve(scales=plan.segment_lengths, statistics=tuple(stats),
+                         kind=EstimatorKind.RESCALED_RANGE)
+    skipped = tuple((n, d) for n, d in zip(plan.segment_lengths, dropped) if d)
     return estimate_from_curve(curve, EstimatorKind.RESCALED_RANGE,
                                skipped_segments=skipped)

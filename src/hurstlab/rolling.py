@@ -4,8 +4,9 @@ Window i covers returns [i*lag, i*lag + window). The sweep builds the
 R/S plan or DFA box schedule once and runs each scale's reduction and the
 log-log fit once per chunk of windows stacked as rows; a standalone
 estimate is the batch of one of the same code, so a trace entry equals
-the standalone estimate on that slice bit for bit. Failed windows are
-kept as explicit gaps rather than dropped or interpolated.
+the standalone estimate on that slice bit for bit. A window fails where
+its standalone estimate raises, and is kept as a gap noted with that
+error rather than dropped or interpolated.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .rescaled_range import (
     estimate_hurst_rs,
     rs_curve_rows,
 )
-from .regression import fit_loglog_rows
+from .regression import ols_rows
 from .series import ReturnSeries, Transform, transform_returns
 
 #: Windows per batched call: bounds the working set (0.5 MB per temporary
@@ -74,13 +75,6 @@ class RollingConfig:
             raise ConfigError("window must be >= 2")
         if self.lag < 1:
             raise ConfigError("lag must be >= 1")
-
-    def resolved_policy(self) -> PartitionPolicy:
-        if self.plan_policy is not None:
-            return self.plan_policy
-        if self.window == 250:
-            return PartitionPolicy.PRESET_250
-        return PartitionPolicy.DIVISORS_ONLY
 
 
 @dataclass(frozen=True)
@@ -169,7 +163,10 @@ def _scheme(config: RollingConfig, length: int) -> PartitionPlan | DfaConfig:
     if config.estimator is EstimatorKind.DFA:
         return DfaConfig(box_sizes=default_box_sizes(length),
                          fit_target=config.dfa_fit_target)
-    policy = config.resolved_policy()
+    policy = config.plan_policy
+    if policy is None:
+        policy = (PartitionPolicy.PRESET_250 if config.window == 250
+                  else PartitionPolicy.DIVISORS_ONLY)
     try:
         return build_partition_plan(length, policy, config.min_segment_length)
     except InvalidPlanError:
@@ -199,7 +196,8 @@ def _fit_rows(rows: np.ndarray, scheme: PartitionPlan | DfaConfig,
     with np.errstate(divide="ignore", invalid="ignore"):
         if isinstance(scheme, PartitionPlan):
             stats = rs_curve_rows(rows, scheme.segment_lengths, std_mode)[0]
-            h, _, r_squared, _ = fit_loglog_rows(scheme.segment_lengths, stats)
+            h, _, r_squared, _ = ols_rows(np.log(scheme.segment_lengths),
+                                          np.log(stats))
         else:
             stats = dfa_curve_rows(rows, scheme)
             h, _, r_squared, _ = dfa_fit_rows(scheme.box_sizes, stats,
@@ -229,14 +227,11 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
         if ok:
             measurements.append(RollingMeasurement(end_date, h_i, r2_i))
             continue
-        try:  # the standalone estimate supplies the gap's note
-            estimate = estimate_window(windows[i], config)
+        try:  # the standalone estimate raises exactly on unfit windows
+            estimate_window(windows[i], config)
         except ComputationError as exc:
             measurements.append(RollingMeasurement(
                 end_date, None, None, note=f"{type(exc).__name__}: {exc}"))
-        else:
-            measurements.append(RollingMeasurement(
-                end_date, estimate.h, estimate.r_squared))
     return RollingTrace(config=config, measurements=tuple(measurements))
 
 

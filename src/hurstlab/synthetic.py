@@ -63,9 +63,7 @@ def fgn_autocovariance(h: float, k: int) -> float:
     """
     if not 0.0 < h < 1.0:
         raise HOutOfRangeError(f"h must be in (0, 1), got {h}")
-    k = abs(k)
-    e = 2.0 * h
-    return 0.5 * (abs(k + 1) ** e - 2.0 * abs(k) ** e + abs(k - 1) ** e)
+    return float(_fgn_gamma(h, np.array([abs(k)]))[0])
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -78,9 +76,8 @@ def white_noise(length: int, seed: int) -> np.ndarray:
     return _rng(seed).standard_normal(length)
 
 
-def _fgn_gamma(h: float, n: int) -> np.ndarray:
-    """fgn_autocovariance(h, k) for k = 0 .. n-1, vectorised."""
-    lags = np.arange(n)
+def _fgn_gamma(h: float, lags: np.ndarray) -> np.ndarray:
+    """fgn_autocovariance(h, k) for each k >= 0 of an integer array."""
     e = 2.0 * h
     return 0.5 * (np.abs(lags + 1) ** e - 2.0 * np.abs(lags) ** e
                   + np.abs(lags - 1) ** e)
@@ -90,7 +87,7 @@ def _circulant_sqrt_eigs(h: float, n: int) -> np.ndarray:
     """Square roots of the eigenvalues of the size-2n circulant whose first
     row embeds the fGn autocovariance at lags 0 .. n."""
     m = 2 * n
-    gamma = _fgn_gamma(h, n + 1)
+    gamma = _fgn_gamma(h, np.arange(n + 1))
     row = np.empty(m)
     row[: n + 1] = gamma
     row[n + 1:] = gamma[1:n][::-1]
@@ -108,6 +105,8 @@ def fgn(length: int, h: float, seed: int) -> np.ndarray:
     """Exact stationary fGn with autocovariance fgn_autocovariance(h, .)."""
     if not 0.0 < h < 1.0:
         raise HOutOfRangeError(f"h must be in (0, 1), got {h}")
+    if length < 1:
+        raise ConfigError(f"length must be >= 1, got {length}")
     if length > MAX_EXACT_LENGTH:
         raise LengthTooLargeError(
             f"exact generation bounded at {MAX_EXACT_LENGTH}, got {length}"
@@ -126,7 +125,7 @@ def fgn(length: int, h: float, seed: int) -> np.ndarray:
 def fbm(length: int, h: float, seed: int) -> np.ndarray:
     """Fractional Brownian motion: X(0) = 0, increments are fGn."""
     if length < 1:
-        raise ValueError("length must be >= 1")
+        raise ConfigError(f"length must be >= 1, got {length}")
     steps = fgn(length - 1, h, seed) if length > 1 else np.empty(0)
     path = np.empty(length)
     path[0] = 0.0

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .regression import CurveKind, ScalingCurve, ols_line
+from .regression import EstimatorKind, ScalingCurve, ols_line
 
 #: Half-width of the flat band, in V units per unit log n. Calibrated so
 #: that length-4096 white noise classifies Flat in >= 80% of seeds while
@@ -48,7 +48,7 @@ class VStatCurve:
 def v_statistic(curve: ScalingCurve,
                 flat_tolerance: float = DEFAULT_FLAT_TOLERANCE) -> VStatCurve:
     """Compute V_n from a rescaled-range curve and classify its trend."""
-    if curve.kind is not CurveKind.RESCALED_RANGE:
+    if curve.kind is not EstimatorKind.RESCALED_RANGE:
         raise ValueError("V statistic is defined on rescaled-range curves")
     if not (math.isfinite(flat_tolerance) and flat_tolerance >= 0.0):
         raise ConfigError(f"flat_tolerance must be finite and >= 0, got "

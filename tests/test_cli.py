@@ -393,6 +393,41 @@ def test_bad_float_flag_exit_4(tmp_path, capsys, argv):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("rolling", "--cuts", "-inf"), "cut points must be finite"),
+    (("rolling", "--cuts", "0.5", "-1e308", "-Infinity"),
+     "cut points must be finite"),
+    (("downfalls", "--min-depth", "-1e-3"), "min_depth must be finite and >= 0"),
+    (("vstat", "--flat-tolerance", "-2.5E-1"),
+     "flat_tolerance must be finite and >= 0"),
+])
+def test_negative_float_flag_value_reaches_its_check(tmp_path, capsys, argv,
+                                                     message):
+    # Exponent and non-finite forms are values, as -0.5 is: the flag's own
+    # check rejects them, not a usage error from the parser.
+    csv_text = synth_csv(capsys, "--kind", "prices", "--n", "513",
+                         "--seed", "17", "--vol", "0.02")
+    path = write_fixture(tmp_path, "px.csv", csv_text)
+    code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert error["message"].startswith(message)
+
+
+def test_negative_exponent_flag_values(tmp_path, capsys):
+    joined = synth_csv(capsys, "--n", "64", "--drift=-1e-3")
+    assert synth_csv(capsys, "--n", "64", "--drift", "-1e-3") == joined
+    assert synth_csv(capsys, "--n", "64", "--drift", "-0.001") == joined
+    path = write_fixture(tmp_path, "px.csv", synth_csv(
+        capsys, "--n", "600", "--seed", "3", "--vol", "0.02"))
+    code, out, _ = run_cli(capsys, "rolling", path, "--cuts", "0.5", "-1e-3")
+    assert code == 0
+    assert list(json.loads(out)["results"]["summary"]["proportions_above"]) \
+        == ["0.5", "-0.001"]
+
+
 @pytest.mark.parametrize("argv,nbytes", [
     (("rolling", "--lag", "1"), 10),  # the report is far larger than 10 bytes
     (("hurst",), 0),  # closed before the report, still buffered, is flushed

@@ -5,8 +5,8 @@ from hurstlab.dfa import (
     DfaConfig,
     FitTarget,
     default_box_sizes,
+    dfa_fit_rows,
     dfa_fluctuation,
-    dfa_scaling_curve,
     estimate_hurst_dfa,
     profile,
 )
@@ -98,7 +98,8 @@ def test_scale_covariance():
 
 def test_white_noise_rms_slope_near_half():
     x = white_noise(4096, seed=8)
-    curve = dfa_scaling_curve(x, DfaConfig(box_sizes=tuple(2 ** k for k in range(3, 10))))
+    curve = estimate_hurst_dfa(
+        x, DfaConfig(box_sizes=tuple(2 ** k for k in range(3, 10)))).curve
     log_tau = np.log(np.array(curve.scales, dtype=float))
     log_f = 0.5 * np.log(np.array(curve.statistics, dtype=float))
     slope = np.polyfit(log_tau, log_f, 1)[0]
@@ -108,15 +109,11 @@ def test_white_noise_rms_slope_near_half():
 # -- estimate_hurst_dfa ------------------------------------------------------
 
 def test_exact_squared_curve_slope_one():
-    from hurstlab.dfa import estimate_dfa_from_curve
-    from hurstlab.regression import CurveKind, ScalingCurve
-
     taus = (8, 16, 32, 64)
-    curve = ScalingCurve(scales=taus, statistics=tuple(float(t) for t in taus),
-                         kind=CurveKind.DFA_FLUCTUATION)
-    est = estimate_dfa_from_curve(curve, FitTarget.FLUCTUATION_SQUARED)
-    assert est.h == pytest.approx(1.0, abs=1e-12)
-    assert est.r_squared == pytest.approx(1.0, abs=1e-12)
+    h, _, r_squared, _ = dfa_fit_rows(taus, np.array(taus, dtype=float),
+                                      FitTarget.FLUCTUATION_SQUARED)
+    assert h == pytest.approx(1.0, abs=1e-12)
+    assert r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_targets_differ_by_factor_two():

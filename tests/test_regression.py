@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from hurstlab.errors import DegenerateCurveError
-from hurstlab.regression import CurveKind, ScalingCurve, fit_loglog, ols_line
+from hurstlab.regression import EstimatorKind, ScalingCurve, fit_loglog, ols_line
 
 
 def rs_curve(scales, statistics):
     return ScalingCurve(scales=tuple(scales), statistics=tuple(statistics),
-                        kind=CurveKind.RESCALED_RANGE)
+                        kind=EstimatorKind.RESCALED_RANGE)
 
 
 def oracle_ols(x, y):

@@ -8,7 +8,7 @@ from hurstlab.errors import (
     InvalidPlanError,
     NonPositiveHError,
 )
-from hurstlab.regression import CurveKind, ScalingCurve
+from hurstlab.regression import ScalingCurve
 from hurstlab.rescaled_range import (
     EstimatorKind,
     PartitionPolicy,
@@ -89,6 +89,17 @@ def test_segment_walk_closes_to_zero():
 def test_sample_std_mode():
     stats = segment_stats([1.0, 2.0, 3.0, 4.0], std_mode=StdMode.SAMPLE)
     assert stats.std_dev == pytest.approx(math.sqrt(5.0 / 3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("std_mode", list(StdMode))
+def test_segment_ratio_is_the_kernel_ratio(std_mode):
+    # segment_stats is the one-segment case of rs_at_scale, bit for bit.
+    rng = np.random.Generator(np.random.PCG64(23))
+    for size in (2, 3, 8, 37, 250, 1000):
+        for _ in range(10):
+            seg = rng.standard_normal(size) * rng.uniform(1e-3, 1e3)
+            assert segment_stats(seg, std_mode).ratio == rs_at_scale(
+                seg, seg.size, std_mode)
 
 
 # -- rs_at_scale -------------------------------------------------------------
@@ -173,7 +184,7 @@ def test_plan_rejects_short_series():
 def test_exact_curve_gives_half():
     curve = ScalingCurve(scales=(8, 16, 32, 64),
                          statistics=tuple(math.sqrt(n) for n in (8, 16, 32, 64)),
-                         kind=CurveKind.RESCALED_RANGE)
+                         kind=EstimatorKind.RESCALED_RANGE)
     est = estimate_from_curve(curve, EstimatorKind.RESCALED_RANGE)
     assert est.h == pytest.approx(0.5, abs=1e-12)
     assert est.r_squared == pytest.approx(1.0, abs=1e-12)

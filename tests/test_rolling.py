@@ -13,6 +13,7 @@ from hurstlab.rescaled_range import EstimatorKind, PartitionPolicy, StdMode
 from hurstlab.rolling import (
     _CHUNK_ROWS,
     RollingConfig,
+    _scheme,
     classify_market,
     estimate_window,
     summarize,
@@ -147,8 +148,8 @@ def test_too_short_series_rejected():
 
 
 def test_preset_plan_resolved_for_250_windows():
-    assert RollingConfig(window=250).resolved_policy() is PartitionPolicy.PRESET_250
-    assert RollingConfig(window=500).resolved_policy() is PartitionPolicy.DIVISORS_ONLY
+    assert _scheme(RollingConfig(window=250), 250).policy is PartitionPolicy.PRESET_250
+    assert _scheme(RollingConfig(window=500), 500).policy is PartitionPolicy.DIVISORS_ONLY
 
 
 def test_dfa_estimator_sweep():

@@ -44,6 +44,16 @@ def test_autocov_frozen_value():
                                                        abs=1e-14)
 
 
+@pytest.mark.parametrize("h", [1e-9, 0.05, 0.3, 0.5, 0.7, 0.95, 0.9999999])
+def test_autocov_is_the_vectorised_gamma(h):
+    # One recipe: the scalar formula reads the vector the circulant embeds.
+    lags = np.arange(4097)
+    gamma = synthetic._fgn_gamma(h, lags)
+    for k in list(range(40)) + [255, 256, 257, 1024, 4095, 4096]:
+        assert fgn_autocovariance(h, k) == gamma[k]
+        assert fgn_autocovariance(h, -k) == gamma[k]
+
+
 def test_autocov_rejects_bad_h():
     with pytest.raises(HOutOfRangeError):
         fgn_autocovariance(0.0, 1)
@@ -100,7 +110,7 @@ def test_circulant_embedding_reproduces_autocovariance(h, n):
     # and so the covariance of the draw, must be gamma at lags 0 .. n-1.
     sqrt_eigs = synthetic._circulant_sqrt_eigs(h, n)
     implied = np.fft.ifft(sqrt_eigs ** 2).real[:n]
-    assert np.abs(implied - synthetic._fgn_gamma(h, n)).max() <= 1e-12
+    assert np.abs(implied - synthetic._fgn_gamma(h, np.arange(n))).max() <= 1e-12
 
 
 def test_fgn_lag_one_autocov_circulant_path():
@@ -136,6 +146,14 @@ def test_fgn_rejects_out_of_range():
         fgn(100, 1.2, seed=0)
     with pytest.raises(LengthTooLargeError):
         fgn(MAX_EXACT_LENGTH + 1, 0.7, seed=0)
+
+
+@pytest.mark.parametrize("length", [0, -1, -4096])
+@pytest.mark.parametrize("h", [0.5, 0.7])
+def test_lengths_below_one_are_config_errors(length, h):
+    for generator in (fgn, fbm):
+        with pytest.raises(ConfigError, match="length must be >= 1"):
+            generator(length, h, seed=0)
 
 
 # -- fbm ---------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hurstlab.regression import CurveKind, ScalingCurve
+from hurstlab.regression import EstimatorKind, ScalingCurve
 from hurstlab.rescaled_range import PartitionPolicy, build_partition_plan, estimate_hurst_rs
 from hurstlab.synthetic import fgn, white_noise
 from hurstlab.vstat import Trend, v_statistic
@@ -11,7 +11,7 @@ from hurstlab.vstat import Trend, v_statistic
 
 def rs_curve(scales, statistics):
     return ScalingCurve(scales=tuple(scales), statistics=tuple(statistics),
-                        kind=CurveKind.RESCALED_RANGE)
+                        kind=EstimatorKind.RESCALED_RANGE)
 
 
 def test_exact_sqrt_curve_is_flat():
@@ -59,7 +59,7 @@ def test_peak_scale_diagnostic():
 
 def test_rejects_dfa_curves():
     curve = ScalingCurve(scales=(8, 16, 32), statistics=(1.0, 2.0, 4.0),
-                        kind=CurveKind.DFA_FLUCTUATION)
+                        kind=EstimatorKind.DFA)
     with pytest.raises(ValueError):
         v_statistic(curve)
 
