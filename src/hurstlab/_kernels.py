@@ -7,10 +7,23 @@ products and last-axis sums only, never a BLAS dot: a window's result
 then does not depend on how many other windows share the call, which is
 what keeps a rolling-trace entry bit-for-bit equal to the standalone
 estimate of the same slice.
+
+An R/S ratio depends only on its own segment, so ``rs_window_sums``
+serves overlapping windows from a segment table: each distinct segment
+start of the windows is evaluated once, and each window gathers its
+ratios from the table and sums them in the order ``rs_segment_sums``
+does.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+
+#: Windows per batched call or gather, and values per evaluated chunk of
+#: an R/S segment table (0.125 MB per temporary): they bound the working
+#: set whatever the series length; results do not depend on them.
+_CHUNK_ROWS = 256
+_TABLE_VALUES = _CHUNK_ROWS * 64
 
 
 def rs_segments(x: np.ndarray, n: int, ddof: int
@@ -38,6 +51,46 @@ def rs_segment_sums(x: np.ndarray, n: int, ddof: int
     defined = std > 0.0
     ratio = np.divide(rng, std, out=np.zeros_like(rng), where=defined)
     return ratio.sum(axis=-1), defined.sum(axis=-1), x.shape[-1] // n
+
+
+def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """rs_segment_sums of every window x[i*lag : i*lag + window] of a 1-D x.
+
+    Window i's segments start at i*lag + j*n for j < window // n. A
+    table holds the ratio and defined count (0 or 1) of each distinct
+    start, each segment evaluated once as a one-segment row; each window
+    gathers its slots and sums them in segment order, so an entry equals
+    rs_segment_sums of its slice bit for bit. Returns (ratio_sum,
+    defined_count) of shape (windows,) and the segment count per window.
+    """
+    count = (x.size - window) // lag + 1
+    v = window // n
+    used = np.zeros(x.size - n + 1, dtype=bool)
+    if v <= count:  # one strided slice per segment offset or per window
+        for offset in range(0, v * n, n):
+            used[offset: offset + (count - 1) * lag + 1: lag] = True
+    else:
+        for start in range(0, count * lag, lag):
+            used[start: start + v * n: n] = True
+    starts = np.flatnonzero(used)
+    slot = np.cumsum(used) - 1
+    stride = x.strides[0]
+    segments = as_strided(x, (used.size, n), (stride, stride), writeable=False)
+    ratio = np.empty(starts.size)
+    defined = np.empty(starts.size, dtype=np.intp)
+    step = max(1, _TABLE_VALUES // n)
+    for a in range(0, starts.size, step):
+        ratio[a:a + step], defined[a:a + step], _ = rs_segment_sums(
+            segments[starts[a:a + step]], n, ddof)
+    totals = np.empty(count)
+    counts = np.empty(count, dtype=np.intp)
+    for a in range(0, count, _CHUNK_ROWS):
+        index = slot[np.arange(a, min(a + _CHUNK_ROWS, count))[:, None] * lag
+                     + np.arange(0, v * n, n)]
+        totals[a:a + len(index)] = ratio[index].sum(axis=-1)
+        counts[a:a + len(index)] = defined[index].sum(axis=-1)
+    return totals, counts, v
 
 
 def dfa_box_fsq(x: np.ndarray, tau: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import BoxTooLargeError, InvalidPlanError
+from .errors import BoxTooLargeError, InvalidPlanError, TooShortError
 from .regression import EstimatorKind, PowerLawFit, ScalingCurve, ols_rows
 from .rescaled_range import HurstEstimate, estimate_from_curve
 
@@ -72,7 +72,7 @@ def profile(series: Sequence[float]) -> np.ndarray:
     """Cumulative sum of the mean-centered series; last element is ~0."""
     x = np.asarray(series, dtype=np.float64)
     if x.shape[-1] < 2:
-        raise ValueError(f"need at least 2 values, got {x.shape[-1]}")
+        raise TooShortError(f"need at least 2 values, got {x.shape[-1]}")
     return np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
 
 

@@ -6,6 +6,11 @@ range over the segment's standard deviation, average those ratios per
 scale, and regress log (R/S)_n on log n. The slope is the Hurst exponent
 h; the lag-one autocorrelation implied by h is 2^(2h-1) - 1 and the
 fractal dimension is 1/h.
+
+A ratio depends only on its own segment, so the curves of many windows
+of one series (``rs_curve_rows``) read one segment table per scale, in
+which each distinct segment is evaluated once. A standalone estimate is
+the one-window case of the same table.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from .errors import (
     AllSegmentsDegenerateError,
     InvalidPlanError,
     NonPositiveHError,
+    TooShortError,
 )
 from .regression import EstimatorKind, PowerLawFit, ScalingCurve, fit_loglog
 
@@ -126,7 +132,7 @@ def segment_stats(segment: Sequence[float],
     """
     x = np.asarray(segment, dtype=np.float64)
     if x.size < 2:
-        raise ValueError(f"segment needs at least 2 values, got {x.size}")
+        raise TooShortError(f"segment needs at least 2 values, got {x.size}")
     ddof = 0 if std_mode is StdMode.POPULATION else 1
     m, std, rng = (float(v[0]) for v in _kernels.rs_segments(x, x.size, ddof))
     ratio = rng / std if std > 0.0 else None
@@ -151,42 +157,56 @@ def rs_at_scale_with_diagnostics(
     """rs_at_scale plus the count of excluded constant segments."""
     x = np.asarray(series, dtype=np.float64)
     if n < 2:
-        raise ValueError(f"segment length must be >= 2, got {n}")
+        raise InvalidPlanError(f"segment length must be >= 2, got {n}")
     if x.size // n < 1:
-        raise ValueError(f"series of length {x.size} has no segment of length {n}")
+        raise InvalidPlanError(
+            f"series of length {x.size} has no segment of length {n}")
     stats, dropped = _rs_window(x, (n,), std_mode)
     return stats[0], dropped[0]
 
 
-def rs_curve_rows(rows: np.ndarray, segment_lengths: Sequence[int],
-                  std_mode: StdMode = StdMode.POPULATION,
-                  ) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """(R/S)_n of every window of ``rows`` (shape (..., length)) at each n.
-
-    Returns (statistics, defined_counts) of shape (..., len(segment_lengths))
-    and floor(length/n) per scale. A statistic is NaN where every segment at
-    its scale is constant. A single window is the batch of one.
-    """
-    ddof = 0 if std_mode is StdMode.POPULATION else 1
-    sums = [_kernels.rs_segment_sums(rows, n, ddof) for n in segment_lengths]
-    totals = np.stack([total for total, _, _ in sums], axis=-1)
-    defined = np.stack([count for _, count, _ in sums], axis=-1)
+def _rs_scale(x: np.ndarray, window: int, lag: int, n: int, ddof: int
+              ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(R/S)_n and the defined-segment count of every window at one scale,
+    and floor(window/n); a statistic is NaN where every segment is
+    constant."""
+    totals, defined, v = _kernels.rs_window_sums(x, window, lag, n, ddof)
     stats = np.divide(totals, defined, out=np.full(totals.shape, np.nan),
                       where=defined > 0)
-    return stats, defined, tuple(v for _, _, v in sums)
+    return stats, defined, v
+
+
+def rs_curve_rows(x: np.ndarray, window: int, lag: int,
+                  segment_lengths: Sequence[int],
+                  std_mode: StdMode = StdMode.POPULATION) -> np.ndarray:
+    """(R/S)_n at each n of every window x[i*lag : i*lag + window].
+
+    Returns shape (windows, len(segment_lengths)); a statistic is NaN
+    where every segment at its scale is constant. Each scale reads one
+    segment table for all windows, as a standalone estimate reads one for
+    its single window.
+    """
+    ddof = 0 if std_mode is StdMode.POPULATION else 1
+    stats = np.empty(((x.size - window) // lag + 1, len(segment_lengths)))
+    for k, n in enumerate(segment_lengths):
+        stats[:, k] = _rs_scale(x, window, lag, n, ddof)[0]
+    return stats
 
 
 def _rs_window(x: np.ndarray, segment_lengths: Sequence[int],
                std_mode: StdMode) -> tuple[list[float], list[int]]:
     """(R/S)_n and the dropped constant segments per scale of one window;
     raises at the first scale whose segments are all constant."""
-    stats, defined, segments = rs_curve_rows(x, segment_lengths, std_mode)
-    dropped = [v - count for v, count in zip(segments, defined.tolist())]
-    for n, v, d in zip(segment_lengths, segments, dropped):
-        if d == v:
+    ddof = 0 if std_mode is StdMode.POPULATION else 1
+    stats, dropped = [], []
+    for n in segment_lengths:
+        stat, defined, v = _rs_scale(x, x.size, 1, n, ddof)
+        if defined.item() == 0:
             raise AllSegmentsDegenerateError(
                 f"all {v} segments of length {n} are constant")
-    return stats.tolist(), dropped
+        stats.append(stat.item())
+        dropped.append(v - defined.item())
+    return stats, dropped
 
 
 def build_partition_plan(total_length: int,

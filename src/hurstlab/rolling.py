@@ -1,12 +1,15 @@
 """Sliding-window ("dynamic") Hurst estimation over a long return series.
 
 Window i covers returns [i*lag, i*lag + window). The sweep builds the
-R/S plan or DFA box schedule once and runs each scale's reduction and the
-log-log fit once per chunk of windows stacked as rows; a standalone
-estimate is the batch of one of the same code, so a trace entry equals
-the standalone estimate on that slice bit for bit. A window fails where
-its standalone estimate raises, and is kept as a gap noted with that
-error rather than dropped or interpolated.
+R/S plan or DFA box schedule once. For R/S, each scale evaluates every
+distinct segment of all windows once into a segment table, and each
+window gathers its ratios from it; for DFA, whose profile depends on the
+window mean, each scale's reduction runs once per chunk of windows
+stacked as rows. The log-log fit runs once per chunk of windows. A
+standalone estimate is the batch of one of the same code, so a trace
+entry equals the standalone estimate on that slice bit for bit. A window
+fails where its standalone estimate raises, and is kept as a gap noted
+with that error rather than dropped or interpolated.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._kernels import _CHUNK_ROWS
 from .dfa import (
     DfaConfig,
     FitTarget,
@@ -46,10 +50,6 @@ from .rescaled_range import (
 )
 from .regression import ols_rows
 from .series import ReturnSeries, Transform, transform_returns
-
-#: Windows per batched call: bounds the working set (0.5 MB per temporary
-#: at window 250) whatever the series length; results do not depend on it.
-_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -189,21 +189,40 @@ def estimate_window(values: np.ndarray, config: RollingConfig):
     return estimate_hurst_dfa(values, scheme)
 
 
-def _fit_rows(rows: np.ndarray, scheme: PartitionPlan | DfaConfig,
-              std_mode: StdMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, r_squared, fitted) for windows stacked as (rows, window); fitted
-    is False exactly where the standalone estimate of the window raises."""
+def _fit_rows(stats: np.ndarray, scheme: PartitionPlan | DfaConfig
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, r_squared, fitted) of scaling curves stacked as (rows, scales);
+    fitted is False exactly where the standalone estimate of the window
+    raises."""
+    if isinstance(scheme, PartitionPlan):
+        h, _, r_squared, _ = ols_rows(np.log(scheme.segment_lengths),
+                                      np.log(stats))
+    else:
+        h, _, r_squared, _ = dfa_fit_rows(scheme.box_sizes, stats,
+                                          scheme.fit_target)
+    fitted = (np.isfinite(stats) & (stats > 0.0)).all(axis=-1)
+    return h, r_squared, fitted
+
+
+def _fit_windows(values: np.ndarray, windows: np.ndarray,
+                 config: RollingConfig, scheme: PartitionPlan | DfaConfig
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_fit_rows over every window, _CHUNK_ROWS windows per fit. R/S curves
+    come from one segment table per scale over the whole series; DFA
+    curves from each chunk of windows. The curves are freed on return,
+    before the sweep builds its measurements."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if isinstance(scheme, PartitionPlan):
-            stats = rs_curve_rows(rows, scheme.segment_lengths, std_mode)[0]
-            h, _, r_squared, _ = ols_rows(np.log(scheme.segment_lengths),
-                                          np.log(stats))
+            curves = rs_curve_rows(values, config.window, config.lag,
+                                   scheme.segment_lengths, config.std_mode)
+            chunks = (curves[i:i + _CHUNK_ROWS]
+                      for i in range(0, len(curves), _CHUNK_ROWS))
         else:
-            stats = dfa_curve_rows(rows, scheme)
-            h, _, r_squared, _ = dfa_fit_rows(scheme.box_sizes, stats,
-                                              scheme.fit_target)
-        fitted = (np.isfinite(stats) & (stats > 0.0)).all(axis=-1)
-    return h, r_squared, fitted
+            chunks = (dfa_curve_rows(
+                np.ascontiguousarray(windows[i:i + _CHUNK_ROWS]), scheme)
+                for i in range(0, len(windows), _CHUNK_ROWS))
+        fits = [_fit_rows(stats, scheme) for stats in chunks]
+    return tuple(np.concatenate(part) for part in zip(*fits))
 
 
 def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
@@ -217,10 +236,8 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
         )
     scheme = _scheme(config, config.window)
     windows = sliding_window_view(values, config.window)[::config.lag]
-    chunks = [_fit_rows(np.ascontiguousarray(windows[i:i + _CHUNK_ROWS]),
-                        scheme, config.std_mode)
-              for i in range(0, len(windows), _CHUNK_ROWS)]
-    h, r_squared, fitted = (np.concatenate(part).tolist() for part in zip(*chunks))
+    h, r_squared, fitted = (part.tolist() for part in
+                            _fit_windows(values, windows, config, scheme))
     measurements = []
     for i, (h_i, r2_i, ok) in enumerate(zip(h, r_squared, fitted)):
         end_date = transformed.dates[i * config.lag + config.window - 1]

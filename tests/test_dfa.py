@@ -10,7 +10,13 @@ from hurstlab.dfa import (
     estimate_hurst_dfa,
     profile,
 )
-from hurstlab.errors import BoxTooLargeError, DegenerateCurveError, InvalidPlanError
+from hurstlab.errors import (
+    BoxTooLargeError,
+    DegenerateCurveError,
+    InputError,
+    InvalidPlanError,
+    TooShortError,
+)
 from hurstlab.rescaled_range import EstimatorKind
 from hurstlab.synthetic import fgn, white_noise
 
@@ -42,6 +48,12 @@ def test_profile_constant_is_zero():
 
 def test_profile_hand_sum():
     assert profile([1.0, -1.0]).tolist() == [1.0, 0.0]
+
+
+def test_profile_of_one_value_is_an_input_error():
+    with pytest.raises(TooShortError, match=r"^need at least 2 values, got 1$") as info:
+        profile([1.0])
+    assert isinstance(info.value, InputError)
 
 
 def test_profile_closes_to_zero():

@@ -1,7 +1,14 @@
-"""The R/S kernel counts constant segments without dividing by them."""
+"""The R/S and DFA kernels: constant segments, the segment table of
+overlapping windows, and batched calls equal to one window per call."""
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstlab import _kernels
+from hurstlab.dfa import default_box_sizes
+from hurstlab.rescaled_range import PRESET_250_SEGMENTS
+from hurstlab.rolling import _CHUNK_ROWS
 
 
 def test_rs_sums_degenerate_segments_counted():
@@ -10,3 +17,51 @@ def test_rs_sums_degenerate_segments_counted():
     assert segments == 2
     assert defined == 1
     assert total > 0.0
+
+
+@st.composite
+def window_sweeps(draw):
+    """A series with constant runs, and a window, lag, n and ddof for it."""
+    length = draw(st.integers(2, 700))
+    window = draw(st.integers(2, length))
+    n = draw(st.integers(2, window))
+    lag = draw(st.integers(1, length))
+    ddof = draw(st.sampled_from([0, 1]))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32))))
+    values = rng.standard_normal(length) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for start, size, level in draw(st.lists(st.tuples(
+            st.integers(0, length - 1), st.integers(1, 3 * n),
+            st.sampled_from([0.0, 1.5, -2e3])), max_size=4)):
+        values[start:start + size] = level
+    return values, window, lag, n, ddof
+
+
+@given(window_sweeps())
+@settings(max_examples=150, deadline=None)
+def test_segment_table_equals_per_window_sums(case):
+    values, window, lag, n, ddof = case
+    totals, counts, v = _kernels.rs_window_sums(values, window, lag, n, ddof)
+    per_window = [_kernels.rs_segment_sums(values[s:s + window], n, ddof)
+                  for s in range(0, values.size - window + 1, lag)]
+    assert v == window // n
+    assert totals.tolist() == [total.item() for total, _, _ in per_window]
+    assert counts.tolist() == [count.item() for _, count, _ in per_window]
+
+
+def rs_statistic(x, n):
+    total, defined, _ = _kernels.rs_segment_sums(x, n, 0)
+    return total / np.maximum(defined, 1)
+
+
+@pytest.mark.parametrize("kernel, scales", [
+    (rs_statistic, sorted(PRESET_250_SEGMENTS)),
+    (_kernels.dfa_box_fsq, default_box_sizes(250)),
+])
+def test_batched_kernel_equals_one_window_per_call(kernel, scales):
+    windows = np.random.Generator(np.random.PCG64(0)).standard_normal((600, 250))
+    windows[100:300, 40:200] = 0.5  # constant segments and boxes
+    for scale in scales:
+        batched = np.concatenate([kernel(windows[i:i + _CHUNK_ROWS], scale)
+                                  for i in range(0, len(windows), _CHUNK_ROWS)])
+        single = np.array([kernel(w, scale) for w in windows])
+        assert batched.tolist() == single.tolist()

@@ -5,8 +5,10 @@ import pytest
 
 from hurstlab.errors import (
     AllSegmentsDegenerateError,
+    InputError,
     InvalidPlanError,
     NonPositiveHError,
+    TooShortError,
 )
 from hurstlab.regression import ScalingCurve
 from hurstlab.rescaled_range import (
@@ -142,6 +144,22 @@ def test_rs_skips_degenerate_segments():
     value, skipped = rs_at_scale_with_diagnostics(x, 8)
     assert skipped == 1
     assert value == pytest.approx(rs_oracle(x, 8), rel=1e-12)
+
+
+def test_short_segment_is_an_input_error():
+    with pytest.raises(TooShortError,
+                       match=r"^segment needs at least 2 values, got 1$") as info:
+        segment_stats([1.0])
+    assert isinstance(info.value, InputError)
+
+
+@pytest.mark.parametrize("size, n, message", [
+    (16, 1, r"^segment length must be >= 2, got 1$"),
+    (16, 17, r"^series of length 16 has no segment of length 17$"),
+])
+def test_segment_length_out_of_bounds_is_a_plan_error(size, n, message):
+    with pytest.raises(InvalidPlanError, match=message):
+        rs_at_scale_with_diagnostics(white_noise(size, seed=3), n)
 
 
 # -- build_partition_plan ----------------------------------------------------

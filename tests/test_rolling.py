@@ -3,6 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from hurstlab._kernels import _TABLE_VALUES
 from hurstlab.dfa import FitTarget
 from hurstlab.errors import (
     ComputationError,
@@ -82,15 +83,25 @@ def reference_trace(values, config):
     return entries
 
 
-def with_constant_block(length, seed):
+def with_constant_block(length, seed, start=400):
     # Windows inside the block, or ending just past it (every small-scale
     # segment constant), are gaps; others overlapping it skip segments.
     values = white_noise(length, seed=seed).copy()
-    values[400:700] = 1.5
+    values[start:start + 300] = 1.5
     return values
 
 
 DFA = EstimatorKind.DFA
+
+
+def assert_sweep_matches_reference(values, config):
+    trace = sweep(make_returns(values), config)
+    expected = reference_trace(values, config)
+    assert trace.count == len(expected)
+    assert [m.note for m in trace.measurements] == [e[2] for e in expected]
+    assert [(m.h, m.r_squared) for m in trace.measurements] == [
+        (h, r_squared) for h, r_squared, _ in expected]
+    return trace
 
 
 @pytest.mark.parametrize("length, config", [
@@ -101,22 +112,29 @@ DFA = EstimatorKind.DFA
     (1200, RollingConfig(window=256, lag=1, estimator=DFA)),
     (1200, RollingConfig(window=256, lag=3, estimator=DFA,
                          dfa_fit_target=FitTarget.FLUCTUATION_SQUARED)),
+    (1400, RollingConfig(window=250, lag=300)),  # no shared segments
+    (1100, RollingConfig(window=251, lag=1)),  # doubling plan
+    (1500, RollingConfig(window=250, lag=5)),  # gcd(5, n) is 1 or 5
 ])
 def test_sweep_matches_per_window_reference(length, config):
     values = with_constant_block(length, seed=length + config.lag)
-    trace = sweep(make_returns(values), config)
-    expected = reference_trace(values, config)
-    assert trace.count == len(expected)
-    assert [m.note for m in trace.measurements] == [e[2] for e in expected]
-    for m, (h, r_squared, _) in zip(trace.measurements, expected):
-        if h is None:
-            assert m.h is None and m.r_squared is None
-        else:
-            assert abs(m.h - h) <= 1e-12
-            assert abs(m.r_squared - r_squared) <= 1e-12
+    trace = assert_sweep_matches_reference(values, config)
     if config.window == 250 and config.lag == 1:
         assert trace.count > 2 * _CHUNK_ROWS
         assert any(m.is_gap for m in trace.measurements)
+
+
+def test_constant_block_across_table_and_gather_chunks():
+    # At lag 1, window `boundary` starts a gather chunk, and segment start
+    # `boundary` the second chunk of the n = 16 segment table.
+    boundary = _TABLE_VALUES // 16
+    assert boundary % _CHUNK_ROWS == 0
+    values = with_constant_block(boundary + 500, seed=boundary + 501,
+                                 start=boundary - 25)
+    trace = assert_sweep_matches_reference(values,
+                                           RollingConfig(window=250, lag=1))
+    assert trace.measurements[boundary - 1].is_gap
+    assert trace.measurements[boundary].is_gap
 
 
 @pytest.mark.parametrize("config", [
