@@ -13,6 +13,14 @@ serves overlapping windows from a segment table: each distinct segment
 start of the windows is evaluated once, and each window gathers its
 ratios from the table and sums them in the order ``rs_segment_sums``
 does.
+
+The table has two layouts with one summation order. By default its
+segments are rows, reduced one row at a time. When the starts are evenly
+spaced and many (a dense rolling sweep, or a long standalone series),
+each step runs instead across all segments at once, one strided column
+of the series at a time, and each window's ratios are strided columns of
+the table; ``_pairwise`` sums columns in the order numpy's last-axis
+reduction sums a row, so both layouts give the same bits.
 """
 from __future__ import annotations
 
@@ -24,6 +32,12 @@ from numpy.lib.stride_tricks import as_strided
 #: set whatever the series length; results do not depend on them.
 _CHUNK_ROWS = 256
 _TABLE_VALUES = _CHUNK_ROWS * 64
+
+#: Fewest evenly spaced segment starts evaluated column by column; below
+#: it the per-column call overhead outweighs the row-by-row reduction.
+#: Columns and gathered windows run in chunks of _MAJOR_ROWS up to twice
+#: that many rows (0.03 to 0.06 MB per temporary).
+_MAJOR_ROWS = 4096
 
 
 def rs_segments(x: np.ndarray, n: int, ddof: int
@@ -48,9 +62,15 @@ def rs_segment_sums(x: np.ndarray, n: int, ddof: int
     deviation contribute nothing to ratio_sum or defined_count.
     """
     _, std, rng = rs_segments(x, n, ddof)
-    defined = std > 0.0
-    ratio = np.divide(rng, std, out=np.zeros_like(rng), where=defined)
+    ratio, defined = _ratios(std, rng)
     return ratio.sum(axis=-1), defined.sum(axis=-1), x.shape[-1] // n
+
+
+def _ratios(std: np.ndarray, rng: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Range over standard deviation, 0 where the deviation is not
+    positive, and the flags of the segments where it is."""
+    defined = std > 0.0
+    return np.divide(rng, std, out=np.zeros_like(rng), where=defined), defined
 
 
 def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
@@ -59,10 +79,12 @@ def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
 
     Window i's segments start at i*lag + j*n for j < window // n. A
     table holds the ratio and defined count (0 or 1) of each distinct
-    start, each segment evaluated once as a one-segment row; each window
-    gathers its slots and sums them in segment order, so an entry equals
-    rs_segment_sums of its slice bit for bit. Returns (ratio_sum,
-    defined_count) of shape (windows,) and the segment count per window.
+    start, each segment evaluated once; each window gathers its slots and
+    sums them in segment order, so an entry equals rs_segment_sums of its
+    slice bit for bit. At least _MAJOR_ROWS starts in one arithmetic
+    progression take the column layout (``_column_sums``); other tables
+    are evaluated as one-segment rows. Returns (ratio_sum, defined_count)
+    of shape (windows,) and the segment count per window.
     """
     count = (x.size - window) // lag + 1
     v = window // n
@@ -74,6 +96,9 @@ def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
         for start in range(0, count * lag, lag):
             used[start: start + v * n: n] = True
     starts = np.flatnonzero(used)
+    gaps = np.diff(starts)
+    if starts.size >= _MAJOR_ROWS and (gaps == gaps[0]).all():
+        return _column_sums(x, window, lag, n, ddof, int(gaps[0]), starts.size)
     slot = np.cumsum(used) - 1
     stride = x.strides[0]
     segments = as_strided(x, (used.size, n), (stride, stride), writeable=False)
@@ -91,6 +116,96 @@ def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
         totals[a:a + len(index)] = ratio[index].sum(axis=-1)
         counts[a:a + len(index)] = defined[index].sum(axis=-1)
     return totals, counts, v
+
+
+def _column_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int,
+                 gap: int, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """rs_window_sums of a table whose starts are 0, gap, ...,
+    (rows - 1) * gap, evaluated column by column.
+
+    Every start is a multiple of gap, and so is lag when there are
+    several windows: the slot of window i's segment j is i * step +
+    j * (n // gap) with step = lag // gap, so term j of a chunk of
+    windows is a strided view of the table. A single window reads one
+    slot per term, whatever the step.
+    """
+    count = (x.size - window) // lag + 1
+    v = window // n
+    ratio = np.empty(rows)
+    defined = np.empty(rows, dtype=np.intp)
+    for a, b in _spans(rows):
+        ratio[a:b], defined[a:b] = _ratios(
+            *_column_segments(x, a * gap, b - a, gap, n, ddof))
+    step, stride = max(lag // gap, 1), n // gap
+    totals = np.empty(count)
+    counts = np.empty(count, dtype=np.intp)
+    for a, b in _spans(count):
+        for out, table in ((totals, ratio), (counts, defined)):
+            out[a:b] = _pairwise(
+                lambda j: table[a * step + j * stride:
+                                (b - 1) * step + j * stride + 1: step], 0, v)
+    return totals, counts, v
+
+
+def _spans(total: int) -> list[tuple[int, int]]:
+    """Bounds [a, b) of equal chunks of range(total), each of _MAJOR_ROWS
+    to 2 * _MAJOR_ROWS - 1 rows, or one chunk when total is smaller."""
+    size = -(-total // max(total // _MAJOR_ROWS, 1))
+    return [(a, min(a + size, total)) for a in range(0, total, size)]
+
+
+def _column_segments(x: np.ndarray, first: int, rows: int, gap: int, n: int,
+                     ddof: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard deviation and walk range of the segments x[s : s + n] at
+    s = first, first + gap, ..., as rs_segments gives them: column k is
+    the strided view of value k of every segment, the sums run in
+    _pairwise's order and the walk is a running sum, as cumsum runs."""
+    def col(k):
+        return x[first + k: first + k + (rows - 1) * gap + 1: gap]
+
+    mean = _pairwise(col, 0, n) / n
+
+    def square(k):
+        dev = col(k) - mean
+        return np.multiply(dev, dev, out=dev)
+
+    std = np.sqrt(_pairwise(square, 0, n) / (n - ddof))
+    walk = col(0) - mean
+    high, low, dev = walk.copy(), walk.copy(), np.empty_like(walk)
+    for k in range(1, n):
+        walk += np.subtract(col(k), mean, out=dev)
+        np.maximum(high, walk, out=high)
+        np.minimum(low, walk, out=low)
+    return std, high - low
+
+
+def _pairwise(col, lo: int, n: int) -> np.ndarray:
+    """col(lo) + ... + col(lo + n - 1), added in the order numpy's add
+    reduction adds a contiguous row of n values: one by one below 8
+    terms; up to 128, eight running sums over blocks of 8, combined as a
+    tree, then the tail one by one; above 128, the two halves split at a
+    multiple of 8. The arrays col returns are never written to. numpy
+    then adds its sum to 0.0, which only turns a sum of -0.0 terms into
+    0.0; no such sum reaches a ratio.
+    """
+    if n < 8:
+        total = col(lo)
+        for k in range(lo + 1, lo + n):
+            total = total + col(k)
+        return total
+    if n <= 128:
+        end = lo + n - n % 8
+        r = [col(lo + j) for j in range(8)]
+        for i in range(lo + 8, end, 8):
+            # the first block's sums are new arrays; later blocks add in place
+            r = [np.add(r[j], col(i + j), out=None if i == lo + 8 else r[j])
+                 for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for k in range(end, lo + n):
+            total += col(k)
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise(col, lo, half) + _pairwise(col, lo + half, n - half)
 
 
 def dfa_box_fsq(x: np.ndarray, tau: int) -> np.ndarray:

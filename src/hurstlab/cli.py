@@ -1,8 +1,10 @@
 """Command-line front end: hurst, dfa, rolling, vstat, downfalls, synth.
 
-Each analysis command builds one report, a JSON tree on stdout.
---format table prints values of the report's "results" instead, each as
-a comma-separated block under a "# name" line and a header row. Exit
+Each analysis command builds one report, a JSON tree on stdout, byte for
+byte json.dumps(report, indent=2); its long lists of rows go through the
+C encoder. --format table prints values of the report's "results"
+instead, each as a comma-separated block under a "# name" line and a
+header row, its cells formatted a column at a time. Exit
 codes: 0 success (also when the reader closes stdout early), 2 input
 error, 3 computation error, 4 configuration/usage error. Failures print
 a machine-readable {"error", "message"} object on stderr.
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -234,7 +237,7 @@ def _emit(report: dict, fmt: str, tables: list[tuple]) -> None:
     of its scalars, or None to leave the table out.
     """
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_json(report, ""))
         return
     blocks = []
     for name, header, value in tables:
@@ -246,10 +249,47 @@ def _emit(report: dict, fmt: str, tables: list[tuple]) -> None:
         else:
             rows = [[row[key] for key in header] if isinstance(row, dict)
                     else row for row in value]
-        lines = [f"# {name}", ",".join(header)]
-        lines.extend(",".join(_cell(item) for item in row) for row in rows)
-        blocks.append("\n".join(lines))
+        blocks.append("\n".join([f"# {name}", ",".join(header),
+                                 *_table_lines(rows)]))
     print("\n\n".join(blocks))
+
+
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json(value, indent: str) -> str:
+    """json.dumps(value, indent=2), nested at the given indent.
+
+    A list of non-empty rows of scalars, such as a trace, is encoded in one
+    call of the C encoder, with the row items' line breaks as its item
+    separator; the row boundaries are then broken as indent=2 breaks them.
+    An encoded string never holds a raw newline, so the separator only
+    occurs between items. Dicts with str keys are written item by item;
+    anything else is json.dumps(indent=2) re-indented.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value and all(
+            isinstance(key, str) for key in value):
+        return "{\n" + inner + (",\n" + inner).join(
+            json.dumps(key) + ": " + _json(item, inner)
+            for key, item in value.items()) + "\n" + indent + "}"
+    if (isinstance(value, list) and value and set(map(type, value)) == {list}
+            and all(value)
+            and set(map(type, itertools.chain.from_iterable(value))) <= _SCALARS):
+        sep = ",\n" + inner + "  "
+        open_row, close_row = "[" + sep[1:], "\n" + inner + "]"
+        body = json.dumps(value, separators=(sep, ": "))[2:-2].replace(
+            "]" + sep + "[", close_row + ",\n" + inner + open_row)
+        return "[\n" + inner + open_row + body + close_row + "\n" + indent + "]"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
+def _table_lines(rows: list) -> list[str]:
+    """Each row's _cell values joined by commas. Rows have one length, the
+    header's; cells are formatted a column at a time."""
+    columns = [map(float.__repr__, column) if set(map(type, column)) == {float}
+               else map(_cell, column) for column in zip(*rows)]
+    return list(map(",".join, zip(*columns)))
 
 
 def _cell(value) -> str:
@@ -354,7 +394,8 @@ def cmd_rolling(args) -> int:
         "market_class": ({"class": market.kind.value,
                           "rationale": market.rationale}
                          if market else None),
-        "prices": ([[d.isoformat(), float(c)] for d, c in prices.observations]
+        "prices": (list(map(list, zip(map(dt.date.isoformat, prices.dates),
+                                      prices.closes.tolist())))
                    if prices is not None else None),
     }
     report = {

@@ -1,7 +1,10 @@
 """Exception hierarchy shared by all hurstlab modules.
 
 Three families map onto the CLI exit codes: InputError -> 2,
-ComputationError -> 3, ConfigError -> 4.
+ComputationError -> 3, ConfigError -> 4. The errors raised where
+malformed series, curves and generator specs used to raise a bare
+ValueError also derive from ValueError, so a caller catching ValueError
+still catches them.
 """
 
 
@@ -37,6 +40,11 @@ class DuplicateDateError(InputError):
 
 class TooShortError(InputError):
     """Fewer than two observations."""
+
+
+class InvalidSeriesError(InputError, ValueError):
+    """A series' dates and values differ in length, its dates are out of
+    order, or its transformed values break the transform's sign."""
 
 
 # -- estimation -------------------------------------------------------------
@@ -102,6 +110,15 @@ class AlreadyTransformedError(ConfigError):
 
 class InvalidPlanError(ConfigError):
     """Partition plan violates its invariants."""
+
+
+class InvalidCurveError(ConfigError, ValueError):
+    """A scaling curve's scales are malformed, or the curve is of the wrong
+    kind for the statistic asked of it."""
+
+
+class UnknownKindError(ConfigError, ValueError):
+    """A generator spec names no known kind."""
 
 
 class HOutOfRangeError(ConfigError):

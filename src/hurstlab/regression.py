@@ -6,7 +6,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateCurveError
+from .errors import DegenerateCurveError, InvalidCurveError
 
 
 class EstimatorKind(Enum):
@@ -29,15 +29,15 @@ class ScalingCurve:
 
     def __post_init__(self):
         if len(self.scales) != len(self.statistics):
-            raise ValueError("scales and statistics differ in length")
+            raise InvalidCurveError("scales and statistics differ in length")
         if len(self.scales) < 3:
             raise DegenerateCurveError(
                 f"need at least 3 scales, got {len(self.scales)}"
             )
         if any(s2 <= s1 for s1, s2 in zip(self.scales, self.scales[1:])):
-            raise ValueError("scales must be strictly increasing")
+            raise InvalidCurveError("scales must be strictly increasing")
         if self.scales[0] <= 0:
-            raise ValueError("scales must be positive")
+            raise InvalidCurveError("scales must be positive")
         if any(stat <= 0 or not np.isfinite(stat) for stat in self.statistics):
             raise DegenerateCurveError(
                 "statistics must be finite and strictly positive for the log fit"

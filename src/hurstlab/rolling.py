@@ -3,9 +3,12 @@
 Window i covers returns [i*lag, i*lag + window). The sweep builds the
 R/S plan or DFA box schedule once. For R/S, each scale evaluates every
 distinct segment of all windows once into a segment table, and each
-window gathers its ratios from it; for DFA, whose profile depends on the
-window mean, each scale's reduction runs once per chunk of windows
-stacked as rows. The log-log fit runs once per chunk of windows. A
+window gathers its ratios from it. Where the lag divides the segment
+length (at lag 1, always), the starts of a long series are evenly
+spaced, and the table is evaluated and gathered column by column, in
+the summation order of the row layout (see ``_kernels``). For DFA, whose
+profile depends on the window mean, each scale's reduction runs once per
+chunk of windows stacked as rows. The log-log fit runs once per chunk of windows. A
 standalone estimate is the batch of one of the same code, so a trace
 entry equals the standalone estimate on that slice bit for bit. A window
 fails where its standalone estimate raises, and is kept as a gap noted

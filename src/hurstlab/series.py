@@ -16,6 +16,7 @@ from .errors import (
     AlreadyTransformedError,
     ConfigError,
     DuplicateDateError,
+    InvalidSeriesError,
     MalformedRowError,
     NonPositivePriceError,
     TooShortError,
@@ -41,7 +42,7 @@ class PriceSeries:
         closes.flags.writeable = False
         object.__setattr__(self, "closes", closes)
         if len(self.dates) != closes.size:
-            raise ValueError("dates and closes differ in length")
+            raise InvalidSeriesError("dates and closes differ in length")
         if closes.size < 2:
             raise TooShortError(f"need at least 2 observations, got {closes.size}")
         if not np.all(closes > 0.0):
@@ -53,7 +54,7 @@ class PriceSeries:
             if d2 == d1:
                 raise DuplicateDateError(f"duplicate date {d1}")
             if d2 < d1:
-                raise ValueError("dates must be strictly increasing")
+                raise InvalidSeriesError("dates must be strictly increasing")
 
     def __len__(self) -> int:
         return self.closes.size
@@ -81,10 +82,11 @@ class ReturnSeries:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if len(self.dates) != values.size:
-            raise ValueError("dates and values differ in length")
+            raise InvalidSeriesError("dates and values differ in length")
         if self.transform in (Transform.ABSOLUTE, Transform.SQUARED):
             if values.size and float(values.min()) < 0.0:
-                raise ValueError(f"{self.transform.value} returns must be >= 0")
+                raise InvalidSeriesError(
+                    f"{self.transform.value} returns must be >= 0")
 
     def __len__(self) -> int:
         return self.values.size

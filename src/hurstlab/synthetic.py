@@ -23,6 +23,7 @@ from .errors import (
     FactorizationFailureError,
     HOutOfRangeError,
     LengthTooLargeError,
+    UnknownKindError,
 )
 from .series import PriceSeries
 
@@ -176,7 +177,7 @@ def generate(spec: GeneratorSpec):
         return random_walk_prices(spec.length, spec.seed,
                                   drift=spec.drift,
                                   volatility=spec.volatility)
-    raise ValueError(f"unknown kind {spec.kind}")  # pragma: no cover
+    raise UnknownKindError(f"unknown kind {spec.kind}")
 
 
 def _require_h(spec: GeneratorSpec) -> float:

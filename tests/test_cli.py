@@ -8,7 +8,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurstlab import cli
 
@@ -553,3 +556,41 @@ def test_table_matches_json_results(tmp_path, capsys, argv):
                 for name, header, rows in expected_tables(argv[0],
                                                           report["results"])]
     assert parse_tables(table_out) == expected
+
+
+# -- report writer -----------------------------------------------------------
+
+# Strings that could break a writer that re-breaks encoded JSON text.
+_TRICKY = st.sampled_from(['"', "\\", "\n", "],\n", "],\n      [", "]", "[",
+                           "\u00e9", "\u2603", "\U0001f600", ""])
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+    st.text(max_size=6), _TRICKY)
+_ROW = st.lists(_SCALARS, min_size=1, max_size=4)
+_ROWS = st.lists(_ROW, max_size=5)
+_KEYS = st.one_of(st.text(max_size=4), _TRICKY, st.integers(), st.floats(),
+                  st.booleans(), st.none())
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _ROWS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(st.one_of(children, _ROW), max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=3)),
+    max_leaves=30)
+
+
+@given(_TREES)
+@settings(max_examples=400, deadline=None)
+def test_json_writer_equals_indent_2(tree):
+    assert cli._json(tree, "") == json.dumps(tree, indent=2)
+
+
+@given(st.integers(1, 4).flatmap(lambda width: st.lists(st.lists(
+    st.one_of(_SCALARS, st.floats().map(np.float64)),
+    min_size=width, max_size=width), max_size=6)))
+@settings(max_examples=300, deadline=None)
+def test_table_lines_equal_cell_by_cell(rows):
+    assert cli._table_lines(rows) == [",".join(cli._cell(item) for item in row)
+                                      for row in rows]

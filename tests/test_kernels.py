@@ -1,5 +1,8 @@
 """The R/S and DFA kernels: constant segments, the segment table of
-overlapping windows, and batched calls equal to one window per call."""
+overlapping windows in both layouts, the summation order they share, and
+batched calls equal to one window per call."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,12 +23,15 @@ def test_rs_sums_degenerate_segments_counted():
 
 
 @st.composite
-def window_sweeps(draw):
-    """A series with constant runs, and a window, lag, n and ddof for it."""
+def window_sweeps(draw, dense=False):
+    """A series with constant runs, and a window, lag, n and ddof for it;
+    dense draws half of its lags from 1..4, where the starts of the most
+    tables are evenly spaced."""
     length = draw(st.integers(2, 700))
     window = draw(st.integers(2, length))
     n = draw(st.integers(2, window))
-    lag = draw(st.integers(1, length))
+    lag = draw(st.integers(1, length) if not dense or draw(st.booleans())
+               else st.integers(1, 4))
     ddof = draw(st.sampled_from([0, 1]))
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32))))
     values = rng.standard_normal(length) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -39,6 +45,20 @@ def window_sweeps(draw):
 @given(window_sweeps())
 @settings(max_examples=150, deadline=None)
 def test_segment_table_equals_per_window_sums(case):
+    assert_table_equals_per_window_sums(case)
+
+
+@given(window_sweeps(dense=True))
+@settings(max_examples=150, deadline=None)
+def test_column_layout_equals_per_window_sums(case):
+    # Every table of at least 8 evenly spaced starts takes the column
+    # layout, its columns and windows in chunks of 8 to 15 rows; lags
+    # whose starts are uneven keep the row layout.
+    with mock.patch.object(_kernels, "_MAJOR_ROWS", 8):
+        assert_table_equals_per_window_sums(case)
+
+
+def assert_table_equals_per_window_sums(case):
     values, window, lag, n, ddof = case
     totals, counts, v = _kernels.rs_window_sums(values, window, lag, n, ddof)
     per_window = [_kernels.rs_segment_sums(values[s:s + window], n, ddof)
@@ -46,6 +66,18 @@ def test_segment_table_equals_per_window_sums(case):
     assert v == window // n
     assert totals.tolist() == [total.item() for total, _, _ in per_window]
     assert counts.tolist() == [count.item() for _, count, _ in per_window]
+
+
+def test_pairwise_sums_columns_in_numpy_row_order():
+    # n < 8, 8 <= n <= 128 and the split above 128, at magnitudes from
+    # 1e-8 to 1e8; a numpy that changes the order of its last-axis
+    # add.reduce fails here first.
+    rng = np.random.Generator(np.random.PCG64(7))
+    for n in range(1, 301):
+        rows = (rng.standard_normal((64, n))
+                * 10.0 ** rng.integers(-8, 9, (64, n)))
+        got = _kernels._pairwise(lambda k: rows[:, k], 0, n)
+        assert got.tobytes() == np.add.reduce(rows, axis=-1).tobytes(), n
 
 
 def rs_statistic(x, n):

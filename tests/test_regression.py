@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hurstlab.errors import DegenerateCurveError
+from hurstlab.errors import ConfigError, DegenerateCurveError, InvalidCurveError
 from hurstlab.regression import EstimatorKind, ScalingCurve, fit_loglog, ols_line
 
 
@@ -99,3 +99,16 @@ def test_scales_must_increase():
 def test_ols_line_zero_x_variance():
     with pytest.raises(DegenerateCurveError):
         ols_line(np.array([2.0, 2.0, 2.0]), np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("scales, statistics, message", [
+    ([4, 16, 64], [2.0, 4.0], "scales and statistics differ in length"),
+    ([4, 16, 16], [2.0, 4.0, 8.0], "scales must be strictly increasing"),
+    ([0, 16, 64], [2.0, 4.0, 8.0], "scales must be positive"),
+])
+def test_malformed_curve_raises_typed_config_error(scales, statistics, message):
+    with pytest.raises(InvalidCurveError) as info:
+        rs_curve(scales, statistics)
+    assert str(info.value) == message
+    assert isinstance(info.value, ConfigError)
+    assert isinstance(info.value, ValueError)  # what these sites raised before

@@ -3,7 +3,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from hurstlab._kernels import _TABLE_VALUES
+from hurstlab import _kernels
+from hurstlab._kernels import _MAJOR_ROWS, _TABLE_VALUES
 from hurstlab.dfa import FitTarget
 from hurstlab.errors import (
     ComputationError,
@@ -115,13 +116,28 @@ def assert_sweep_matches_reference(values, config):
     (1400, RollingConfig(window=250, lag=300)),  # no shared segments
     (1100, RollingConfig(window=251, lag=1)),  # doubling plan
     (1500, RollingConfig(window=250, lag=5)),  # gcd(5, n) is 1 or 5
+    # Full size: every scale's table takes the column layout
+    (12000, RollingConfig(window=250, lag=1)),
+    (8700, RollingConfig(window=256, lag=2,  # starts 2 apart
+                         plan_policy=PartitionPolicy.DIVISORS_ONLY)),
 ])
-def test_sweep_matches_per_window_reference(length, config):
+def test_sweep_matches_per_window_reference(length, config, monkeypatch):
+    # the segment length of each table evaluated column by column
+    column_tables, column_sums = [], _kernels._column_sums
+    monkeypatch.setattr(_kernels, "_column_sums", lambda *args: (
+        column_tables.append(args[3]) or column_sums(*args)))
     values = with_constant_block(length, seed=length + config.lag)
     trace = assert_sweep_matches_reference(values, config)
     if config.window == 250 and config.lag == 1:
         assert trace.count > 2 * _CHUNK_ROWS
         assert any(m.is_gap for m in trace.measurements)
+    # Only the full-size cases have that many windows, at lags whose
+    # starts are evenly spaced at every scale.
+    if trace.count >= _MAJOR_ROWS:
+        assert sorted(set(column_tables)) == list(_scheme(
+            config, config.window).segment_lengths)
+    else:
+        assert column_tables == []
 
 
 def test_constant_block_across_table_and_gather_chunks():

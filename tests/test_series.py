@@ -7,6 +7,8 @@ import pytest
 from hurstlab.errors import (
     AlreadyTransformedError,
     DuplicateDateError,
+    InputError,
+    InvalidSeriesError,
     MalformedRowError,
     NonPositivePriceError,
     TooShortError,
@@ -14,6 +16,7 @@ from hurstlab.errors import (
 from hurstlab.series import (
     CsvConfig,
     PriceSeries,
+    ReturnSeries,
     Transform,
     log_returns,
     parse_price_csv,
@@ -183,3 +186,27 @@ def test_price_series_requires_positive_and_ordered():
     dates = (dt.date(2020, 1, 2), dt.date(2020, 1, 1))
     with pytest.raises(ValueError):
         PriceSeries(symbol="X", dates=dates, closes=np.array([1.0, 2.0]))
+
+
+DAY = dt.date(2020, 1, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PriceSeries(symbol="X", dates=(DAY,), closes=np.array([1.0, 2.0])),
+     "dates and closes differ in length"),
+    (lambda: PriceSeries(symbol="X", dates=(DAY, DAY - dt.timedelta(days=1)),
+                         closes=np.array([1.0, 2.0])),
+     "dates must be strictly increasing"),
+    (lambda: ReturnSeries(source_symbol="X", transform=Transform.RAW,
+                          dates=(DAY,), values=np.array([0.1, 0.2])),
+     "dates and values differ in length"),
+    (lambda: ReturnSeries(source_symbol="X", transform=Transform.SQUARED,
+                          dates=(DAY,), values=np.array([-0.1])),
+     "squared returns must be >= 0"),
+])
+def test_malformed_series_raise_typed_input_error(build, message):
+    with pytest.raises(InvalidSeriesError) as info:
+        build()
+    assert str(info.value) == message
+    assert isinstance(info.value, InputError)
+    assert isinstance(info.value, ValueError)  # what these sites raised before

@@ -6,6 +6,7 @@ from hurstlab.errors import (
     ConfigError,
     HOutOfRangeError,
     LengthTooLargeError,
+    UnknownKindError,
 )
 from hurstlab.series import PriceSeries
 from hurstlab.synthetic import (
@@ -190,3 +191,11 @@ def test_prices_log_returns_recover_white_noise():
     prices = random_walk_prices(1001, seed=17, drift=0.0, volatility=1.0)
     returns = np.diff(np.log(prices.closes))
     assert returns == pytest.approx(white_noise(1000, seed=17), abs=1e-9)
+
+
+def test_unknown_kind_raises_typed_config_error():
+    with pytest.raises(UnknownKindError) as info:
+        generate(GeneratorSpec(kind="brownian", length=10, seed=0))
+    assert str(info.value) == "unknown kind brownian"
+    assert isinstance(info.value, ConfigError)
+    assert isinstance(info.value, ValueError)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hurstlab.errors import ConfigError, InvalidCurveError
 from hurstlab.regression import EstimatorKind, ScalingCurve
 from hurstlab.rescaled_range import PartitionPolicy, build_partition_plan, estimate_hurst_rs
 from hurstlab.synthetic import fgn, white_noise
@@ -62,6 +63,15 @@ def test_rejects_dfa_curves():
                         kind=EstimatorKind.DFA)
     with pytest.raises(ValueError):
         v_statistic(curve)
+
+
+def test_dfa_curve_raises_typed_config_error():
+    curve = ScalingCurve(scales=(8, 16, 32), statistics=(1.0, 2.0, 4.0),
+                         kind=EstimatorKind.DFA)
+    with pytest.raises(InvalidCurveError) as info:
+        v_statistic(curve)
+    assert str(info.value) == "V statistic is defined on rescaled-range curves"
+    assert isinstance(info.value, ConfigError)
 
 
 def test_regime_sign_rates_over_seeds():
