@@ -2,9 +2,11 @@
 
 Many 250-sample windows: R/S over the ten-segment preset, DFA over the
 default box schedule of a 250-sample window. Each kernel is timed two
-ways: batched, as the rolling sweep calls it (windows stacked as rows,
-one call per chunk and scale), and one window per call, as a standalone
-estimate calls it. The two must agree bit for bit.
+ways: batched (windows stacked as rows, one call per chunk of 256 and
+scale, as the rolling sweep calls the DFA kernel) and one window per
+call, as a standalone estimate calls both. The two must agree bit for
+bit. The rolling R/S sweep calls the R/S kernel on segment rows of its
+table instead (see ``hurstlab._kernels``).
 
     python3 benchmarks/bench_kernels.py [--windows 2000] [--repeat 3]
 """

@@ -9,33 +9,31 @@ what keeps a rolling-trace entry bit-for-bit equal to the standalone
 estimate of the same slice.
 
 An R/S ratio depends only on its own segment, so ``rs_window_sums``
-serves overlapping windows from a segment table: each distinct segment
-start of the windows is evaluated once, and each window gathers its
-ratios from the table and sums them in the order ``rs_segment_sums``
-does.
+serves overlapping windows from one table indexed by segment start:
+each distinct segment start of the windows is evaluated once, and each
+window sums its entries in the order ``rs_segment_sums`` sums a row. A
+single window (a standalone estimate) is ``rs_segment_sums`` of its
+slice.
 
-The table has two layouts with one summation order. By default its
-segments are rows, reduced one row at a time. When the starts are evenly
-spaced and many (a dense rolling sweep, or a long standalone series),
-each step runs instead across all segments at once, one strided column
-of the series at a time, and each window's ratios are strided columns of
-the table; ``_pairwise`` sums columns in the order numpy's last-axis
-reduction sums a row, so both layouts give the same bits.
+When the used starts are evenly spaced and many (a dense rolling sweep),
+the table is evaluated one strided column of the series at a time
+across all segments, instead of one segment row at a time;
+``_pairwise`` adds columns in the order numpy's last-axis reduction adds
+a row, so both ways give the same bits.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-#: Windows per batched call or gather, and values per evaluated chunk of
-#: an R/S segment table (0.125 MB per temporary): they bound the working
-#: set whatever the series length; results do not depend on them.
-_CHUNK_ROWS = 256
-_TABLE_VALUES = _CHUNK_ROWS * 64
+#: Values per chunk of segment rows evaluated at once (0.125 MB per
+#: temporary): it bounds the working set whatever the series length;
+#: results do not depend on it.
+_TABLE_VALUES = 16384
 
 #: Fewest evenly spaced segment starts evaluated column by column; below
 #: it the per-column call overhead outweighs the row-by-row reduction.
-#: Columns and gathered windows run in chunks of _MAJOR_ROWS up to twice
+#: Columns and summed windows run in chunks of _MAJOR_ROWS up to twice
 #: that many rows (0.03 to 0.06 MB per temporary).
 _MAJOR_ROWS = 4096
 
@@ -77,16 +75,17 @@ def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """rs_segment_sums of every window x[i*lag : i*lag + window] of a 1-D x.
 
-    Window i's segments start at i*lag + j*n for j < window // n. A
-    table holds the ratio and defined count (0 or 1) of each distinct
-    start, each segment evaluated once; each window gathers its slots and
-    sums them in segment order, so an entry equals rs_segment_sums of its
-    slice bit for bit. At least _MAJOR_ROWS starts in one arithmetic
-    progression take the column layout (``_column_sums``); other tables
-    are evaluated as one-segment rows. Returns (ratio_sum, defined_count)
-    of shape (windows,) and the segment count per window.
+    One window is rs_segment_sums of its slice. Several windows read a
+    table indexed by segment start: entry s holds the ratio and defined
+    count (0 or 1) of x[s : s + n], set only where some window's
+    segment i*lag + j*n starts. At least _MAJOR_ROWS used starts in one
+    arithmetic progression are evaluated column by column
+    (``_column_segments``), others as one-segment rows. Returns
+    (ratio_sum, defined_count) of shape (windows,) and window // n.
     """
     count = (x.size - window) // lag + 1
+    if count == 1:
+        return rs_segment_sums(x[None, :window], n, ddof)
     v = window // n
     used = np.zeros(x.size - n + 1, dtype=bool)
     if v <= count:  # one strided slice per segment offset or per window
@@ -97,54 +96,40 @@ def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
             used[start: start + v * n: n] = True
     starts = np.flatnonzero(used)
     gaps = np.diff(starts)
+    ratio = np.empty(used.size)  # unused entries are never read
+    defined = np.empty(used.size, dtype=np.intp)
     if starts.size >= _MAJOR_ROWS and (gaps == gaps[0]).all():
-        return _column_sums(x, window, lag, n, ddof, int(gaps[0]), starts.size)
-    slot = np.cumsum(used) - 1
-    stride = x.strides[0]
-    segments = as_strided(x, (used.size, n), (stride, stride), writeable=False)
-    ratio = np.empty(starts.size)
-    defined = np.empty(starts.size, dtype=np.intp)
-    step = max(1, _TABLE_VALUES // n)
-    for a in range(0, starts.size, step):
-        ratio[a:a + step], defined[a:a + step], _ = rs_segment_sums(
-            segments[starts[a:a + step]], n, ddof)
-    totals = np.empty(count)
-    counts = np.empty(count, dtype=np.intp)
-    for a in range(0, count, _CHUNK_ROWS):
-        index = slot[np.arange(a, min(a + _CHUNK_ROWS, count))[:, None] * lag
-                     + np.arange(0, v * n, n)]
-        totals[a:a + len(index)] = ratio[index].sum(axis=-1)
-        counts[a:a + len(index)] = defined[index].sum(axis=-1)
-    return totals, counts, v
+        gap = int(gaps[0])
+        for a, b in _spans(starts.size):
+            table = slice(a * gap, b * gap, gap)
+            ratio[table], defined[table] = _ratios(
+                *_column_segments(x, a * gap, b - a, gap, n, ddof))
+    else:
+        segments = as_strided(x, (used.size, n), x.strides * 2,
+                              writeable=False)
+        step = max(1, _TABLE_VALUES // n)
+        for a in range(0, starts.size, step):
+            s = starts[a:a + step]
+            ratio[s], defined[s], _ = rs_segment_sums(segments[s], n, ddof)
+    return (_window_sums(ratio, count, lag, n, v),
+            _window_sums(defined, count, lag, n, v), v)
 
 
-def _column_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int,
-                 gap: int, rows: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """rs_window_sums of a table whose starts are 0, gap, ...,
-    (rows - 1) * gap, evaluated column by column.
-
-    Every start is a multiple of gap, and so is lag when there are
-    several windows: the slot of window i's segment j is i * step +
-    j * (n // gap) with step = lag // gap, so term j of a chunk of
-    windows is a strided view of the table. A single window reads one
-    slot per term, whatever the step.
-    """
-    count = (x.size - window) // lag + 1
-    v = window // n
-    ratio = np.empty(rows)
-    defined = np.empty(rows, dtype=np.intp)
-    for a, b in _spans(rows):
-        ratio[a:b], defined[a:b] = _ratios(
-            *_column_segments(x, a * gap, b - a, gap, n, ddof))
-    step, stride = max(lag // gap, 1), n // gap
-    totals = np.empty(count)
-    counts = np.empty(count, dtype=np.intp)
+def _window_sums(table: np.ndarray, count: int, lag: int, n: int, v: int
+                 ) -> np.ndarray:
+    """table[i*lag] + table[i*lag + n] + ... (v terms) for each i < count,
+    added in numpy's order for a row of v values: a strided sum per
+    window when windows are fewer than terms, else a strided column of
+    windows per term, summed by _pairwise."""
+    if count < v:
+        return np.array([table[i * lag: i * lag + v * n: n].sum()
+                         for i in range(count)], dtype=table.dtype)
+    out = np.empty(count, dtype=table.dtype)
     for a, b in _spans(count):
-        for out, table in ((totals, ratio), (counts, defined)):
-            out[a:b] = _pairwise(
-                lambda j: table[a * step + j * stride:
-                                (b - 1) * step + j * stride + 1: step], 0, v)
-    return totals, counts, v
+        out[a:b] = _pairwise(lambda j: table[a * lag + j * n:
+                                             (b - 1) * lag + j * n + 1: lag],
+                             0, v)
+    return out
 
 
 def _spans(total: int) -> list[tuple[int, int]]:

@@ -20,6 +20,7 @@ from . import _kernels
 from .errors import BoxTooLargeError, InvalidPlanError, TooShortError
 from .regression import EstimatorKind, PowerLawFit, ScalingCurve, ols_rows
 from .rescaled_range import HurstEstimate, estimate_from_curve
+from .series import finite_values
 
 
 class FitTarget(Enum):
@@ -56,6 +57,8 @@ class DfaConfig:
 def default_box_sizes(length: int, min_box: int = 8) -> tuple[int, ...]:
     """Powers of two from min_box up to length // 4, the largest box
     validate_for_length allows (a 250-value window gets 8, 16 and 32)."""
+    if min_box < 4:
+        raise InvalidPlanError(f"box sizes must be >= 4, got {min_box}")
     sizes = []
     b = min_box
     while b <= length // 4:
@@ -83,7 +86,7 @@ def dfa_fluctuation(series: Sequence[float], tau: int,
     Only integrate_first is consulted from the config (default True);
     boxes are anchored at index 0 and the remainder is discarded.
     """
-    x = np.asarray(series, dtype=np.float64)
+    x = finite_values(series)
     if tau < 4:
         raise InvalidPlanError(f"box size must be >= 4, got {tau}")
     if x.size // tau < 2:
@@ -117,7 +120,7 @@ def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
 
 def estimate_hurst_dfa(series: Sequence[float], config: DfaConfig) -> HurstEstimate:
     """DFA estimate: the curve stores <F^2(tau)>, fitted as the sweep's rows."""
-    stats = dfa_curve_rows(np.asarray(series, dtype=np.float64), config)
+    stats = dfa_curve_rows(finite_values(series), config)
     curve = ScalingCurve(scales=config.box_sizes, statistics=tuple(stats.tolist()),
                          kind=EstimatorKind.DFA)
     fit = PowerLawFit(*(v.item() for v in dfa_fit_rows(

@@ -43,8 +43,8 @@ class TooShortError(InputError):
 
 
 class InvalidSeriesError(InputError, ValueError):
-    """A series' dates and values differ in length, its dates are out of
-    order, or its transformed values break the transform's sign."""
+    """A series' dates and values differ in length or are out of order, a
+    value is NaN or infinite, or transformed values break the sign rule."""
 
 
 # -- estimation -------------------------------------------------------------

@@ -8,9 +8,9 @@ h; the lag-one autocorrelation implied by h is 2^(2h-1) - 1 and the
 fractal dimension is 1/h.
 
 A ratio depends only on its own segment, so the curves of many windows
-of one series (``rs_curve_rows``) read one segment table per scale, in
-which each distinct segment is evaluated once. A standalone estimate is
-the one-window case of the same table.
+of one series (``rs_curve_rows``) read one table per scale, indexed by
+segment start, in which each distinct segment is evaluated once. A
+standalone estimate is ``rs_segment_sums`` of its one window.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .errors import (
     TooShortError,
 )
 from .regression import EstimatorKind, PowerLawFit, ScalingCurve, fit_loglog
+from .series import finite_values
 
 #: Smallest segment the estimator will accept by default. R/S on tiny
 #: segments is dominated by discreteness noise.
@@ -130,7 +131,7 @@ def segment_stats(segment: Sequence[float],
     X_n is 0 and the range is always non-negative. The values are the
     kernel's, so ratio is rs_at_scale(segment, len(segment)) exactly.
     """
-    x = np.asarray(segment, dtype=np.float64)
+    x = finite_values(segment)
     if x.size < 2:
         raise TooShortError(f"segment needs at least 2 values, got {x.size}")
     ddof = 0 if std_mode is StdMode.POPULATION else 1
@@ -155,7 +156,7 @@ def rs_at_scale_with_diagnostics(
     std_mode: StdMode = StdMode.POPULATION,
 ) -> tuple[float, int]:
     """rs_at_scale plus the count of excluded constant segments."""
-    x = np.asarray(series, dtype=np.float64)
+    x = finite_values(series)
     if n < 2:
         raise InvalidPlanError(f"segment length must be >= 2, got {n}")
     if x.size // n < 1:
@@ -183,8 +184,7 @@ def rs_curve_rows(x: np.ndarray, window: int, lag: int,
 
     Returns shape (windows, len(segment_lengths)); a statistic is NaN
     where every segment at its scale is constant. Each scale reads one
-    segment table for all windows, as a standalone estimate reads one for
-    its single window.
+    segment table for all windows.
     """
     ddof = 0 if std_mode is StdMode.POPULATION else 1
     stats = np.empty(((x.size - window) // lag + 1, len(segment_lengths)))
@@ -286,7 +286,7 @@ def estimate_from_curve(curve: ScalingCurve, estimator: EstimatorKind,
 def estimate_hurst_rs(series: Sequence[float], plan: PartitionPlan,
                       std_mode: StdMode = StdMode.POPULATION) -> HurstEstimate:
     """Rescaled-range estimate over a plan: the rolling sweep's batch of one."""
-    x = np.asarray(series, dtype=np.float64)
+    x = finite_values(series)
     if x.size != plan.total_length:
         raise InvalidPlanError(
             f"plan built for length {plan.total_length}, series has {x.size}"

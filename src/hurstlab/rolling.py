@@ -2,17 +2,15 @@
 
 Window i covers returns [i*lag, i*lag + window). The sweep builds the
 R/S plan or DFA box schedule once. For R/S, each scale evaluates every
-distinct segment of all windows once into a segment table, and each
-window gathers its ratios from it. Where the lag divides the segment
-length (at lag 1, always), the starts of a long series are evenly
-spaced, and the table is evaluated and gathered column by column, in
-the summation order of the row layout (see ``_kernels``). For DFA, whose
-profile depends on the window mean, each scale's reduction runs once per
-chunk of windows stacked as rows. The log-log fit runs once per chunk of windows. A
-standalone estimate is the batch of one of the same code, so a trace
-entry equals the standalone estimate on that slice bit for bit. A window
-fails where its standalone estimate raises, and is kept as a gap noted
-with that error rather than dropped or interpolated.
+distinct segment of all windows once into a table indexed by segment
+start, and each window sums its entries from it (see ``_kernels``). For
+DFA, whose profile depends on the window mean, each scale's reduction
+runs once per chunk of windows stacked as rows. The log-log fit runs
+once per chunk of windows. A trace entry equals the standalone estimate
+on that slice bit for bit: a single window is the same kernel on its
+slice, summed in the same order. A window fails where its standalone
+estimate raises, and is kept as a gap noted with that error rather than
+dropped or interpolated.
 """
 from __future__ import annotations
 
@@ -24,7 +22,6 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._kernels import _CHUNK_ROWS
 from .dfa import (
     DfaConfig,
     FitTarget,
@@ -53,6 +50,9 @@ from .rescaled_range import (
 )
 from .regression import ols_rows
 from .series import ReturnSeries, Transform, transform_returns
+
+#: Windows per batched DFA call and per log-log fit (results do not vary).
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)

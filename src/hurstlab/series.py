@@ -29,6 +29,15 @@ class Transform(Enum):
     SQUARED = "squared"
 
 
+def finite_values(series) -> np.ndarray:
+    """The series as a float64 array; NaN or infinite values raise."""
+    x = np.asarray(series, dtype=np.float64)
+    bad = x.size - int(np.isfinite(x).sum())
+    if bad:
+        raise InvalidSeriesError(f"{bad} of {x.size} values are not finite")
+    return x
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """Daily closing prices for one symbol, strictly ordered by date."""
@@ -78,7 +87,7 @@ class ReturnSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = finite_values(self.values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if len(self.dates) != values.size:

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from hurstlab.errors import (
     DegenerateCurveError,
     InputError,
     InvalidPlanError,
+    InvalidSeriesError,
     TooShortError,
 )
 from hurstlab.rescaled_range import EstimatorKind
@@ -181,3 +185,24 @@ def test_config_validation():
         DfaConfig(box_sizes=(8, 8, 16))
     with pytest.raises(BoxTooLargeError):
         estimate_hurst_dfa(white_noise(60, seed=0), DfaConfig(box_sizes=(4, 8, 16)))
+
+
+@pytest.mark.parametrize("min_box", [0, -1, 3])
+def test_default_box_sizes_rejects_boxes_below_four(min_box):
+    # min_box <= 0 used to double forever
+    with pytest.raises(InvalidPlanError, match="box sizes must be >= 4"):
+        default_box_sizes(1000, min_box)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("estimate", [
+    lambda x: estimate_hurst_dfa(x, DfaConfig(box_sizes=default_box_sizes(300))),
+    lambda x: dfa_fluctuation(x, 8),
+], ids=["estimate_hurst_dfa", "dfa_fluctuation"])
+def test_non_finite_values_rejected(estimate, bad):
+    x = white_noise(300, seed=5).copy()
+    x[7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSeriesError, match="1 of 300"):
+            estimate(x)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hurstlab.errors import (
     AllSegmentsDegenerateError,
     InputError,
     InvalidPlanError,
+    InvalidSeriesError,
     NonPositiveHError,
     TooShortError,
 )
@@ -269,3 +271,23 @@ def test_persistence_classification():
     assert classify_persistence(0.3) is Persistence.ANTI_PERSISTENT
     assert classify_persistence(0.5) is Persistence.RANDOM
     assert classify_persistence(0.7) is Persistence.PERSISTENT
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("estimate", [
+    lambda x: estimate_hurst_rs(x, build_partition_plan(
+        x.size, PartitionPolicy.DIVISORS_ONLY)),
+    lambda x: rs_at_scale(x, 10),
+    lambda x: rs_at_scale_with_diagnostics(x, 10),
+    lambda x: segment_stats(x[:10]),
+], ids=["estimate_hurst_rs", "rs_at_scale", "rs_at_scale_with_diagnostics",
+        "segment_stats"])
+def test_non_finite_values_rejected(estimate, bad):
+    # A NaN segment used to be skipped as if constant, giving a finite h,
+    # and an infinite one leaked a RuntimeWarning.
+    x = white_noise(300, seed=5).copy()
+    x[7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSeriesError, match="1 of"):
+            estimate(x)

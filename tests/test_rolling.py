@@ -120,12 +120,18 @@ def assert_sweep_matches_reference(values, config):
     (12000, RollingConfig(window=250, lag=1)),
     (8700, RollingConfig(window=256, lag=2,  # starts 2 apart
                          plan_policy=PartitionPolicy.DIVISORS_ONLY)),
+    # 101 windows: scales with more segments than windows sum each
+    # window on its own, the others sum columns of windows
+    (2100, RollingConfig(window=2000, lag=1)),
+    # 3 windows: every scale but n = 500 (2 segments) sums each window
+    # on its own
+    (1300, RollingConfig(window=1000, lag=150)),
 ])
 def test_sweep_matches_per_window_reference(length, config, monkeypatch):
     # the segment length of each table evaluated column by column
-    column_tables, column_sums = [], _kernels._column_sums
-    monkeypatch.setattr(_kernels, "_column_sums", lambda *args: (
-        column_tables.append(args[3]) or column_sums(*args)))
+    column_tables, column_segments = [], _kernels._column_segments
+    monkeypatch.setattr(_kernels, "_column_segments", lambda *args: (
+        column_tables.append(args[4]) or column_segments(*args)))
     values = with_constant_block(length, seed=length + config.lag)
     trace = assert_sweep_matches_reference(values, config)
     if config.window == 250 and config.lag == 1:
@@ -140,15 +146,24 @@ def test_sweep_matches_per_window_reference(length, config, monkeypatch):
         assert column_tables == []
 
 
-def test_constant_block_across_table_and_gather_chunks():
-    # At lag 1, window `boundary` starts a gather chunk, and segment start
-    # `boundary` the second chunk of the n = 16 segment table.
+def test_constant_block_across_table_and_gather_chunks(monkeypatch):
+    # At lag 1, segment start `boundary` starts the second chunk of the
+    # n = 16 segment table, evaluated as rows.
+    config = RollingConfig(window=250, lag=1)
     boundary = _TABLE_VALUES // 16
-    assert boundary % _CHUNK_ROWS == 0
     values = with_constant_block(boundary + 500, seed=boundary + 501,
                                  start=boundary - 25)
-    trace = assert_sweep_matches_reference(values,
-                                           RollingConfig(window=250, lag=1))
+    trace = assert_sweep_matches_reference(values, config)
+    assert trace.measurements[boundary - 1].is_gap
+    assert trace.measurements[boundary].is_gap
+    # With chunks of 64 to 127 rows, every table takes the column layout
+    # and window `boundary` starts a span of summed windows.
+    monkeypatch.setattr(_kernels, "_MAJOR_ROWS", 64)
+    spans = _kernels._spans(651)
+    boundary = spans[2][0]
+    values = with_constant_block(900, seed=901, start=boundary - 25)
+    trace = assert_sweep_matches_reference(values, config)
+    assert trace.count == 651 and len(spans) > 3
     assert trace.measurements[boundary - 1].is_gap
     assert trace.measurements[boundary].is_gap
 

@@ -210,3 +210,11 @@ def test_malformed_series_raise_typed_input_error(build, message):
     assert str(info.value) == message
     assert isinstance(info.value, InputError)
     assert isinstance(info.value, ValueError)  # what these sites raised before
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_return_series_rejects_non_finite_values(bad):
+    dates = tuple(DAY + dt.timedelta(days=i) for i in range(3))
+    with pytest.raises(InvalidSeriesError, match="1 of 3 values are not finite"):
+        ReturnSeries(source_symbol="X", transform=Transform.RAW, dates=dates,
+                     values=np.array([0.1, bad, 0.2]))
