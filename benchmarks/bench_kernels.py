@@ -2,11 +2,12 @@
 
 Many 250-sample windows: R/S over the ten-segment preset, DFA over the
 default box schedule of a 250-sample window. Each kernel is timed two
-ways: batched (windows stacked as rows, one call per chunk of 256 and
-scale, as the rolling sweep calls the DFA kernel) and one window per
-call, as a standalone estimate calls both. The two must agree bit for
-bit. The rolling R/S sweep calls the R/S kernel on segment rows of its
-table instead (see ``hurstlab._kernels``).
+ways: batched (windows stacked as rows, one call per scale and chunk of
+_kernels._TABLE_VALUES // 250 = 65 windows, as the rolling sweep calls
+the DFA kernel) and one window per call, as a standalone estimate calls
+both. The two must agree bit for bit. The rolling R/S sweep calls the
+R/S kernel on segment rows of its table instead (see
+``hurstlab._kernels``).
 
     python3 benchmarks/bench_kernels.py [--windows 2000] [--repeat 3]
 """
@@ -18,7 +19,6 @@ import numpy as np
 from hurstlab import _kernels
 from hurstlab.dfa import default_box_sizes
 from hurstlab.rescaled_range import PRESET_250_SEGMENTS
-from hurstlab.rolling import _CHUNK_ROWS
 
 
 def rs_statistic(x, n):
@@ -46,8 +46,8 @@ def main():
 
     rng = np.random.Generator(np.random.PCG64(args.seed))
     windows = rng.standard_normal((args.windows, 250))
-    chunks = [windows[i:i + _CHUNK_ROWS]
-              for i in range(0, args.windows, _CHUNK_ROWS)]
+    step = _kernels._TABLE_VALUES // 250
+    chunks = [windows[i:i + step] for i in range(0, args.windows, step)]
     singles = list(windows)
 
     jobs = [("rs", sorted(PRESET_250_SEGMENTS), rs_statistic),

@@ -7,6 +7,10 @@ averaged across boxes gives <F^2(tau)>. Its scaling with tau carries the
 Hurst exponent: by default the slope of log sqrt(<F^2>) on log tau is
 reported, so white noise comes out near 0.5. The literal squared-
 fluctuation reading is available via fit_target.
+
+``dfa_curve_rows(x, window, lag, config)`` gives the curves of the
+windows of a series; a standalone estimate is row 0 of the same call on
+the series alone.
 """
 from __future__ import annotations
 
@@ -15,6 +19,7 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .errors import BoxTooLargeError, InvalidPlanError, TooShortError
@@ -98,13 +103,21 @@ def dfa_fluctuation(series: Sequence[float], tau: int,
     return float(_kernels.dfa_box_fsq(signal, tau))
 
 
-def dfa_curve_rows(rows: np.ndarray, config: DfaConfig) -> np.ndarray:
-    """<F^2(tau)> of every window of ``rows`` (shape (..., length)), as
-    (..., len(box_sizes)). A single window is the batch of one."""
-    config.validate_for_length(rows.shape[-1])
-    signal = profile(rows) if config.integrate_first else rows
-    return np.stack([_kernels.dfa_box_fsq(signal, tau)
-                     for tau in config.box_sizes], axis=-1)
+def dfa_curve_rows(x: np.ndarray, window: int, lag: int,
+                   config: DfaConfig) -> np.ndarray:
+    """<F^2(tau)> at each tau of every window x[i*lag : i*lag + window] of
+    a 1-D x, as (windows, len(box_sizes)). The windows are stacked as
+    contiguous rows, at most _kernels._TABLE_VALUES values at a time."""
+    config.validate_for_length(window)
+    windows = sliding_window_view(x, window)[::lag]
+    fsq = np.empty((len(windows), len(config.box_sizes)))
+    step = max(1, _kernels._TABLE_VALUES // window)
+    for a in range(0, len(windows), step):
+        rows = np.ascontiguousarray(windows[a:a + step])
+        signal = profile(rows) if config.integrate_first else rows
+        for k, tau in enumerate(config.box_sizes):
+            fsq[a:a + step, k] = _kernels.dfa_box_fsq(signal, tau)
+    return fsq
 
 
 def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
@@ -120,7 +133,8 @@ def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
 
 def estimate_hurst_dfa(series: Sequence[float], config: DfaConfig) -> HurstEstimate:
     """DFA estimate: the curve stores <F^2(tau)>, fitted as the sweep's rows."""
-    stats = dfa_curve_rows(finite_values(series), config)
+    x = finite_values(series)
+    stats = dfa_curve_rows(x, x.size, 1, config)[0]
     curve = ScalingCurve(scales=config.box_sizes, statistics=tuple(stats.tolist()),
                          kind=EstimatorKind.DFA)
     fit = PowerLawFit(*(v.item() for v in dfa_fit_rows(

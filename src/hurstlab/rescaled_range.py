@@ -7,10 +7,11 @@ scale, and regress log (R/S)_n on log n. The slope is the Hurst exponent
 h; the lag-one autocorrelation implied by h is 2^(2h-1) - 1 and the
 fractal dimension is 1/h.
 
-A ratio depends only on its own segment, so the curves of many windows
-of one series (``rs_curve_rows``) read one table per scale, indexed by
-segment start, in which each distinct segment is evaluated once. A
-standalone estimate is ``rs_segment_sums`` of its one window.
+A ratio depends only on its own segment, so the curves of the windows
+of one series (``rs_curve_rows(x, window, lag, ...)``) read one table
+per scale, indexed by segment start, in which each distinct segment is
+evaluated once. A standalone estimate is row 0 of the same call on the
+series alone.
 """
 from __future__ import annotations
 
@@ -166,47 +167,41 @@ def rs_at_scale_with_diagnostics(
     return stats[0], dropped[0]
 
 
-def _rs_scale(x: np.ndarray, window: int, lag: int, n: int, ddof: int
-              ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(R/S)_n and the defined-segment count of every window at one scale,
-    and floor(window/n); a statistic is NaN where every segment is
-    constant."""
-    totals, defined, v = _kernels.rs_window_sums(x, window, lag, n, ddof)
-    stats = np.divide(totals, defined, out=np.full(totals.shape, np.nan),
-                      where=defined > 0)
-    return stats, defined, v
-
-
 def rs_curve_rows(x: np.ndarray, window: int, lag: int,
                   segment_lengths: Sequence[int],
-                  std_mode: StdMode = StdMode.POPULATION) -> np.ndarray:
-    """(R/S)_n at each n of every window x[i*lag : i*lag + window].
+                  std_mode: StdMode = StdMode.POPULATION
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(R/S)_n at each n of every window x[i*lag : i*lag + window] of a
+    1-D x, and the count of its non-constant segments.
 
-    Returns shape (windows, len(segment_lengths)); a statistic is NaN
+    Both have shape (windows, len(segment_lengths)); a statistic is NaN
     where every segment at its scale is constant. Each scale reads one
     segment table for all windows.
     """
     ddof = 0 if std_mode is StdMode.POPULATION else 1
-    stats = np.empty(((x.size - window) // lag + 1, len(segment_lengths)))
+    shape = ((x.size - window) // lag + 1, len(segment_lengths))
+    totals, defined = np.empty(shape), np.empty(shape, dtype=np.intp)
     for k, n in enumerate(segment_lengths):
-        stats[:, k] = _rs_scale(x, window, lag, n, ddof)[0]
-    return stats
+        totals[:, k], defined[:, k], _ = _kernels.rs_window_sums(
+            x, window, lag, n, ddof)
+    stats = np.divide(totals, defined, out=np.full(shape, np.nan),
+                      where=defined > 0)
+    return stats, defined
 
 
 def _rs_window(x: np.ndarray, segment_lengths: Sequence[int],
                std_mode: StdMode) -> tuple[list[float], list[int]]:
-    """(R/S)_n and the dropped constant segments per scale of one window;
-    raises at the first scale whose segments are all constant."""
-    ddof = 0 if std_mode is StdMode.POPULATION else 1
-    stats, dropped = [], []
-    for n in segment_lengths:
-        stat, defined, v = _rs_scale(x, x.size, 1, n, ddof)
-        if defined.item() == 0:
+    """(R/S)_n and the dropped constant segments per scale of one window,
+    row 0 of rs_curve_rows; raises at the first scale whose segments are
+    all constant."""
+    stats, defined = rs_curve_rows(x, x.size, 1, segment_lengths, std_mode)
+    dropped = []
+    for n, d in zip(segment_lengths, defined[0].tolist()):
+        if d == 0:
             raise AllSegmentsDegenerateError(
-                f"all {v} segments of length {n} are constant")
-        stats.append(stat.item())
-        dropped.append(v - defined.item())
-    return stats, dropped
+                f"all {x.size // n} segments of length {n} are constant")
+        dropped.append(x.size // n - d)
+    return stats[0].tolist(), dropped
 
 
 def build_partition_plan(total_length: int,

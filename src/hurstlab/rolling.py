@@ -1,14 +1,11 @@
 """Sliding-window ("dynamic") Hurst estimation over a long return series.
 
 Window i covers returns [i*lag, i*lag + window). The sweep builds the
-R/S plan or DFA box schedule once. For R/S, each scale evaluates every
-distinct segment of all windows once into a table indexed by segment
-start, and each window sums its entries from it (see ``_kernels``). For
-DFA, whose profile depends on the window mean, each scale's reduction
-runs once per chunk of windows stacked as rows. The log-log fit runs
-once per chunk of windows. A trace entry equals the standalone estimate
-on that slice bit for bit: a single window is the same kernel on its
-slice, summed in the same order. A window fails where its standalone
+R/S plan or DFA box schedule once, builds every window's curve with one
+call of ``rs_curve_rows`` or ``dfa_curve_rows`` on the whole series,
+and fits all of them in one pass. A trace entry equals the standalone
+estimate on that slice bit for bit: that estimate is row 0 of the same
+curve function on the slice alone. A window fails where its standalone
 estimate raises, and is kept as a gap noted with that error rather than
 dropped or interpolated.
 """
@@ -20,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dfa import (
     DfaConfig,
@@ -50,9 +46,6 @@ from .rescaled_range import (
 )
 from .regression import ols_rows
 from .series import ReturnSeries, Transform, transform_returns
-
-#: Windows per batched DFA call and per log-log fit (results do not vary).
-_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -192,63 +185,47 @@ def estimate_window(values: np.ndarray, config: RollingConfig):
     return estimate_hurst_dfa(values, scheme)
 
 
-def _fit_rows(stats: np.ndarray, scheme: PartitionPlan | DfaConfig
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, r_squared, fitted) of scaling curves stacked as (rows, scales);
-    fitted is False exactly where the standalone estimate of the window
-    raises."""
-    if isinstance(scheme, PartitionPlan):
-        h, _, r_squared, _ = ols_rows(np.log(scheme.segment_lengths),
-                                      np.log(stats))
-    else:
-        h, _, r_squared, _ = dfa_fit_rows(scheme.box_sizes, stats,
-                                          scheme.fit_target)
-    fitted = (np.isfinite(stats) & (stats > 0.0)).all(axis=-1)
-    return h, r_squared, fitted
-
-
-def _fit_windows(values: np.ndarray, windows: np.ndarray,
-                 config: RollingConfig, scheme: PartitionPlan | DfaConfig
+def _fit_windows(values: np.ndarray, config: RollingConfig,
+                 scheme: PartitionPlan | DfaConfig
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_fit_rows over every window, _CHUNK_ROWS windows per fit. R/S curves
-    come from one segment table per scale over the whole series; DFA
-    curves from each chunk of windows. The curves are freed on return,
-    before the sweep builds its measurements."""
+    """(h, r_squared, fitted) of every window, fitted in one pass over the
+    curves of the whole series; fitted is False exactly where the
+    standalone estimate of the window raises. The curves are freed on
+    return, before the sweep builds its measurements."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if isinstance(scheme, PartitionPlan):
-            curves = rs_curve_rows(values, config.window, config.lag,
-                                   scheme.segment_lengths, config.std_mode)
-            chunks = (curves[i:i + _CHUNK_ROWS]
-                      for i in range(0, len(curves), _CHUNK_ROWS))
+            stats = rs_curve_rows(values, config.window, config.lag,
+                                  scheme.segment_lengths, config.std_mode)[0]
+            h, _, r_squared, _ = ols_rows(np.log(scheme.segment_lengths),
+                                          np.log(stats))
         else:
-            chunks = (dfa_curve_rows(
-                np.ascontiguousarray(windows[i:i + _CHUNK_ROWS]), scheme)
-                for i in range(0, len(windows), _CHUNK_ROWS))
-        fits = [_fit_rows(stats, scheme) for stats in chunks]
-    return tuple(np.concatenate(part) for part in zip(*fits))
+            stats = dfa_curve_rows(values, config.window, config.lag, scheme)
+            h, _, r_squared, _ = dfa_fit_rows(scheme.box_sizes, stats,
+                                              scheme.fit_target)
+    fitted = (np.isfinite(stats) & (stats > 0.0)).all(axis=-1)
+    return h, r_squared, fitted
 
 
 def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
     """Estimate h over every window; exactly floor((L-w)/lag)+1 entries."""
     transformed = transform_returns(returns, config.transform)
     values = transformed.values
-    length = values.size
-    if length < config.window:
+    window, lag = config.window, config.lag
+    if values.size < window:
         raise SeriesTooShortError(
-            f"{length} returns cannot fill a window of {config.window}"
+            f"{values.size} returns cannot fill a window of {window}"
         )
-    scheme = _scheme(config, config.window)
-    windows = sliding_window_view(values, config.window)[::config.lag]
+    scheme = _scheme(config, window)
     h, r_squared, fitted = (part.tolist() for part in
-                            _fit_windows(values, windows, config, scheme))
+                            _fit_windows(values, config, scheme))
     measurements = []
     for i, (h_i, r2_i, ok) in enumerate(zip(h, r_squared, fitted)):
-        end_date = transformed.dates[i * config.lag + config.window - 1]
+        end_date = transformed.dates[i * lag + window - 1]
         if ok:
             measurements.append(RollingMeasurement(end_date, h_i, r2_i))
             continue
         try:  # the standalone estimate raises exactly on unfit windows
-            estimate_window(windows[i], config)
+            estimate_window(values[i * lag: i * lag + window], config)
         except ComputationError as exc:
             measurements.append(RollingMeasurement(
                 end_date, None, None, note=f"{type(exc).__name__}: {exc}"))

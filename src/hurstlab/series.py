@@ -38,6 +38,15 @@ def finite_values(series) -> np.ndarray:
     return x
 
 
+def _check_dates(dates: tuple[dt.date, ...]) -> None:
+    """Raise unless the dates strictly increase; a repeat is a duplicate."""
+    for d1, d2 in zip(dates, dates[1:]):
+        if d2 == d1:
+            raise DuplicateDateError(f"duplicate date {d1}")
+        if d2 < d1:
+            raise InvalidSeriesError("dates must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """Daily closing prices for one symbol, strictly ordered by date."""
@@ -47,11 +56,12 @@ class PriceSeries:
     closes: np.ndarray
 
     def __post_init__(self):
-        closes = np.asarray(self.closes, dtype=np.float64)
+        closes = finite_values(self.closes)
         closes.flags.writeable = False
         object.__setattr__(self, "closes", closes)
         if len(self.dates) != closes.size:
             raise InvalidSeriesError("dates and closes differ in length")
+        _check_dates(self.dates)
         if closes.size < 2:
             raise TooShortError(f"need at least 2 observations, got {closes.size}")
         if not np.all(closes > 0.0):
@@ -59,11 +69,6 @@ class PriceSeries:
             raise NonPositivePriceError(
                 f"close {closes[bad]} on {self.dates[bad]} is not positive"
             )
-        for d1, d2 in zip(self.dates, self.dates[1:]):
-            if d2 == d1:
-                raise DuplicateDateError(f"duplicate date {d1}")
-            if d2 < d1:
-                raise InvalidSeriesError("dates must be strictly increasing")
 
     def __len__(self) -> int:
         return self.closes.size
@@ -92,6 +97,7 @@ class ReturnSeries:
         object.__setattr__(self, "values", values)
         if len(self.dates) != values.size:
             raise InvalidSeriesError("dates and values differ in length")
+        _check_dates(self.dates)
         if self.transform in (Transform.ABSOLUTE, Transform.SQUARED):
             if values.size and float(values.min()) < 0.0:
                 raise InvalidSeriesError(
@@ -195,9 +201,6 @@ def parse_return_csv(raw_text: str, config: CsvConfig = CsvConfig(),
     entries = _parse_rows(raw_text, config, "value", positive=False)
     if not entries:
         raise TooShortError("no data rows")
-    for (d1, _), (d2, _) in zip(entries, entries[1:]):
-        if d1 == d2:
-            raise DuplicateDateError(f"duplicate date {d1}")
     return ReturnSeries(
         source_symbol=symbol,
         transform=Transform.RAW,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hurstlab import _kernels
 from hurstlab.dfa import default_box_sizes
 from hurstlab.rescaled_range import PRESET_250_SEGMENTS
-from hurstlab.rolling import _CHUNK_ROWS
 
 
 def test_rs_sums_degenerate_segments_counted():
@@ -92,8 +91,9 @@ def rs_statistic(x, n):
 def test_batched_kernel_equals_one_window_per_call(kernel, scales):
     windows = np.random.Generator(np.random.PCG64(0)).standard_normal((600, 250))
     windows[100:300, 40:200] = 0.5  # constant segments and boxes
+    step = _kernels._TABLE_VALUES // 250  # the sweep's DFA stacking chunk
     for scale in scales:
-        batched = np.concatenate([kernel(windows[i:i + _CHUNK_ROWS], scale)
-                                  for i in range(0, len(windows), _CHUNK_ROWS)])
+        batched = np.concatenate([kernel(windows[i:i + step], scale)
+                                  for i in range(0, len(windows), step)])
         single = np.array([kernel(w, scale) for w in windows])
         assert batched.tolist() == single.tolist()

@@ -148,6 +148,33 @@ def test_rs_skips_degenerate_segments():
     assert value == pytest.approx(rs_oracle(x, 8), rel=1e-12)
 
 
+def test_standalone_estimate_names_first_all_constant_scale():
+    # Constant blocks of 16 at distinct levels: every n = 16 segment is
+    # constant, while every longer segment straddles two blocks.
+    x = np.repeat(np.arange(16.0), 16)[:250]
+    plan = build_partition_plan(250, PartitionPolicy.PRESET_250)
+    assert all(rs_at_scale_with_diagnostics(x, n)[1] == 0
+               for n in plan.segment_lengths[1:])
+    with pytest.raises(AllSegmentsDegenerateError) as info:
+        estimate_hurst_rs(x, plan)
+    assert str(info.value) == "all 15 segments of length 16 are constant"
+
+
+def test_dropped_counts_of_partly_constant_series():
+    x = white_noise(250, seed=5).copy()
+    x[:50] = 1.5
+    plan = build_partition_plan(250, PartitionPolicy.PRESET_250)
+    diagnostics = [rs_at_scale_with_diagnostics(x, n)
+                   for n in plan.segment_lengths]
+    assert [d for _, d in diagnostics] == [3, 2, 2, 1, 1, 1, 1, 0, 0, 0]
+    for n, (value, _) in zip(plan.segment_lengths, diagnostics):
+        assert value == pytest.approx(rs_oracle(x, n), rel=1e-12), n
+    estimate = estimate_hurst_rs(x, plan)
+    assert estimate.skipped_segments == (
+        (16, 3), (20, 2), (25, 2), (31, 1), (35, 1), (41, 1), (50, 1))
+    assert estimate.curve.statistics == tuple(v for v, _ in diagnostics)
+
+
 def test_short_segment_is_an_input_error():
     with pytest.raises(TooShortError,
                        match=r"^segment needs at least 2 values, got 1$") as info:

@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from hurstlab import _kernels
+from hurstlab import _kernels, dfa
 from hurstlab._kernels import _MAJOR_ROWS, _TABLE_VALUES
 from hurstlab.dfa import FitTarget
 from hurstlab.errors import (
@@ -13,7 +13,6 @@ from hurstlab.errors import (
 )
 from hurstlab.rescaled_range import EstimatorKind, PartitionPolicy, StdMode
 from hurstlab.rolling import (
-    _CHUNK_ROWS,
     RollingConfig,
     _scheme,
     classify_market,
@@ -135,7 +134,7 @@ def test_sweep_matches_per_window_reference(length, config, monkeypatch):
     values = with_constant_block(length, seed=length + config.lag)
     trace = assert_sweep_matches_reference(values, config)
     if config.window == 250 and config.lag == 1:
-        assert trace.count > 2 * _CHUNK_ROWS
+        assert trace.count > 2 * (_TABLE_VALUES // config.window)
         assert any(m.is_gap for m in trace.measurements)
     # Only the full-size cases have that many windows, at lags whose
     # starts are evenly spaced at every scale.
@@ -172,11 +171,19 @@ def test_constant_block_across_table_and_gather_chunks(monkeypatch):
     RollingConfig(window=250, lag=1),
     RollingConfig(window=256, lag=1, estimator=DFA),
 ])
-def test_trace_equals_standalone_at_chunk_boundaries(config):
+def test_trace_equals_standalone_at_chunk_boundaries(config, monkeypatch):
+    # DFA stacks _TABLE_VALUES // window windows per chunk
+    stacked, profile = [], dfa.profile
+    monkeypatch.setattr(dfa, "profile", lambda rows: (
+        stacked.append(len(rows)) or profile(rows)))
     values = white_noise(1100, seed=13)
     trace = sweep(make_returns(values), config)
-    boundaries = range(_CHUNK_ROWS, trace.count, _CHUNK_ROWS)
+    step = _TABLE_VALUES // config.window
+    boundaries = range(step, trace.count, step)
     assert len(boundaries) >= 2
+    if config.estimator is DFA:
+        assert stacked == [step] * len(boundaries) + [
+            trace.count - boundaries[-1]]
     for i in [j for b in boundaries for j in (b - 1, b)] + [trace.count - 1]:
         standalone = estimate_window(values[i:i + config.window], config)
         assert trace.measurements[i].h == standalone.h

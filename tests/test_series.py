@@ -59,6 +59,8 @@ def test_parse_rejects_zero_price():
 def test_parse_rejects_duplicate_dates():
     with pytest.raises(DuplicateDateError):
         parse_price_csv("date,close\n2020-01-02,100.0\n2020-01-02,101.0\n")
+    with pytest.raises(DuplicateDateError, match=r"^duplicate date 2020-01-02$"):
+        parse_return_csv("date,value\n2020-01-02,0.1\n2020-01-02,0.2\n")
 
 
 def test_parse_rejects_single_row():
@@ -203,6 +205,10 @@ DAY = dt.date(2020, 1, 2)
     (lambda: ReturnSeries(source_symbol="X", transform=Transform.SQUARED,
                           dates=(DAY,), values=np.array([-0.1])),
      "squared returns must be >= 0"),
+    pytest.param(lambda: ReturnSeries(
+        source_symbol="X", transform=Transform.RAW,
+        dates=(DAY, DAY + dt.timedelta(days=1), DAY), values=np.zeros(3)),
+        "dates must be strictly increasing", id="returns-dates-decrease"),
 ])
 def test_malformed_series_raise_typed_input_error(build, message):
     with pytest.raises(InvalidSeriesError) as info:
@@ -218,3 +224,21 @@ def test_return_series_rejects_non_finite_values(bad):
     with pytest.raises(InvalidSeriesError, match="1 of 3 values are not finite"):
         ReturnSeries(source_symbol="X", transform=Transform.RAW, dates=dates,
                      values=np.array([0.1, bad, 0.2]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda dates: PriceSeries(symbol="X", dates=dates, closes=np.ones(3)),
+    lambda dates: ReturnSeries(source_symbol="X", transform=Transform.RAW,
+                               dates=dates, values=np.zeros(3)),
+], ids=["prices", "returns"])
+def test_repeated_date_raises_duplicate_date_error(build):
+    dates = (DAY, DAY, DAY - dt.timedelta(days=1))
+    with pytest.raises(DuplicateDateError, match=r"^duplicate date 2020-01-02$"):
+        build(dates)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_price_series_rejects_non_finite_closes(bad):
+    dates = tuple(DAY + dt.timedelta(days=i) for i in range(3))
+    with pytest.raises(InvalidSeriesError, match="1 of 3 values are not finite"):
+        PriceSeries(symbol="X", dates=dates, closes=np.array([100.0, bad, 101.0]))
