@@ -1,13 +1,12 @@
 """Time the R/S and DFA kernels on a rolling-sweep-shaped workload.
 
-Many 250-sample windows: R/S over the ten-segment preset, DFA over the
-default box schedule of a 250-sample window. Each kernel is timed two
-ways: batched (windows stacked as rows, one call per scale and chunk of
-_kernels._TABLE_VALUES // 250 = 65 windows, as the rolling sweep calls
-the DFA kernel) and one window per call, as a standalone estimate calls
-both. The two must agree bit for bit. The rolling R/S sweep calls the
-R/S kernel on segment rows of its table instead (see
-``hurstlab._kernels``).
+Many 250-sample windows: R/S over the ten-segment preset, DFA (the mean
+per-box F^2 of the integrated signal) over the default box schedule of a
+250-sample window. Each kernel is timed two ways: batched (windows
+stacked as rows, _kernels._TABLE_VALUES // 250 = 65 per call) and one
+window per call, as a standalone estimate calls both. The two must
+agree bit for bit. A rolling sweep calls both kernels on the segment or
+box rows of its tables instead (see ``hurstlab._kernels``).
 
     python3 benchmarks/bench_kernels.py [--windows 2000] [--repeat 3]
 """
@@ -24,6 +23,10 @@ from hurstlab.rescaled_range import PRESET_250_SEGMENTS
 def rs_statistic(x, n):
     total, defined, _ = _kernels.rs_segment_sums(x, n, 0)
     return total / np.maximum(defined, 1)
+
+
+def dfa_statistic(x, tau):
+    return _kernels.dfa_box_fsq(x, tau, True).mean(axis=-1)
 
 
 def bench(fn, batches, scales, repeat):
@@ -51,7 +54,7 @@ def main():
     singles = list(windows)
 
     jobs = [("rs", sorted(PRESET_250_SEGMENTS), rs_statistic),
-            ("dfa", default_box_sizes(250), _kernels.dfa_box_fsq)]
+            ("dfa", default_box_sizes(250), dfa_statistic)]
     for kernel, scales, fn in jobs:
         evals = args.windows * len(scales)
         batched_time, batched = bench(fn, chunks, scales, args.repeat)

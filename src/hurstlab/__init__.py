@@ -11,7 +11,6 @@ from .dfa import (
     default_box_sizes,
     dfa_fluctuation,
     estimate_hurst_dfa,
-    profile,
 )
 from .downfalls import (
     CriticalLevel,

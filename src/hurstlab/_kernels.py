@@ -1,23 +1,24 @@
 """Hot numeric kernels: per-scale R/S segment statistics and DFA residuals.
 
-Each kernel takes windows stacked as an array of shape (..., length) and
+Each kernel takes rows stacked as an array of shape (..., length) and
 reduces over the last axis, so one call serves one window (a 1-D array)
-or a whole chunk of a rolling sweep. The arithmetic is elementwise
-products and last-axis sums only, never a BLAS dot: a window's result
-then does not depend on how many other windows share the call, which is
-what keeps a rolling-trace entry bit-for-bit equal to the standalone
+or a chunk of segment rows of a rolling sweep. The arithmetic is
+elementwise products and last-axis sums only, never a BLAS dot: a row's
+result then does not depend on how many other rows share the call, which
+is what keeps a rolling-trace entry bit-for-bit equal to the standalone
 estimate of the same slice.
 
-An R/S ratio depends only on its own segment, so ``rs_window_sums``
-serves overlapping windows from one table indexed by segment start:
-each distinct segment start of the windows is evaluated once, and each
-window sums its entries in the order ``rs_segment_sums`` sums a row. A
-single window (a standalone estimate) is ``rs_segment_sums`` of its
-slice.
+An R/S ratio depends only on its own segment, and a DFA box's squared
+fluctuation only on its own box, so ``window_sums`` serves the
+overlapping windows of either estimator from one table per scale
+indexed by segment start: each distinct segment start of the windows is
+evaluated once, and each window sums its entries in the order numpy
+sums a row. A single window (a standalone estimate) sums the kernel of
+its slice.
 
-When the used starts are evenly spaced and many (a dense rolling sweep),
-the table is evaluated one strided column of the series at a time
-across all segments, instead of one segment row at a time;
+When the used starts are evenly spaced and many (a dense rolling R/S
+sweep), the R/S table is evaluated one strided column of the series at
+a time across all segments, instead of one segment row at a time;
 ``_pairwise`` adds columns in the order numpy's last-axis reduction adds
 a row, so both ways give the same bits.
 """
@@ -73,20 +74,31 @@ def _ratios(std: np.ndarray, rng: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """rs_segment_sums of every window x[i*lag : i*lag + window] of a 1-D x.
+    """rs_segment_sums of every window x[i*lag : i*lag + window] of a 1-D
+    x, from window_sums' table of segment ratios and defined flags."""
+    return window_sums(
+        x, window, lag, n,
+        lambda rows: _ratios(*rs_segments(rows, n, ddof)[1:]),
+        lambda first, count, gap: _ratios(
+            *_column_segments(x, first, count, gap, n, ddof)))
 
-    One window is rs_segment_sums of its slice. Several windows read a
-    table indexed by segment start: entry s holds the ratio and defined
-    count (0 or 1) of x[s : s + n], set only where some window's
-    segment i*lag + j*n starts. At least _MAJOR_ROWS used starts in one
-    arithmetic progression are evaluated column by column
-    (``_column_segments``), others as one-segment rows. Returns
-    (ratio_sum, defined_count) of shape (windows,) and window // n.
+
+def window_sums(x: np.ndarray, window: int, lag: int, n: int, values,
+                columns=None) -> tuple:
+    """Per-quantity sums over the floor(window/n) leading length-n
+    segments of every window x[i*lag : i*lag + window] of a 1-D x.
+
+    values(rows) gives a tuple of quantities, each (rows, segments), of
+    the leading segments of each row of a 2-D array; one window sums
+    those of its slice. More windows read one table per quantity indexed
+    by segment start, evaluated by columns(first, count, gap) for at
+    least _MAJOR_ROWS evenly spaced starts when given, else as
+    one-segment rows. Returns the sums, each (windows,), and window // n.
     """
     count = (x.size - window) // lag + 1
-    if count == 1:
-        return rs_segment_sums(x[None, :window], n, ddof)
     v = window // n
+    if count == 1:
+        return (*(q.sum(axis=-1) for q in values(x[None, :window])), v)
     used = np.zeros(x.size - n + 1, dtype=bool)
     if v <= count:  # one strided slice per segment offset or per window
         for offset in range(0, v * n, n):
@@ -96,23 +108,19 @@ def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
             used[start: start + v * n: n] = True
     starts = np.flatnonzero(used)
     gaps = np.diff(starts)
-    ratio = np.empty(used.size)  # unused entries are never read
-    defined = np.empty(used.size, dtype=np.intp)
-    if starts.size >= _MAJOR_ROWS and (gaps == gaps[0]).all():
+    if (columns is not None and starts.size >= _MAJOR_ROWS
+            and (gaps == gaps[0]).all()):
         gap = int(gaps[0])
-        for a, b in _spans(starts.size):
-            table = slice(a * gap, b * gap, gap)
-            ratio[table], defined[table] = _ratios(
-                *_column_segments(x, a * gap, b - a, gap, n, ddof))
+        parts = [columns(a * gap, b - a, gap) for a, b in _spans(starts.size)]
     else:
         segments = as_strided(x, (used.size, n), x.strides * 2,
                               writeable=False)
         step = max(1, _TABLE_VALUES // n)
-        for a in range(0, starts.size, step):
-            s = starts[a:a + step]
-            ratio[s], defined[s], _ = rs_segment_sums(segments[s], n, ddof)
-    return (_window_sums(ratio, count, lag, n, v),
-            _window_sums(defined, count, lag, n, v), v)
+        parts = [[q[:, 0] for q in values(segments[starts[a:a + step]])]
+                 for a in range(0, starts.size, step)]
+    tables = np.empty((len(parts[0]), used.size))  # unused entries unread
+    tables[:, starts] = [np.concatenate(q) for q in zip(*parts)]
+    return (*(_window_sums(t, count, lag, n, v) for t in tables), v)
 
 
 def _window_sums(table: np.ndarray, count: int, lag: int, n: int, v: int
@@ -193,18 +201,20 @@ def _pairwise(col, lo: int, n: int) -> np.ndarray:
     return _pairwise(col, lo, half) + _pairwise(col, lo + half, n - half)
 
 
-def dfa_box_fsq(x: np.ndarray, tau: int) -> np.ndarray:
-    """Mean squared residual of per-box linear fits, averaged over boxes.
-
-    Boxes are anchored at index 0; the trailing remainder is discarded.
-    The fit uses the centered time axis for conditioning; residuals are
-    identical to an uncentered fit. Returns an array of x's leading shape.
+def dfa_box_fsq(x: np.ndarray, tau: int, integrate: bool) -> np.ndarray:
+    """Mean squared residual of the linear fit in each of the
+    floor(length/tau) leading boxes, as (..., boxes). With integrate, a
+    box is first centred on its own mean, so a constant box gives
+    exactly 0, and cumulatively summed: inside the box a window's
+    profile differs from that by a constant and a linear term only,
+    which the fit removes. The time axis is centred for conditioning.
     """
     boxes = x.shape[-1] // tau
     seg = x[..., : boxes * tau].reshape(*x.shape[:-1], boxes, tau)
+    if integrate:
+        seg = (seg - seg.mean(axis=-1, keepdims=True)).cumsum(axis=-1)
     t = np.arange(tau, dtype=np.float64) - (tau - 1) / 2.0
     slope = (seg * t).sum(axis=-1) / (t * t).sum()
     level = seg.mean(axis=-1)
     resid = seg - (level[..., None] + slope[..., None] * t)
-    fsq = (resid * resid).sum(axis=-1) / tau
-    return fsq.mean(axis=-1)
+    return (resid * resid).sum(axis=-1) / tau

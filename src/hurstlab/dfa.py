@@ -1,16 +1,17 @@
 """Detrended fluctuation analysis as a second, independent Hurst estimator.
 
-The working signal (by default the cumulative sum of the mean-centered
-series) is cut into non-overlapping boxes of tau points; a straight line
-is least-squares fitted in each box and the mean squared residual
-averaged across boxes gives <F^2(tau)>. Its scaling with tau carries the
-Hurst exponent: by default the slope of log sqrt(<F^2>) on log tau is
-reported, so white noise comes out near 0.5. The literal squared-
-fluctuation reading is available via fit_target.
+The series is cut into boxes of tau points; by default each box is
+integrated (the cumulative sum of its mean-centred values, which differs
+from the whole profile there by a constant and a linear term only). A
+straight line is least-squares fitted in each box and the mean squared
+residual averaged across boxes gives <F^2(tau)>, whose scaling with tau
+carries the Hurst exponent: by default the slope of log sqrt(<F^2>) on
+log tau is reported, so white noise comes out near 0.5; fit_target
+gives the literal squared-fluctuation reading.
 
 ``dfa_curve_rows(x, window, lag, config)`` gives the curves of the
-windows of a series; a standalone estimate is row 0 of the same call on
-the series alone.
+windows of a series from one box table per scale, as R/S does; a
+standalone estimate is row 0 of the same call on the series alone.
 """
 from __future__ import annotations
 
@@ -19,10 +20,9 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
-from .errors import BoxTooLargeError, InvalidPlanError, TooShortError
+from .errors import BoxTooLargeError, InvalidPlanError
 from .regression import EstimatorKind, PowerLawFit, ScalingCurve, ols_rows
 from .rescaled_range import HurstEstimate, estimate_from_curve
 from .series import finite_values
@@ -76,14 +76,6 @@ def default_box_sizes(length: int, min_box: int = 8) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def profile(series: Sequence[float]) -> np.ndarray:
-    """Cumulative sum of the mean-centered series; last element is ~0."""
-    x = np.asarray(series, dtype=np.float64)
-    if x.shape[-1] < 2:
-        raise TooShortError(f"need at least 2 values, got {x.shape[-1]}")
-    return np.cumsum(x - x.mean(axis=-1, keepdims=True), axis=-1)
-
-
 def dfa_fluctuation(series: Sequence[float], tau: int,
                     config: DfaConfig | None = None) -> float:
     """Mean squared fluctuation <F^2(tau)> around per-box linear trends.
@@ -99,24 +91,20 @@ def dfa_fluctuation(series: Sequence[float], tau: int,
             f"box size {tau} leaves fewer than 2 boxes in length {x.size}"
         )
     integrate = True if config is None else config.integrate_first
-    signal = profile(x) if integrate else x
-    return float(_kernels.dfa_box_fsq(signal, tau))
+    return float(_kernels.dfa_box_fsq(x, tau, integrate).mean())
 
 
 def dfa_curve_rows(x: np.ndarray, window: int, lag: int,
                    config: DfaConfig) -> np.ndarray:
     """<F^2(tau)> at each tau of every window x[i*lag : i*lag + window] of
-    a 1-D x, as (windows, len(box_sizes)). The windows are stacked as
-    contiguous rows, at most _kernels._TABLE_VALUES values at a time."""
+    a 1-D x, as (windows, len(box_sizes)). Each scale reads one box table
+    for all windows."""
     config.validate_for_length(window)
-    windows = sliding_window_view(x, window)[::lag]
-    fsq = np.empty((len(windows), len(config.box_sizes)))
-    step = max(1, _kernels._TABLE_VALUES // window)
-    for a in range(0, len(windows), step):
-        rows = np.ascontiguousarray(windows[a:a + step])
-        signal = profile(rows) if config.integrate_first else rows
-        for k, tau in enumerate(config.box_sizes):
-            fsq[a:a + step, k] = _kernels.dfa_box_fsq(signal, tau)
+    fsq = np.empty(((x.size - window) // lag + 1, len(config.box_sizes)))
+    for k, tau in enumerate(config.box_sizes):
+        total, boxes = _kernels.window_sums(x, window, lag, tau, lambda rows: (
+            _kernels.dfa_box_fsq(rows, tau, config.integrate_first),))
+        fsq[:, k] = total / boxes
     return fsq
 
 

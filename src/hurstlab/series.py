@@ -30,8 +30,11 @@ class Transform(Enum):
 
 
 def finite_values(series) -> np.ndarray:
-    """The series as a float64 array; NaN or infinite values raise."""
+    """The series as a 1-D float64 array; another rank, NaN or infinite
+    values raise."""
     x = np.asarray(series, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidSeriesError(f"expected a 1-D series, got shape {x.shape}")
     bad = x.size - int(np.isfinite(x).sum())
     if bad:
         raise InvalidSeriesError(f"{bad} of {x.size} values are not finite")

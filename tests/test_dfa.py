@@ -11,7 +11,6 @@ from hurstlab.dfa import (
     dfa_fit_rows,
     dfa_fluctuation,
     estimate_hurst_dfa,
-    profile,
 )
 from hurstlab.errors import (
     BoxTooLargeError,
@@ -19,7 +18,6 @@ from hurstlab.errors import (
     InputError,
     InvalidPlanError,
     InvalidSeriesError,
-    TooShortError,
 )
 from hurstlab.rescaled_range import EstimatorKind
 from hurstlab.synthetic import fgn, white_noise
@@ -42,27 +40,6 @@ def dfa_oracle(series, tau, integrate=True):
 
 def raw_config(box_sizes=(4, 8, 16)):
     return DfaConfig(box_sizes=box_sizes, integrate_first=False)
-
-
-# -- profile -----------------------------------------------------------------
-
-def test_profile_constant_is_zero():
-    assert profile([1.0, 1.0, 1.0]).tolist() == [0.0, 0.0, 0.0]
-
-
-def test_profile_hand_sum():
-    assert profile([1.0, -1.0]).tolist() == [1.0, 0.0]
-
-
-def test_profile_of_one_value_is_an_input_error():
-    with pytest.raises(TooShortError, match=r"^need at least 2 values, got 1$") as info:
-        profile([1.0])
-    assert isinstance(info.value, InputError)
-
-
-def test_profile_closes_to_zero():
-    x = white_noise(1000, seed=14)
-    assert abs(profile(x)[-1]) < 1e-9
 
 
 # -- dfa_fluctuation ---------------------------------------------------------

@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from hurstlab import _kernels, dfa
+from hurstlab import _kernels
 from hurstlab._kernels import _MAJOR_ROWS, _TABLE_VALUES
 from hurstlab.dfa import FitTarget
 from hurstlab.errors import (
@@ -172,18 +172,20 @@ def test_constant_block_across_table_and_gather_chunks(monkeypatch):
     RollingConfig(window=256, lag=1, estimator=DFA),
 ])
 def test_trace_equals_standalone_at_chunk_boundaries(config, monkeypatch):
-    # DFA stacks _TABLE_VALUES // window windows per chunk
-    stacked, profile = [], dfa.profile
-    monkeypatch.setattr(dfa, "profile", lambda rows: (
-        stacked.append(len(rows)) or profile(rows)))
+    # The largest scale's table is evaluated as rows of segments or boxes,
+    # _TABLE_VALUES // scale at a time; at lag 1 its entry s is the first
+    # segment of window s.
+    name = "dfa_box_fsq" if config.estimator is DFA else "rs_segments"
+    calls, kernel = [], getattr(_kernels, name)
+    monkeypatch.setattr(_kernels, name, lambda x, scale, *rest: (
+        calls.append((scale, len(x))) or kernel(x, scale, *rest)))
     values = white_noise(1100, seed=13)
     trace = sweep(make_returns(values), config)
-    step = _TABLE_VALUES // config.window
-    boundaries = range(step, trace.count, step)
-    assert len(boundaries) >= 2
-    if config.estimator is DFA:
-        assert stacked == [step] * len(boundaries) + [
-            trace.count - boundaries[-1]]
+    largest = max(scale for scale, _ in calls)
+    rows = [count for scale, count in calls if scale == largest]
+    assert len(rows) >= 2 and rows[0] == _TABLE_VALUES // largest
+    boundaries = [b for b in np.cumsum(rows[:-1]).tolist() if b < trace.count]
+    assert boundaries
     for i in [j for b in boundaries for j in (b - 1, b)] + [trace.count - 1]:
         standalone = estimate_window(values[i:i + config.window], config)
         assert trace.measurements[i].h == standalone.h
@@ -224,6 +226,20 @@ def test_gap_windows_recorded_not_dropped():
     assert not trace.measurements[0].is_gap
     assert trace.measurements[1].is_gap
     assert "AllSegmentsDegenerate" in trace.measurements[1].note
+
+
+def test_dfa_windows_inside_constant_run_are_gaps():
+    # Each box is centred on its own mean before it is integrated, so a
+    # constant box has exactly zero fluctuation and a window of such
+    # boxes is a degenerate curve, not a fit of rounding noise.
+    values = white_noise(1000, seed=11).copy()
+    values[200:800] = 0.001
+    config = RollingConfig(window=256, lag=1, estimator=DFA)
+    trace = assert_sweep_matches_reference(values, config)
+    inside = range(200, 800 - 256 + 1)
+    assert all(trace.measurements[i].is_gap for i in inside)
+    assert all("DegenerateCurveError" in trace.measurements[i].note
+               for i in inside)
 
 
 def test_summarize_single_measurement():

@@ -4,6 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from hurstlab.dfa import (
+    DfaConfig,
+    default_box_sizes,
+    dfa_fluctuation,
+    estimate_hurst_dfa,
+)
 from hurstlab.errors import (
     AlreadyTransformedError,
     DuplicateDateError,
@@ -12,6 +18,13 @@ from hurstlab.errors import (
     MalformedRowError,
     NonPositivePriceError,
     TooShortError,
+)
+from hurstlab.rescaled_range import (
+    PartitionPolicy,
+    build_partition_plan,
+    estimate_hurst_rs,
+    rs_at_scale,
+    segment_stats,
 )
 from hurstlab.series import (
     CsvConfig,
@@ -242,3 +255,21 @@ def test_price_series_rejects_non_finite_closes(bad):
     dates = tuple(DAY + dt.timedelta(days=i) for i in range(3))
     with pytest.raises(InvalidSeriesError, match="1 of 3 values are not finite"):
         PriceSeries(symbol="X", dates=dates, closes=np.array([100.0, bad, 101.0]))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda x: estimate_hurst_rs(x, build_partition_plan(
+        250, PartitionPolicy.PRESET_250)),
+    lambda x: estimate_hurst_dfa(x, DfaConfig(box_sizes=default_box_sizes(250))),
+    lambda x: rs_at_scale(x, 25),
+    lambda x: segment_stats(x),
+    lambda x: dfa_fluctuation(x, 8),
+], ids=["estimate_hurst_rs", "estimate_hurst_dfa", "rs_at_scale",
+        "segment_stats", "dfa_fluctuation"])
+def test_estimators_reject_series_that_are_not_1d(estimate):
+    # 250 values of rank 2 used to fail inside numpy with a bare
+    # ValueError or TypeError
+    x = np.random.default_rng(0).normal(size=(2, 125))
+    with pytest.raises(InvalidSeriesError,
+                       match=r"^expected a 1-D series, got shape \(2, 125\)$"):
+        estimate(x)
