@@ -10,35 +10,40 @@ estimate of the same slice.
 
 An R/S ratio depends only on its own segment, and a DFA box's squared
 fluctuation only on its own box, so ``window_sums`` serves the
-overlapping windows of either estimator from one table per scale
-indexed by segment start: each distinct segment start of the windows is
-evaluated once, and each window sums its entries in the order numpy
-sums a row. A single window (a standalone estimate) sums the kernel of
-its slice.
+overlapping windows of either estimator by one arithmetic rule. Every
+segment start i*lag + j*n of the windows lies on the grid 0, g, 2g, ...
+with g = gcd(lag, n). When the windows hold no more segments than that
+grid has starts up to the last one, the windows themselves are
+evaluated as rows, each summing its own segments; a single window (a
+standalone estimate) always is. Otherwise each grid start is evaluated
+once, into one table per quantity indexed by start // g, and each
+window sums its entries in the order numpy sums a row.
 
-When the used starts are evenly spaced and many (a dense rolling R/S
-sweep), the R/S table is evaluated one strided column of the series at
-a time across all segments, instead of one segment row at a time;
-``_pairwise`` adds columns in the order numpy's last-axis reduction adds
-a row, so both ways give the same bits.
+A grid of many starts (a dense rolling R/S sweep) is evaluated one
+strided column of the series at a time across all segments, instead of
+one segment row at a time; ``_pairwise`` adds columns in the order
+numpy's last-axis reduction adds a row, so both ways give the same bits.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-#: Values per chunk of segment rows evaluated at once (0.125 MB per
-#: temporary): it bounds the working set whatever the series length;
-#: results do not depend on it.
+#: Values per chunk of segment or window rows evaluated at once (0.125
+#: MB per temporary): it bounds the working set whatever the series
+#: length; results do not depend on it.
 _TABLE_VALUES = 16384
 
-#: Fewest evenly spaced segment starts evaluated column by column; below
-#: it the per-column call overhead outweighs the row-by-row reduction.
+#: Fewest grid starts evaluated column by column; below it the
+#: per-column call overhead outweighs the row-by-row reduction.
 #: Columns and summed windows run in chunks of _MAJOR_ROWS up to twice
 #: that many rows (0.03 to 0.06 MB per temporary).
 _MAJOR_ROWS = 4096
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rs_segments(x: np.ndarray, n: int, ddof: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, standard deviation and cumulative-deviation range of each of
@@ -65,6 +70,7 @@ def rs_segment_sums(x: np.ndarray, n: int, ddof: int
     return ratio.sum(axis=-1), defined.sum(axis=-1), x.shape[-1] // n
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ratios(std: np.ndarray, rng: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Range over standard deviation, 0 where the deviation is not
     positive, and the flags of the segments where it is."""
@@ -75,7 +81,7 @@ def _ratios(std: np.ndarray, rng: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
                    ) -> tuple[np.ndarray, np.ndarray, int]:
     """rs_segment_sums of every window x[i*lag : i*lag + window] of a 1-D
-    x, from window_sums' table of segment ratios and defined flags."""
+    x, from window_sums over segment ratios and defined flags."""
     return window_sums(
         x, window, lag, n,
         lambda rows: _ratios(*rs_segments(rows, n, ddof)[1:]),
@@ -89,38 +95,36 @@ def window_sums(x: np.ndarray, window: int, lag: int, n: int, values,
     segments of every window x[i*lag : i*lag + window] of a 1-D x.
 
     values(rows) gives a tuple of quantities, each (rows, segments), of
-    the leading segments of each row of a 2-D array; one window sums
-    those of its slice. More windows read one table per quantity indexed
-    by segment start, evaluated by columns(first, count, gap) for at
-    least _MAJOR_ROWS evenly spaced starts when given, else as
-    one-segment rows. Returns the sums, each (windows,), and window // n.
+    the leading segments of each row of a 2-D array. Every segment start
+    lies on the grid 0, g, 2g, ... with g = gcd(lag, n); whichever is
+    fewer is evaluated: the segments of the windows themselves, as rows,
+    or each grid start once, into one table per quantity indexed by
+    start // g. A grid of at least _MAJOR_ROWS starts is evaluated by
+    columns(first, count, gap) when given, else as one-segment rows.
+    Rows are evaluated from contiguous copies, so that numpy lays out
+    and sums each one as it does a standalone window's. Returns the
+    sums, each (windows,), and window // n.
     """
     count = (x.size - window) // lag + 1
     v = window // n
-    if count == 1:
-        return (*(q.sum(axis=-1) for q in values(x[None, :window])), v)
-    used = np.zeros(x.size - n + 1, dtype=bool)
-    if v <= count:  # one strided slice per segment offset or per window
-        for offset in range(0, v * n, n):
-            used[offset: offset + (count - 1) * lag + 1: lag] = True
+    g = math.gcd(lag, n)
+    slots = ((count - 1) * lag + (v - 1) * n) // g + 1
+    s = x.strides[0]
+    if count * v <= slots:  # a standalone estimate (count 1) lands here
+        windows = as_strided(x, (count, window), (lag * s, s), writeable=False)
+        step = max(1, _TABLE_VALUES // window)
+        parts = [values(windows[a:a + step].copy())
+                 for a in range(0, count, step)]
+        return (*(np.concatenate(q).sum(axis=-1) for q in zip(*parts)), v)
+    if columns is not None and slots >= _MAJOR_ROWS:
+        parts = [columns(a * g, b - a, g) for a, b in _spans(slots)]
     else:
-        for start in range(0, count * lag, lag):
-            used[start: start + v * n: n] = True
-    starts = np.flatnonzero(used)
-    gaps = np.diff(starts)
-    if (columns is not None and starts.size >= _MAJOR_ROWS
-            and (gaps == gaps[0]).all()):
-        gap = int(gaps[0])
-        parts = [columns(a * gap, b - a, gap) for a, b in _spans(starts.size)]
-    else:
-        segments = as_strided(x, (used.size, n), x.strides * 2,
-                              writeable=False)
+        segments = as_strided(x, (slots, n), (g * s, s), writeable=False)
         step = max(1, _TABLE_VALUES // n)
-        parts = [[q[:, 0] for q in values(segments[starts[a:a + step]])]
-                 for a in range(0, starts.size, step)]
-    tables = np.empty((len(parts[0]), used.size))  # unused entries unread
-    tables[:, starts] = [np.concatenate(q) for q in zip(*parts)]
-    return (*(_window_sums(t, count, lag, n, v) for t in tables), v)
+        parts = [[q[:, 0] for q in values(segments[a:a + step].copy())]
+                 for a in range(0, slots, step)]
+    tables = [np.concatenate(q, dtype=np.float64) for q in zip(*parts)]
+    return (*(_window_sums(t, count, lag // g, n // g, v) for t in tables), v)
 
 
 def _window_sums(table: np.ndarray, count: int, lag: int, n: int, v: int
@@ -147,6 +151,7 @@ def _spans(total: int) -> list[tuple[int, int]]:
     return [(a, min(a + size, total)) for a in range(0, total, size)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _column_segments(x: np.ndarray, first: int, rows: int, gap: int, n: int,
                      ddof: int) -> tuple[np.ndarray, np.ndarray]:
     """Standard deviation and walk range of the segments x[s : s + n] at
@@ -201,6 +206,7 @@ def _pairwise(col, lo: int, n: int) -> np.ndarray:
     return _pairwise(col, lo, half) + _pairwise(col, lo + half, n - half)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def dfa_box_fsq(x: np.ndarray, tau: int, integrate: bool) -> np.ndarray:
     """Mean squared residual of the linear fit in each of the
     floor(length/tau) leading boxes, as (..., boxes). With integrate, a
@@ -208,13 +214,20 @@ def dfa_box_fsq(x: np.ndarray, tau: int, integrate: bool) -> np.ndarray:
     exactly 0, and cumulatively summed: inside the box a window's
     profile differs from that by a constant and a linear term only,
     which the fit removes. The time axis is centred for conditioning.
+    A box whose residual sum of squares is below eps times its sum of
+    squares about its mean (residual plus slope^2 * sum t^2, the centred
+    fit's orthogonal split) is linear up to rounding and gives exactly 0
+    too, as a constant box does.
     """
     boxes = x.shape[-1] // tau
     seg = x[..., : boxes * tau].reshape(*x.shape[:-1], boxes, tau)
     if integrate:
         seg = (seg - seg.mean(axis=-1, keepdims=True)).cumsum(axis=-1)
     t = np.arange(tau, dtype=np.float64) - (tau - 1) / 2.0
-    slope = (seg * t).sum(axis=-1) / (t * t).sum()
+    tt = (t * t).sum()
+    slope = (seg * t).sum(axis=-1) / tt
     level = seg.mean(axis=-1)
     resid = seg - (level[..., None] + slope[..., None] * t)
-    return (resid * resid).sum(axis=-1) / tau
+    ss = (resid * resid).sum(axis=-1)
+    eps = np.finfo(np.float64).eps
+    return np.where(ss < eps * ss + eps * slope * slope * tt, 0.0, ss) / tau

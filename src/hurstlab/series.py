@@ -249,7 +249,8 @@ def transform_returns(returns: ReturnSeries, kind: Transform) -> ReturnSeries:
     if kind is Transform.ABSOLUTE:
         values = np.abs(returns.values)
     else:
-        values = returns.values * returns.values
+        with np.errstate(over="ignore"):  # ReturnSeries rejects the inf
+            values = returns.values * returns.values
     return ReturnSeries(
         source_symbol=returns.source_symbol,
         transform=kind,

@@ -88,6 +88,17 @@ def _seeded_prices() -> bytes:
 
 PRICES = _seeded_prices()
 
+
+def _log_returns(prices: bytes) -> tuple[list[str], list[float]]:
+    """Dates and log-returns of a date,close CSV."""
+    rows = [line.split(",") for line in prices.decode().splitlines()[1:]]
+    closes = [float(close) for _, close in rows]
+    return [date for date, _ in rows[1:]], [
+        math.log(b / a) for a, b in zip(closes, closes[1:])]
+
+
+RETURNS = _log_returns(PRICES)
+
 _FLOAT_TEXT = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.05", "0.5", "0.7",
                      "1e308"]),
@@ -103,28 +114,37 @@ def _often(draw, value, strategy):
 
 @st.composite
 def analysis_input(draw):
-    """The seeded price CSV, a copy with a few bytes changed, or noise."""
-    kind = draw(st.sampled_from(["prices", "prices", "edited", "noise"]))
+    """The seeded price CSV, a copy with a few bytes changed, noise, or
+    the seeded log-returns scaled by 10^k, finite but huge, as a returns
+    CSV; and whether the input must be read with --returns."""
+    kind = draw(st.sampled_from(["prices", "prices", "edited", "noise",
+                                 "huge"]))
+    if kind == "huge":
+        scale = 10.0 ** draw(st.integers(150, 308))
+        dates, values = RETURNS
+        text = "".join(f"{d},{v * scale!r}\n" for d, v in zip(dates, values))
+        return f"date,return\n{text}".encode(), True
     if kind == "noise":
-        return draw(st.binary(max_size=300))
+        return draw(st.binary(max_size=300)), False
     data = bytearray(PRICES)
     if kind == "edited":
         for _ in range(draw(st.integers(1, 3))):
             data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
-    return bytes(data)
+    return bytes(data), False
 
 
 @st.composite
 def analysis_argv(draw):
     command = draw(st.sampled_from(["hurst", "dfa", "vstat", "rolling",
                                     "downfalls"]))
+    data, returns = draw(analysis_input())
     delimiters = st.sampled_from([";", "", "ab", "\t", '"'])
     columns = st.integers(-3, 3)
     flags = [f"--format={draw(st.sampled_from(['json', 'table']))}",
              f"--delimiter={_often(draw, ',', delimiters)}",
              f"--date-column={_often(draw, 0, columns)}",
              f"--close-column={_often(draw, 1, columns)}"]
-    if draw(st.sampled_from([False, False, False, True])):
+    if returns or draw(st.sampled_from([False, False, False, True])):
         flags.append("--returns")
     if command != "downfalls":
         flags += [
@@ -146,7 +166,7 @@ def analysis_argv(draw):
     elif command == "downfalls":
         flags += [f"--min-depth={_often(draw, '0', _FLOAT_TEXT)}",
                   f"--lookback={_often(draw, 250, st.integers(-1, 400))}"]
-    return command, flags, draw(analysis_input())
+    return command, flags, data
 
 
 @settings(max_examples=150, deadline=None,

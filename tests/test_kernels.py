@@ -1,12 +1,12 @@
-"""The R/S and DFA kernels: constant segments, the segment table of
-overlapping windows in both layouts and for both estimators, the
-summation order they share, and batched calls equal to one window per
-call."""
+"""The R/S and DFA kernels: constant segments, the sums of overlapping
+windows in each layout (windows as rows, grid rows, columns) and for
+both estimators, the summation order they share, and batched calls
+equal to one window per call."""
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hurstlab import _kernels
@@ -24,10 +24,11 @@ def test_rs_sums_degenerate_segments_counted():
 
 @st.composite
 def window_sweeps(draw, dense=False):
-    """A series with constant runs, and a window, lag, n and ddof for it,
-    with a DFA box size tau (None below a window of 4) and integrate
-    flag; dense draws half of its lags from 1..4, where the starts of the
-    most tables are evenly spaced."""
+    """A series with constant runs, contiguous or every other value of a
+    NaN-padded buffer, and a window, lag, n and ddof for it, with a DFA
+    box size tau (None below a window of 4) and integrate flag; dense
+    draws half of its lags from 1..4, where the segment starts of the
+    windows are densest on their gcd grid."""
     length = draw(st.integers(2, 700))
     window = draw(st.integers(2, length))
     n = draw(st.integers(2, window))
@@ -40,11 +41,23 @@ def window_sweeps(draw, dense=False):
             st.integers(0, length - 1), st.integers(1, 3 * n),
             st.sampled_from([0.0, 1.5, -2e3])), max_size=4)):
         values[start:start + size] = level
+    if draw(st.booleans()):
+        buffer = np.full(2 * length, np.nan)
+        buffer[::2] = values
+        values = buffer[::2]
     tau = draw(st.integers(4, window)) if window >= 4 else None
     return values, window, lag, n, ddof, tau, draw(st.booleans())
 
 
+_DIRECTED = np.random.Generator(np.random.PCG64(5)).standard_normal(2000)
+
+
 @given(window_sweeps())
+# 3 windows of 20 segments on a gcd grid of 26 starts: each window sums
+# its own table entries
+@example((_DIRECTED[:1300], 1000, 150, 50, 0, 64, True))
+# lag > window: 7 disjoint windows, read as rows from a strided series
+@example((_DIRECTED[::2], 100, 130, 10, 1, 16, False))
 @settings(max_examples=150, deadline=None)
 def test_segment_table_equals_per_window_sums(case):
     assert_table_equals_per_window_sums(case)
@@ -53,9 +66,9 @@ def test_segment_table_equals_per_window_sums(case):
 @given(window_sweeps(dense=True))
 @settings(max_examples=150, deadline=None)
 def test_column_layout_equals_per_window_sums(case):
-    # Every R/S table of at least 8 evenly spaced starts takes the column
-    # layout, its columns and windows in chunks of 8 to 15 rows; lags
-    # whose starts are uneven, and every DFA table, keep the row layout.
+    # Every R/S table over a gcd grid of at least 8 starts takes the
+    # column layout, its columns and windows in chunks of 8 to 15 rows;
+    # DFA tables, and R/S scales read as windows, keep rows.
     with mock.patch.object(_kernels, "_MAJOR_ROWS", 8):
         assert_table_equals_per_window_sums(case)
 

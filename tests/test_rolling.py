@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -112,37 +113,56 @@ def assert_sweep_matches_reference(values, config):
     (1200, RollingConfig(window=256, lag=1, estimator=DFA)),
     (1200, RollingConfig(window=256, lag=3, estimator=DFA,
                          dfa_fit_target=FitTarget.FLUCTUATION_SQUARED)),
-    (1400, RollingConfig(window=250, lag=300)),  # no shared segments
+    (1400, RollingConfig(window=250, lag=300)),  # disjoint: windows
     (1100, RollingConfig(window=251, lag=1)),  # doubling plan
     (1500, RollingConfig(window=250, lag=5)),  # gcd(5, n) is 1 or 5
     # Full size: every scale's table takes the column layout
     (12000, RollingConfig(window=250, lag=1)),
     (8700, RollingConfig(window=256, lag=2,  # starts 2 apart
                          plan_policy=PartitionPolicy.DIVISORS_ONLY)),
-    # 101 windows: scales with more segments than windows sum each
-    # window on its own, the others sum columns of windows
+    # 101 windows: grid scales with more segments than windows (n = 8,
+    # 10, 16) sum each window on its own, the other grid scales sum
+    # columns of windows; n >= 125 is read as windows
     (2100, RollingConfig(window=2000, lag=1)),
-    # 3 windows: every scale but n = 500 (2 segments) sums each window
-    # on its own
+    # 3 windows: the grid scales (n = 10, 20, 25, 50, 100) sum each
+    # window on its own; the others are read as windows
     (1300, RollingConfig(window=1000, lag=150)),
+    # The paper's 250/5 protocol on 10,000 prices: all three layouts
+    (9999, RollingConfig(window=250, lag=5)),
 ])
 def test_sweep_matches_per_window_reference(length, config, monkeypatch):
-    # the segment length of each table evaluated column by column
-    column_tables, column_segments = [], _kernels._column_segments
-    monkeypatch.setattr(_kernels, "_column_segments", lambda *args: (
-        column_tables.append(args[4]) or column_segments(*args)))
     values = with_constant_block(length, seed=length + config.lag)
+    layouts = {}
+    with monkeypatch.context() as patch:  # the layout of each R/S table
+        column_segments, rs_segments = (_kernels._column_segments,
+                                        _kernels.rs_segments)
+        patch.setattr(_kernels, "_column_segments", lambda *args: (
+            layouts.update({args[4]: "columns"}) or column_segments(*args)))
+        patch.setattr(_kernels, "rs_segments", lambda x, n, ddof: (
+            layouts.setdefault(n, "grid" if x.shape[-1] == n else "windows")
+            and rs_segments(x, n, ddof)))
+        sweep(make_returns(values), config)
     trace = assert_sweep_matches_reference(values, config)
     if config.window == 250 and config.lag == 1:
         assert trace.count > 2 * (_TABLE_VALUES // config.window)
         assert any(m.is_gap for m in trace.measurements)
-    # Only the full-size cases have that many windows, at lags whose
-    # starts are evenly spaced at every scale.
-    if trace.count >= _MAJOR_ROWS:
-        assert sorted(set(column_tables)) == list(_scheme(
-            config, config.window).segment_lengths)
-    else:
-        assert column_tables == []
+    # An R/S table is read as windows when they have no more segments
+    # than the gcd grid up to the last start, else over the grid: by
+    # columns from _MAJOR_ROWS grid starts, else as rows.
+    expected = {}
+    if config.estimator is not DFA:
+        for n in _scheme(config, config.window).segment_lengths:
+            v = config.window // n
+            slots = ((trace.count - 1) * config.lag + (v - 1) * n) // (
+                math.gcd(config.lag, n)) + 1
+            expected[n] = ("windows" if trace.count * v <= slots else
+                           "columns" if slots >= _MAJOR_ROWS else "grid")
+    assert layouts == expected
+    if (length, config.window, config.lag) == (9999, 250, 5):
+        assert {layout: sorted(n for n in layouts if layouts[n] == layout)
+                for layout in set(layouts.values())} == {
+            "columns": [16, 31, 41], "grid": [20, 25, 35, 50, 125],
+            "windows": [62, 83]}
 
 
 def test_constant_block_across_table_and_gather_chunks(monkeypatch):
@@ -240,6 +260,21 @@ def test_dfa_windows_inside_constant_run_are_gaps():
     assert all(trace.measurements[i].is_gap for i in inside)
     assert all("DegenerateCurveError" in trace.measurements[i].note
                for i in inside)
+
+
+def test_dfa_window_linear_in_every_box_is_a_gap():
+    # The window that starts one value before a constant run: its first
+    # box integrates to a straight line and its other boxes are constant,
+    # so every box fluctuation is exactly 0, as for a constant window.
+    values = white_noise(600, seed=11).copy()
+    values[200:] = 0.001
+    config = RollingConfig(window=256, lag=1, estimator=DFA)
+    trace = sweep(make_returns(values), config)
+    with pytest.raises(ComputationError) as raised:
+        estimate_window(values[199:199 + 256], config)
+    assert trace.measurements[199].is_gap
+    assert trace.measurements[199].note == (
+        f"{type(raised.value).__name__}: {raised.value}")
 
 
 def test_summarize_single_measurement():
