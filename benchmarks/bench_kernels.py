@@ -28,7 +28,7 @@ def rs_statistic(x, n):
 
 
 def dfa_statistic(x, tau):
-    return _kernels.dfa_box_fsq(x, tau, True).mean(axis=-1)
+    return _kernels.dfa_box_fsq(x, tau).mean(axis=-1)
 
 
 def bench(fn, batches, scales, repeat):

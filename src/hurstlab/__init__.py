@@ -15,7 +15,6 @@ from .dfa import (
 from .downfalls import (
     CriticalLevel,
     Downfall,
-    KurtosisMode,
     KurtosisScan,
     Regime,
     classify_episode,
@@ -42,7 +41,6 @@ from .rescaled_range import (
     segment_stats,
 )
 from .rolling import (
-    ClassifierThresholds,
     MarketClass,
     MarketClassKind,
     RollingConfig,

@@ -207,13 +207,13 @@ def _pairwise(col, lo: int, n: int) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def dfa_box_fsq(x: np.ndarray, tau: int, integrate: bool) -> np.ndarray:
+def dfa_box_fsq(x: np.ndarray, tau: int) -> np.ndarray:
     """Mean squared residual of the linear fit in each of the
-    floor(length/tau) leading boxes, as (..., boxes). With integrate, a
-    box is first centred on its own mean, so a constant box gives
-    exactly 0, and cumulatively summed: inside the box a window's
-    profile differs from that by a constant and a linear term only,
-    which the fit removes. The time axis is centred for conditioning.
+    floor(length/tau) leading boxes, as (..., boxes). A box is first
+    centred on its own mean, so a constant box gives exactly 0, and
+    cumulatively summed: inside the box a window's profile differs from
+    that by a constant and a linear term only, which the fit removes.
+    The time axis is centred for conditioning.
     A box whose residual sum of squares is below eps times its sum of
     squares about its mean (residual plus slope^2 * sum t^2, the centred
     fit's orthogonal split) is linear up to rounding and gives exactly 0
@@ -221,8 +221,7 @@ def dfa_box_fsq(x: np.ndarray, tau: int, integrate: bool) -> np.ndarray:
     """
     boxes = x.shape[-1] // tau
     seg = x[..., : boxes * tau].reshape(*x.shape[:-1], boxes, tau)
-    if integrate:
-        seg = (seg - seg.mean(axis=-1, keepdims=True)).cumsum(axis=-1)
+    seg = (seg - seg.mean(axis=-1, keepdims=True)).cumsum(axis=-1)
     t = np.arange(tau, dtype=np.float64) - (tau - 1) / 2.0
     tt = (t * t).sum()
     slope = (seg * t).sum(axis=-1) / tt

@@ -105,7 +105,6 @@ def build_parser() -> _Parser:
         p.add_argument("input", help="CSV path, or - for stdin")
         p.add_argument("--returns", action="store_true",
                        help="input holds returns, not prices")
-        p.add_argument("--symbol", default="SERIES")
         p.add_argument("--delimiter", default=",")
         p.add_argument("--date-column", type=int, default=0)
         p.add_argument("--close-column", type=int, default=1)
@@ -200,9 +199,9 @@ def _load_returns(args) -> tuple[ReturnSeries, PriceSeries | None, str]:
     text, fingerprint = _read_input(args)
     config = _csv_config(args)
     if args.returns:
-        returns = parse_return_csv(text, config, symbol=args.symbol)
+        returns = parse_return_csv(text, config)
         return returns, None, fingerprint
-    prices = parse_price_csv(text, config, symbol=args.symbol)
+    prices = parse_price_csv(text, config)
     return log_returns(prices), prices, fingerprint
 
 
@@ -433,7 +432,7 @@ def cmd_downfalls(args) -> int:
     if args.returns:
         raise ConfigError("downfalls requires a price series input")
     text, fingerprint = _read_input(args)
-    prices = parse_price_csv(text, _csv_config(args), symbol=args.symbol)
+    prices = parse_price_csv(text, _csv_config(args))
     episodes = extract_downfalls(prices, lookback_days=args.lookback,
                                  min_depth=args.min_depth)
     diagnostics = {}

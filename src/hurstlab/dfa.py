@@ -1,8 +1,8 @@
 """Detrended fluctuation analysis as a second, independent Hurst estimator.
 
-The series is cut into boxes of tau points; by default each box is
-integrated (the cumulative sum of its mean-centred values, which differs
-from the whole profile there by a constant and a linear term only). A
+The series is cut into boxes of tau points; each box is integrated (the
+cumulative sum of its mean-centred values, which differs from the whole
+profile there by a constant and a linear term only). A
 straight line is least-squares fitted in each box and the mean squared
 residual averaged across boxes gives <F^2(tau)>, whose scaling with tau
 carries the Hurst exponent: by default the slope of log sqrt(<F^2>) on
@@ -38,7 +38,6 @@ class DfaConfig:
     """Box schedule and fitting choices for DFA."""
 
     box_sizes: tuple[int, ...]
-    integrate_first: bool = True
     fit_target: FitTarget = FitTarget.FLUCTUATION_RMS
 
     def __post_init__(self):
@@ -59,29 +58,25 @@ class DfaConfig:
             )
 
 
-def default_box_sizes(length: int, min_box: int = 8) -> tuple[int, ...]:
-    """Powers of two from min_box up to length // 4, the largest box
+def default_box_sizes(length: int) -> tuple[int, ...]:
+    """Powers of two from 8 up to length // 4, the largest box
     validate_for_length allows (a 250-value window gets 8, 16 and 32)."""
-    if min_box < 4:
-        raise InvalidPlanError(f"box sizes must be >= 4, got {min_box}")
     sizes = []
-    b = min_box
+    b = 8
     while b <= length // 4:
         sizes.append(b)
         b *= 2
     if len(sizes) < 3:
         raise InvalidPlanError(
-            f"length {length} too short for a box schedule from {min_box}"
+            f"length {length} too short for a box schedule from 8"
         )
     return tuple(sizes)
 
 
-def dfa_fluctuation(series: Sequence[float], tau: int,
-                    config: DfaConfig | None = None) -> float:
-    """Mean squared fluctuation <F^2(tau)> around per-box linear trends.
-
-    Only integrate_first is consulted from the config (default True);
-    boxes are anchored at index 0 and the remainder is discarded.
+def dfa_fluctuation(series: Sequence[float], tau: int) -> float:
+    """Mean squared fluctuation <F^2(tau)> around per-box linear trends of
+    the integrated boxes; boxes are anchored at index 0 and the remainder
+    is discarded.
     """
     x = finite_values(series)
     if tau < 4:
@@ -90,8 +85,7 @@ def dfa_fluctuation(series: Sequence[float], tau: int,
         raise BoxTooLargeError(
             f"box size {tau} leaves fewer than 2 boxes in length {x.size}"
         )
-    integrate = True if config is None else config.integrate_first
-    return float(_kernels.dfa_box_fsq(x, tau, integrate).mean())
+    return float(_kernels.dfa_box_fsq(x, tau).mean())
 
 
 def dfa_curve_rows(x: np.ndarray, window: int, lag: int,
@@ -103,7 +97,7 @@ def dfa_curve_rows(x: np.ndarray, window: int, lag: int,
     fsq = np.empty(((x.size - window) // lag + 1, len(config.box_sizes)))
     for k, tau in enumerate(config.box_sizes):
         total, boxes = _kernels.window_sums(x, window, lag, tau, lambda rows: (
-            _kernels.dfa_box_fsq(rows, tau, config.integrate_first),))
+            _kernels.dfa_box_fsq(rows, tau),))
         fsq[:, k] = total / boxes
     return fsq
 
@@ -127,4 +121,4 @@ def estimate_hurst_dfa(series: Sequence[float], config: DfaConfig) -> HurstEstim
                          kind=EstimatorKind.DFA)
     fit = PowerLawFit(*(v.item() for v in dfa_fit_rows(
         config.box_sizes, stats, config.fit_target)))
-    return estimate_from_curve(curve, EstimatorKind.DFA, fit=fit)
+    return estimate_from_curve(curve, fit=fit)

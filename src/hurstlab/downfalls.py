@@ -25,15 +25,12 @@ from .errors import (
     TooFewError,
     ZeroVarianceError,
 )
-from .series import PriceSeries
+from .series import PriceSeries, finite_values
 
 #: Six calendar months of daily closes, in trading days.
 DEFAULT_LOOKBACK_DAYS = 126
 
-
-class KurtosisMode(Enum):
-    POPULATION = "population"  # 1/n central moments
-    SAMPLE = "sample"          # bias-corrected sample excess
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
 class Regime(Enum):
@@ -155,18 +152,27 @@ def extract_downfalls(prices: PriceSeries,
 
 def rank_size_points(downfalls: Sequence[Downfall],
                      include_open: bool = False) -> list[tuple[float, float]]:
-    """(ln rank, ln depth) with rank 1 for the deepest episode."""
-    depths = sorted(_depths(downfalls, include_open), reverse=True)
+    """(ln rank, ln depth) with rank 1 for the deepest episode. A decline
+    can vanish in log space (a close and the next lower double), so only
+    positive depths are ranked."""
+    depths = sorted((d for d in _depths(downfalls, include_open) if d > 0.0),
+                    reverse=True)
     if not depths:
-        raise NoDownfallsError("no episodes to rank")
+        raise NoDownfallsError("no episodes of positive depth to rank")
     return [(math.log(rank), math.log(depth))
             for rank, depth in enumerate(depths, start=1)]
 
 
-def excess_kurtosis(values: Sequence[float],
-                    mode: KurtosisMode = KurtosisMode.POPULATION) -> float:
-    """Fisher excess kurtosis; zero in expectation for normal data."""
-    x = np.asarray(values, dtype=np.float64)
+def _central_moments(x: np.ndarray) -> tuple[float, float]:
+    dev = x - x.mean()
+    return float((dev * dev).mean()), float((dev ** 4).mean())
+
+
+@np.errstate(all="ignore")
+def excess_kurtosis(values: Sequence[float]) -> float:
+    """Population (1/n moments) Fisher excess kurtosis; zero in
+    expectation for normal data."""
+    x = finite_values(values)
     n = x.size
     if n < 4:
         raise TooFewError(f"kurtosis needs at least 4 values, got {n}")
@@ -174,14 +180,14 @@ def excess_kurtosis(values: Sequence[float],
     # floats is not always exact, so m2 == 0 would miss them.
     if float(x.max()) == float(x.min()):
         raise ZeroVarianceError("kurtosis undefined for constant values")
-    dev = x - x.mean()
-    m2 = float((dev * dev).mean())
-    m4 = float((dev ** 4).mean())
-    g2 = m4 / (m2 * m2) - 3.0
-    if mode is KurtosisMode.POPULATION:
-        return g2
-    # Standard bias-corrected sample excess kurtosis.
-    return ((n + 1) * g2 + 6.0) * (n - 1) / ((n - 2) * (n - 3))
+    m2, m4 = _central_moments(x)
+    if not (_TINY <= m2 * m2 < math.inf and m4 < math.inf):
+        # The moments overflowed or underflowed. Kurtosis is scale-free, so
+        # they are taken again with the largest magnitude scaled into
+        # [0.5, 1) by an exact power of two; elsewhere the unscaled
+        # arithmetic stands, since dev ** 4 need not commute with scaling.
+        m2, m4 = _central_moments(np.ldexp(x, -np.frexp(np.abs(x).max())[1]))
+    return m4 / (m2 * m2) - 3.0
 
 
 def _depths(downfalls: Sequence[Downfall], include_open: bool) -> list[float]:
@@ -189,9 +195,7 @@ def _depths(downfalls: Sequence[Downfall], include_open: bool) -> list[float]:
 
 
 def progressive_kurtosis(downfalls: Sequence[Downfall],
-                         include_open: bool = False,
-                         mode: KurtosisMode = KurtosisMode.POPULATION,
-                         ) -> KurtosisScan:
+                         include_open: bool = False) -> KurtosisScan:
     """Excess kurtosis of the k smallest depths for every k from 4 up.
 
     Open episodes are excluded by default (their depth is not final).
@@ -207,7 +211,7 @@ def progressive_kurtosis(downfalls: Sequence[Downfall],
     values = np.asarray(depths)
     for k in range(4, len(depths) + 1):
         try:
-            kurt = excess_kurtosis(values[:k], mode)
+            kurt = excess_kurtosis(values[:k])
         except ZeroVarianceError:
             skipped.append(k)
             continue

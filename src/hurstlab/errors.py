@@ -98,8 +98,10 @@ class EmptyScanError(ComputationError):
 # -- generation -------------------------------------------------------------
 
 class FactorizationFailureError(ComputationError):
-    """Covariance factorization failed; the exact matrix is positive
-    definite, so this signals a numerical or implementation problem."""
+    """The circulant embedding of the fGn autocovariance has an eigenvalue
+    below the rounding bound. The exact embedding is non-negative
+    definite, so this is a limit of floating-point rounding very near
+    h = 1."""
 
 
 # -- configuration ----------------------------------------------------------
@@ -126,4 +128,5 @@ class HOutOfRangeError(ConfigError):
 
 
 class LengthTooLargeError(ConfigError):
-    """Requested length exceeds the exact-generation cost bound."""
+    """Requested length exceeds the exact fGn/fBm bound or the synthetic
+    calendar, whose last date is date.max."""

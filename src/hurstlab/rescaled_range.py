@@ -253,8 +253,7 @@ def build_partition_plan(total_length: int,
                          segment_lengths=lengths, policy=policy)
 
 
-def estimate_from_curve(curve: ScalingCurve, estimator: EstimatorKind,
-                        fit: PowerLawFit | None = None,
+def estimate_from_curve(curve: ScalingCurve, fit: PowerLawFit | None = None,
                         skipped_segments: tuple[tuple[int, int], ...] = (),
                         ) -> HurstEstimate:
     """Wrap a fitted scaling curve into a HurstEstimate with derived values."""
@@ -271,7 +270,7 @@ def estimate_from_curve(curve: ScalingCurve, estimator: EstimatorKind,
         r_squared=fit.r_squared,
         autocorrelation_c=autocorrelation_from_h(h),
         fractal_dimension=(1.0 / h) if h > 0.0 else None,
-        estimator=estimator,
+        estimator=curve.kind,
         curve=curve,
         skipped_segments=skipped_segments,
         flags=tuple(flags),
@@ -290,5 +289,4 @@ def estimate_hurst_rs(series: Sequence[float], plan: PartitionPlan,
     curve = ScalingCurve(scales=plan.segment_lengths, statistics=tuple(stats),
                          kind=EstimatorKind.RESCALED_RANGE)
     skipped = tuple((n, d) for n, d in zip(plan.segment_lengths, dropped) if d)
-    return estimate_from_curve(curve, EstimatorKind.RESCALED_RANGE,
-                               skipped_segments=skipped)
+    return estimate_from_curve(curve, skipped_segments=skipped)

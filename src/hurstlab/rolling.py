@@ -123,23 +123,18 @@ class MarketClassKind(Enum):
     HYBRID = "hybrid"
 
 
-@dataclass(frozen=True)
-class ClassifierThresholds:
-    """Defaults for the mature/emergent/hybrid rule; all overridable.
-
-    Calibrated against 250-sample rescaled-range sweeps of synthetic
-    traces, whose finite-sample bias centers memoryless series near
-    h = 0.56 rather than 0.5: white noise must classify mature, fGn at
-    h = 0.8 emergent, and alternating mixtures of the two hybrid.
-    """
-
-    mature_band: tuple[float, float] = (0.45, 0.60)
-    mature_high_cut: float = 0.7
-    mature_high_max_fraction: float = 0.1
-    emergent_mean_min: float = 0.6
-    emergent_low_cut: float = 0.55
-    emergent_low_max_fraction: float = 0.1
-    min_measurements: int = 10
+# The mature/emergent/hybrid rule of classify_market. Calibrated against
+# 250-sample rescaled-range sweeps of synthetic traces, whose
+# finite-sample bias centers memoryless series near h = 0.56 rather than
+# 0.5: white noise must classify mature, fGn at h = 0.8 emergent, and
+# alternating mixtures of the two hybrid.
+MATURE_BAND = (0.45, 0.60)
+MATURE_HIGH_CUT = 0.7
+MATURE_HIGH_MAX_FRACTION = 0.1
+EMERGENT_MEAN_MIN = 0.6
+EMERGENT_LOW_CUT = 0.55
+EMERGENT_LOW_MAX_FRACTION = 0.1
+MIN_MEASUREMENTS = 10
 
 
 @dataclass(frozen=True)
@@ -254,34 +249,29 @@ def summarize(trace: RollingTrace, cut_points: tuple[float, ...] = (0.5, 0.6, 0.
     )
 
 
-def classify_market(trace: RollingTrace,
-                    thresholds: ClassifierThresholds = ClassifierThresholds(),
-                    ) -> MarketClass:
+def classify_market(trace: RollingTrace) -> MarketClass:
     """Mature / emergent / hybrid from the trace's h distribution."""
     h = trace.h_values()
-    if h.size < thresholds.min_measurements:
+    if h.size < MIN_MEASUREMENTS:
         raise TraceTooShortError(
-            f"need at least {thresholds.min_measurements} measurements, "
-            f"got {h.size}"
+            f"need at least {MIN_MEASUREMENTS} measurements, got {h.size}"
         )
     mean = float(h.mean())
-    lo, hi = thresholds.mature_band
-    frac_high = float((h > thresholds.mature_high_cut).mean())
-    frac_low = float((h < thresholds.emergent_low_cut).mean())
-    if lo <= mean <= hi and frac_high <= thresholds.mature_high_max_fraction:
+    lo, hi = MATURE_BAND
+    frac_high = float((h > MATURE_HIGH_CUT).mean())
+    frac_low = float((h < EMERGENT_LOW_CUT).mean())
+    if lo <= mean <= hi and frac_high <= MATURE_HIGH_MAX_FRACTION:
         kind = MarketClassKind.MATURE
         rationale = (f"mean h {mean:.3f} in [{lo}, {hi}] and only "
-                     f"{frac_high:.0%} of windows above "
-                     f"{thresholds.mature_high_cut}")
-    elif (mean >= thresholds.emergent_mean_min
-          and frac_low <= thresholds.emergent_low_max_fraction):
+                     f"{frac_high:.0%} of windows above {MATURE_HIGH_CUT}")
+    elif mean >= EMERGENT_MEAN_MIN and frac_low <= EMERGENT_LOW_MAX_FRACTION:
         kind = MarketClassKind.EMERGENT
-        rationale = (f"mean h {mean:.3f} >= {thresholds.emergent_mean_min} "
+        rationale = (f"mean h {mean:.3f} >= {EMERGENT_MEAN_MIN} "
                      f"and only {frac_low:.0%} of windows below "
-                     f"{thresholds.emergent_low_cut}")
+                     f"{EMERGENT_LOW_CUT}")
     else:
         kind = MarketClassKind.HYBRID
         rationale = (f"mean h {mean:.3f} with {frac_high:.0%} above "
-                     f"{thresholds.mature_high_cut} and {frac_low:.0%} below "
-                     f"{thresholds.emergent_low_cut} fits neither profile")
+                     f"{MATURE_HIGH_CUT} and {frac_low:.0%} below "
+                     f"{EMERGENT_LOW_CUT} fits neither profile")
     return MarketClass(kind=kind, rationale=rationale)

@@ -52,9 +52,8 @@ def _check_dates(dates: tuple[dt.date, ...]) -> None:
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Daily closing prices for one symbol, strictly ordered by date."""
+    """Daily closing prices, strictly ordered by date."""
 
-    symbol: str
     dates: tuple[dt.date, ...]
     closes: np.ndarray
 
@@ -89,7 +88,6 @@ class ReturnSeries:
     series of N prices yields N-1 returns.
     """
 
-    source_symbol: str
     transform: Transform
     dates: tuple[dt.date, ...]
     values: np.ndarray
@@ -179,8 +177,7 @@ def _parse_rows(raw_text: str, config: CsvConfig, what: str,
     return entries
 
 
-def parse_price_csv(raw_text: str, config: CsvConfig = CsvConfig(),
-                    symbol: str = "SERIES") -> PriceSeries:
+def parse_price_csv(raw_text: str, config: CsvConfig = CsvConfig()) -> PriceSeries:
     """Parse delimiter-separated text with a header row into a PriceSeries.
 
     Rows are sorted by date if the input is unsorted; duplicate dates,
@@ -191,11 +188,10 @@ def parse_price_csv(raw_text: str, config: CsvConfig = CsvConfig(),
         raise TooShortError(f"need at least 2 rows, got {len(observations)}")
     dates = tuple(date for date, _ in observations)
     closes = np.array([close for _, close in observations])
-    return PriceSeries(symbol=symbol, dates=dates, closes=closes)
+    return PriceSeries(dates=dates, closes=closes)
 
 
-def parse_return_csv(raw_text: str, config: CsvConfig = CsvConfig(),
-                     symbol: str = "SERIES") -> ReturnSeries:
+def parse_return_csv(raw_text: str, config: CsvConfig = CsvConfig()) -> ReturnSeries:
     """Parse a (date, value) CSV into a raw ReturnSeries.
 
     Same layout rules as parse_price_csv (the close column holds the
@@ -205,18 +201,17 @@ def parse_return_csv(raw_text: str, config: CsvConfig = CsvConfig(),
     if not entries:
         raise TooShortError("no data rows")
     return ReturnSeries(
-        source_symbol=symbol,
         transform=Transform.RAW,
         dates=tuple(date for date, _ in entries),
         values=np.array([value for _, value in entries]),
     )
 
 
-def serialize_price_csv(series: PriceSeries, config: CsvConfig = CsvConfig()) -> str:
-    """Inverse of parse_price_csv for the default two-column layout."""
+def serialize_price_csv(series: PriceSeries) -> str:
+    """Inverse of parse_price_csv for the default CsvConfig."""
     lines = ["date,close"]
     for date, close in series.observations:
-        lines.append(f"{date.strftime(config.date_format)},{close!r}")
+        lines.append(f"{date.strftime('%Y-%m-%d')},{close!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -227,7 +222,6 @@ def log_returns(series: PriceSeries) -> ReturnSeries:
     """
     log_close = np.log(series.closes)
     return ReturnSeries(
-        source_symbol=series.symbol,
         transform=Transform.RAW,
         dates=series.dates[1:],
         values=np.diff(log_close),
@@ -252,7 +246,6 @@ def transform_returns(returns: ReturnSeries, kind: Transform) -> ReturnSeries:
         with np.errstate(over="ignore"):  # ReturnSeries rejects the inf
             values = returns.values * returns.values
     return ReturnSeries(
-        source_symbol=returns.source_symbol,
         transform=kind,
         dates=returns.dates,
         values=values,

@@ -36,6 +36,9 @@ SYNTHETIC_EPOCH = dt.date(2000, 1, 3)
 #: Longest synthetic calendar: its last date is dt.date.max.
 MAX_CALENDAR_LENGTH = (dt.date.max - SYNTHETIC_EPOCH).days + 1
 
+#: First close of every random-walk price series.
+WALK_START = 100.0
+
 
 class GeneratorKind(Enum):
     WHITE_NOISE = "white-noise"
@@ -68,20 +71,35 @@ def fgn_autocovariance(h: float, k: int) -> float:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     # PCG64 pinned explicitly: the stream must not depend on the numpy
     # default changing.
     return np.random.Generator(np.random.PCG64(seed))
 
 
 def white_noise(length: int, seed: int) -> np.ndarray:
+    if length < 0:
+        raise ConfigError(f"length must be >= 0, got {length}")
     return _rng(seed).standard_normal(length)
 
 
 def _fgn_gamma(h: float, lags: np.ndarray) -> np.ndarray:
-    """fgn_autocovariance(h, k) for each k >= 0 of an integer array."""
+    """fgn_autocovariance(h, k) for each k >= 0 of an integer array.
+
+    For k >= 2 the second difference is factored as
+    0.5 * k^2h * [expm1(2h log1p(1/k)) + expm1(2h log1p(-1/k))]: its
+    error stays near k * eps * |gamma(k)|, where the three powers of size
+    k^2h in the textbook form cancel to far worse near h = 1. gamma(0)
+    and gamma(1) are taken exactly.
+    """
     e = 2.0 * h
-    return 0.5 * (np.abs(lags + 1) ** e - 2.0 * np.abs(lags) ** e
-                  + np.abs(lags - 1) ** e)
+    k = np.maximum(lags, 2).astype(np.float64)
+    gamma = 0.5 * k ** e * (np.expm1(e * np.log1p(1.0 / k))
+                            + np.expm1(e * np.log1p(-1.0 / k)))
+    gamma[lags == 0] = 1.0
+    gamma[lags == 1] = 0.5 * (2.0 ** e - 2.0)
+    return gamma
 
 
 def _circulant_sqrt_eigs(h: float, n: int) -> np.ndarray:
@@ -135,23 +153,23 @@ def fbm(length: int, h: float, seed: int) -> np.ndarray:
 
 
 def random_walk_prices(length: int, seed: int, drift: float = 0.0,
-                       volatility: float = 1.0, start: float = 100.0,
-                       symbol: str = "SYNTH") -> PriceSeries:
-    """Geometric random walk: p_t = p_0 * exp(sum(drift + vol * z_i))."""
+                       volatility: float = 1.0) -> PriceSeries:
+    """Geometric random walk from WALK_START:
+    p_t = p_0 * exp(sum(drift + vol * z_i))."""
     z = white_noise(length - 1, seed)
     log_path = np.empty(length)
     with np.errstate(all="ignore"):
-        log_path[0] = np.log(start)
+        log_path[0] = np.log(WALK_START)
         np.cumsum(drift + volatility * z, out=log_path[1:])
-        log_path[1:] += np.log(start)
+        log_path[1:] += np.log(WALK_START)
         closes = np.exp(log_path)
     if not np.all(np.isfinite(closes) & (closes > 0.0)):
         raise ConfigError(
-            f"drift {drift}, volatility {volatility} and start {start} do "
-            "not give a finite positive price path"
+            f"drift {drift}, volatility {volatility} and start {WALK_START} "
+            "do not give a finite positive price path"
         )
     dates = tuple(SYNTHETIC_EPOCH + dt.timedelta(days=i) for i in range(length))
-    return PriceSeries(symbol=symbol, dates=dates, closes=closes)
+    return PriceSeries(dates=dates, closes=closes)
 
 
 def generate(spec: GeneratorSpec):
@@ -163,8 +181,7 @@ def generate(spec: GeneratorSpec):
             f"length must be <= {MAX_CALENDAR_LENGTH} (one date per day "
             f"from {SYNTHETIC_EPOCH} to {dt.date.max}), got {spec.length}"
         )
-    if spec.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {spec.seed}")
+    _rng(spec.seed)  # a negative seed fails here, ahead of the checks below
     if not (np.isfinite(spec.drift) and np.isfinite(spec.volatility)):
         raise ConfigError("drift and volatility must be finite")
     if spec.kind is GeneratorKind.WHITE_NOISE:

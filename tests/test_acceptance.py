@@ -55,7 +55,7 @@ def make_returns(values):
     values = np.asarray(values, dtype=float)
     dates = tuple(SYNTHETIC_EPOCH + dt.timedelta(days=i + 1)
                   for i in range(values.size))
-    return ReturnSeries(source_symbol="T", transform=Transform.RAW,
+    return ReturnSeries(transform=Transform.RAW,
                         dates=dates, values=values)
 
 
@@ -146,7 +146,7 @@ def test_criterion_05_oracle_equivalence():
         for tau in (4, 8):
             if length // tau >= 2:
                 got = dfa_fluctuation(x, tau)
-                ref = dfa_oracle(x, tau, integrate=True)
+                ref = dfa_oracle(x, tau)
                 worst_dfa = max(worst_dfa, abs(got - ref))
                 checked_dfa += 1
     ok = worst_rs <= 1e-10 and worst_dfa <= 1e-10

@@ -84,13 +84,17 @@ def test_synth_out_of_range_config_exit_4(capsys, argv):
     assert set(json.loads(err)) == {"error", "message"}
 
 
-def test_synth_fgn_near_one_fails_factorization_exit_3(capsys):
+def test_synth_fgn_near_one_gives_finite_draw(capsys):
+    # 1 - h = 1e-12: the smallest circulant eigenvalue is -1.0e-10, within
+    # the rounding bound of the embedding.
     code, out, err = run_cli(capsys, "synth", "--kind", "fgn", "--n", "4096",
                              "--h", "0.999999999999")
-    assert code == 3
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "FactorizationFailureError"
+    assert code == 0, err
+    rows = out.splitlines()
+    assert rows[0] == "date,value"
+    values = [float(row.split(",")[1]) for row in rows[1:]]
+    assert len(values) == 4096
+    assert all(math.isfinite(v) for v in values)
 
 
 def test_synth_unknown_flag_exit_4(capsys):

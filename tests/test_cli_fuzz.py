@@ -6,6 +6,7 @@ one JSON {"error", "message"} line; no exception may escape and no
 warning may be emitted (either would print non-JSON text on stderr).
 """
 import contextlib
+import datetime as dt
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from hurstlab import cli
@@ -99,6 +100,13 @@ def _log_returns(prices: bytes) -> tuple[list[str], list[float]]:
 
 RETURNS = _log_returns(PRICES)
 
+#: Closes alternating 1e300 and the next lower double: every decline is
+#: 0.0 in log space.
+VANISHING = ("date,close\n" + "".join(
+    f"{dt.date(2000, 1, 3) + dt.timedelta(days=i)},"
+    f"{math.nextafter(1e300, 0.0) if i % 2 else 1e300!r}\n"
+    for i in range(40))).encode()
+
 _FLOAT_TEXT = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.05", "0.5", "0.7",
                      "1e308"]),
@@ -114,11 +122,14 @@ def _often(draw, value, strategy):
 
 @st.composite
 def analysis_input(draw):
-    """The seeded price CSV, a copy with a few bytes changed, noise, or
-    the seeded log-returns scaled by 10^k, finite but huge, as a returns
-    CSV; and whether the input must be read with --returns."""
+    """The seeded price CSV, a copy with a few bytes changed, noise, the
+    seeded log-returns scaled by 10^k, finite but huge, as a returns CSV,
+    or prices whose declines vanish in log space; and whether the input
+    must be read with --returns."""
     kind = draw(st.sampled_from(["prices", "prices", "edited", "noise",
-                                 "huge"]))
+                                 "huge", "vanishing"]))
+    if kind == "vanishing":
+        return VANISHING, False
     if kind == "huge":
         scale = 10.0 ** draw(st.integers(150, 308))
         dates, values = RETURNS
@@ -172,6 +183,7 @@ def analysis_argv(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=analysis_argv())
+@example(case=("downfalls", [], VANISHING))
 def test_analysis_argv_keeps_exit_code_contract(case):
     command, flags, data = case
     with tempfile.TemporaryDirectory() as tmp:

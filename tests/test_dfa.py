@@ -23,11 +23,10 @@ from hurstlab.rescaled_range import EstimatorKind
 from hurstlab.synthetic import fgn, white_noise
 
 
-def dfa_oracle(series, tau, integrate=True):
-    """Per-box polyfit reimplementation, independent of the kernel."""
+def dfa_oracle(series, tau):
+    """Per-box polyfit of the profile, independent of the kernel."""
     x = np.asarray(series, dtype=float)
-    if integrate:
-        x = np.cumsum(x - x.mean())
+    x = np.cumsum(x - x.mean())
     boxes = x.size // tau
     t = np.arange(tau, dtype=float)
     fsq = []
@@ -38,22 +37,19 @@ def dfa_oracle(series, tau, integrate=True):
     return float(np.mean(fsq))
 
 
-def raw_config(box_sizes=(4, 8, 16)):
-    return DfaConfig(box_sizes=box_sizes, integrate_first=False)
-
-
 # -- dfa_fluctuation ---------------------------------------------------------
 
-def test_linear_series_detrends_exactly():
-    x = 3.0 * np.arange(32.0) - 5.0
+def test_constant_series_gives_zero():
+    # The mean of 0.1s is not exactly 0.1; the profile is still flat.
+    x = np.full(32, 0.1)
     for tau in (4, 8, 16):
-        assert dfa_fluctuation(x, tau, raw_config()) == pytest.approx(0.0, abs=1e-18)
+        assert dfa_fluctuation(x, tau) == 0.0
 
 
 def test_square_wave_matches_oracle():
     x = np.array([0.0, 1.0] * 4)
-    value = dfa_fluctuation(x, 4, raw_config())
-    assert value == pytest.approx(dfa_oracle(x, 4, integrate=False), abs=1e-12)
+    value = dfa_fluctuation(x, 4)
+    assert value == pytest.approx(dfa_oracle(x, 4), abs=1e-12)
 
 
 def test_fluctuation_oracle_corpus_short_series():
@@ -62,12 +58,8 @@ def test_fluctuation_oracle_corpus_short_series():
         length = int(rng.integers(16, 65))
         x = rng.normal(size=length)
         for tau in (4, 8):
-            got = dfa_fluctuation(x, tau, raw_config())
-            assert got == pytest.approx(dfa_oracle(x, tau, integrate=False),
-                                        abs=1e-10), (trial, tau)
             got = dfa_fluctuation(x, tau)
-            assert got == pytest.approx(dfa_oracle(x, tau, integrate=True),
-                                        abs=1e-10), (trial, tau)
+            assert got == pytest.approx(dfa_oracle(x, tau), abs=1e-10), (trial, tau)
 
 
 def test_box_too_large():
@@ -77,8 +69,8 @@ def test_box_too_large():
 
 def test_shift_invariance_exact():
     x = white_noise(256, seed=3)
-    base = dfa_fluctuation(x, 8, raw_config())
-    shifted = dfa_fluctuation(x + 11.0, 8, raw_config())
+    base = dfa_fluctuation(x, 8)
+    shifted = dfa_fluctuation(x + 11.0, 8)
     assert shifted == pytest.approx(base, rel=1e-9)
 
 
@@ -146,9 +138,9 @@ def test_cross_estimator_consistency():
         assert np.mean(dfa_err) <= np.mean(rs_err) + 0.05
 
 
-def test_linear_series_curve_degenerate():
-    x = np.arange(64.0)
-    config = DfaConfig(box_sizes=(4, 8, 16), integrate_first=False)
+def test_constant_series_curve_degenerate():
+    x = np.full(64, 0.1)
+    config = DfaConfig(box_sizes=(4, 8, 16))
     with pytest.raises(DegenerateCurveError):
         estimate_hurst_dfa(x, config)
 
@@ -162,13 +154,6 @@ def test_config_validation():
         DfaConfig(box_sizes=(8, 8, 16))
     with pytest.raises(BoxTooLargeError):
         estimate_hurst_dfa(white_noise(60, seed=0), DfaConfig(box_sizes=(4, 8, 16)))
-
-
-@pytest.mark.parametrize("min_box", [0, -1, 3])
-def test_default_box_sizes_rejects_boxes_below_four(min_box):
-    # min_box <= 0 used to double forever
-    with pytest.raises(InvalidPlanError, match="box sizes must be >= 4"):
-        default_box_sizes(1000, min_box)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

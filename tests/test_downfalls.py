@@ -7,7 +7,6 @@ import pytest
 from hurstlab.downfalls import (
     CriticalLevel,
     Downfall,
-    KurtosisMode,
     KurtosisScan,
     KurtosisScanEntry,
     Regime,
@@ -20,6 +19,7 @@ from hurstlab.downfalls import (
 )
 from hurstlab.errors import (
     EmptyScanError,
+    InvalidSeriesError,
     NoDownfallsError,
     TooFewError,
     ZeroVarianceError,
@@ -31,7 +31,7 @@ from hurstlab.synthetic import random_walk_prices
 def make_prices(closes):
     dates = tuple(dt.date(2021, 1, 1) + dt.timedelta(days=i)
                   for i in range(len(closes)))
-    return PriceSeries(symbol="T", dates=dates, closes=np.array(closes, float))
+    return PriceSeries(dates=dates, closes=np.array(closes, float))
 
 
 def downfall_oracle(prices, lookback=126):
@@ -152,7 +152,7 @@ def test_depth_equals_return_sum():
 
 def test_depths_scale_free():
     prices = random_walk_prices(400, seed=14, volatility=0.02)
-    scaled = PriceSeries(symbol="S", dates=prices.dates,
+    scaled = PriceSeries(dates=prices.dates,
                          closes=prices.closes * 1000.0)
     base = extract_downfalls(prices)
     big = extract_downfalls(scaled)
@@ -197,6 +197,11 @@ def test_rank_size_empty_rejected():
         rank_size_points([])
     with pytest.raises(NoDownfallsError):
         rank_size_points([mk_downfall(0.1, closed=False)])
+    # a decline can vanish in log space; a zero depth has no ln
+    with pytest.raises(NoDownfallsError):
+        rank_size_points([mk_downfall(0.0), mk_downfall(0.0, 1)])
+    assert rank_size_points([mk_downfall(0.0), mk_downfall(0.5, 1)]) == [
+        (0.0, math.log(0.5))]
 
 
 # -- kurtosis ----------------------------------------------------------------
@@ -228,16 +233,21 @@ def test_kurtosis_errors():
         excess_kurtosis([1.0, 2.0, 3.0])
     with pytest.raises(ZeroVarianceError):
         excess_kurtosis([2.0, 2.0, 2.0, 2.0])
+    for bad in ([1.0, math.nan, 2.0, 3.0], [1.0, math.inf, 2.0, 3.0],
+                np.arange(8.0).reshape(2, 4)):
+        with pytest.raises(InvalidSeriesError):
+            excess_kurtosis(bad)
 
 
-def test_sample_mode_differs():
-    rng = np.random.Generator(np.random.PCG64(8))
-    values = rng.standard_normal(50)
-    pop = excess_kurtosis(values, KurtosisMode.POPULATION)
-    samp = excess_kurtosis(values, KurtosisMode.SAMPLE)
-    n = 50
-    expected = ((n + 1) * pop + 6.0) * (n - 1) / ((n - 2) * (n - 3))
-    assert samp == pytest.approx(expected, abs=1e-12)
+@pytest.mark.parametrize("values, scaled", [
+    ([1e200, -1e200, 3e200, 5.0, 7.0], [1.0, -1.0, 3.0, 0.0, 0.0]),
+    ([5e-324, 0.0, 1e-323, 0.0, 5e-324], [1.0, 0.0, 2.0, 0.0, 1.0]),
+    ([1.7e308, -1.7e308, 1.7e308, -1.7e308, 0.0], [1.0, -1.0, 1.0, -1.0, 0.0]),
+])
+def test_kurtosis_is_scale_free_at_extreme_magnitudes(values, scaled):
+    # The moments of these overflow or underflow unless rescaled.
+    assert excess_kurtosis(values) == pytest.approx(excess_kurtosis(scaled),
+                                                    rel=1e-12)
 
 
 # -- progressive scan --------------------------------------------------------

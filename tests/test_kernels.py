@@ -26,9 +26,9 @@ def test_rs_sums_degenerate_segments_counted():
 def window_sweeps(draw, dense=False):
     """A series with constant runs, contiguous or every other value of a
     NaN-padded buffer, and a window, lag, n and ddof for it, with a DFA
-    box size tau (None below a window of 4) and integrate flag; dense
-    draws half of its lags from 1..4, where the segment starts of the
-    windows are densest on their gcd grid."""
+    box size tau (None below a window of 4); dense draws half of its lags
+    from 1..4, where the segment starts of the windows are densest on
+    their gcd grid."""
     length = draw(st.integers(2, 700))
     window = draw(st.integers(2, length))
     n = draw(st.integers(2, window))
@@ -46,7 +46,7 @@ def window_sweeps(draw, dense=False):
         buffer[::2] = values
         values = buffer[::2]
     tau = draw(st.integers(4, window)) if window >= 4 else None
-    return values, window, lag, n, ddof, tau, draw(st.booleans())
+    return values, window, lag, n, ddof, tau
 
 
 _DIRECTED = np.random.Generator(np.random.PCG64(5)).standard_normal(2000)
@@ -55,9 +55,9 @@ _DIRECTED = np.random.Generator(np.random.PCG64(5)).standard_normal(2000)
 @given(window_sweeps())
 # 3 windows of 20 segments on a gcd grid of 26 starts: each window sums
 # its own table entries
-@example((_DIRECTED[:1300], 1000, 150, 50, 0, 64, True))
+@example((_DIRECTED[:1300], 1000, 150, 50, 0, 64))
 # lag > window: 7 disjoint windows, read as rows from a strided series
-@example((_DIRECTED[::2], 100, 130, 10, 1, 16, False))
+@example((_DIRECTED[::2], 100, 130, 10, 1, 16))
 @settings(max_examples=150, deadline=None)
 def test_segment_table_equals_per_window_sums(case):
     assert_table_equals_per_window_sums(case)
@@ -74,7 +74,7 @@ def test_column_layout_equals_per_window_sums(case):
 
 
 def assert_table_equals_per_window_sums(case):
-    values, window, lag, n, ddof, tau, integrate = case
+    values, window, lag, n, ddof, tau = case
     starts = range(0, values.size - window + 1, lag)
     totals, counts, v = _kernels.rs_window_sums(values, window, lag, n, ddof)
     per_window = [_kernels.rs_segment_sums(values[s:s + window], n, ddof)
@@ -85,10 +85,10 @@ def assert_table_equals_per_window_sums(case):
     if tau is None:
         return
     fsq, boxes = _kernels.window_sums(values, window, lag, tau, lambda rows: (
-        _kernels.dfa_box_fsq(rows, tau, integrate),))
+        _kernels.dfa_box_fsq(rows, tau),))
     assert boxes == window // tau
     assert fsq.tolist() == [
-        _kernels.dfa_box_fsq(values[s:s + window], tau, integrate).sum().item()
+        _kernels.dfa_box_fsq(values[s:s + window], tau).sum().item()
         for s in starts]
 
 
@@ -109,15 +109,9 @@ def rs_statistic(x, n):
     return total / np.maximum(defined, 1)
 
 
-def dfa_box_fsq(x, tau):
-    """Per-box F^2 of the integrated signal, as the rolling sweep's
-    default DFA evaluates its boxes."""
-    return _kernels.dfa_box_fsq(x, tau, True)
-
-
 @pytest.mark.parametrize("kernel, scales", [
     (rs_statistic, sorted(PRESET_250_SEGMENTS)),
-    (dfa_box_fsq, default_box_sizes(250)),
+    (_kernels.dfa_box_fsq, default_box_sizes(250)),
 ])
 def test_batched_kernel_equals_one_window_per_call(kernel, scales):
     windows = np.random.Generator(np.random.PCG64(0)).standard_normal((600, 250))

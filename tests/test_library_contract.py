@@ -1,24 +1,46 @@
-"""Property test of the library contract of the rolling sweep and the
-standalone window estimate.
+"""Property tests of the library contract of the exported callables.
 
 Whatever the window, lag, plan, estimator and transform, on series with
 constant runs at magnitudes from 5e-324 to 1e307: only a HurstLabError
-escapes, no warning is raised, and a window is a gap in the trace
-exactly when its standalone estimate raises, noted with that error.
+escapes the rolling sweep and the standalone window estimate, no warning
+is raised, and a window is a gap in the trace exactly when its
+standalone estimate raises, noted with that error. The same holds for
+the kurtosis, rank-size, DFA and R/S callables on arrays with NaN and
+infinities, of rank 0 to 2, and for the generators at any length, seed
+and h.
 """
 import datetime as dt
+import math
 import warnings
 
 import numpy as np
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from hurstlab.dfa import FitTarget
+from hurstlab.dfa import FitTarget, dfa_fluctuation
+from hurstlab.downfalls import (
+    Downfall,
+    excess_kurtosis,
+    progressive_kurtosis,
+    rank_size_points,
+)
 from hurstlab.errors import HurstLabError
-from hurstlab.rescaled_range import EstimatorKind, PartitionPolicy, StdMode
+from hurstlab.rescaled_range import (
+    EstimatorKind,
+    PartitionPolicy,
+    StdMode,
+    rs_at_scale,
+    segment_stats,
+)
 from hurstlab.rolling import RollingConfig, estimate_window, sweep
 from hurstlab.series import ReturnSeries, Transform, transform_returns
-from hurstlab.synthetic import SYNTHETIC_EPOCH
+from hurstlab.synthetic import (
+    SYNTHETIC_EPOCH,
+    fbm,
+    fgn,
+    fgn_autocovariance,
+    white_noise,
+)
 
 _SCALES = st.one_of(
     st.sampled_from([5e-324, 1e-310, 1e-300, 1e-150, 1e-3, 1.0, 1e150,
@@ -60,7 +82,7 @@ def sweep_cases(draw):
 
 def check_sweep(values, options):
     returns = ReturnSeries(
-        source_symbol="T", transform=Transform.RAW,
+        transform=Transform.RAW,
         dates=tuple(SYNTHETIC_EPOCH + dt.timedelta(days=i + 1)
                     for i in range(values.size)),
         values=values)
@@ -99,3 +121,118 @@ def test_sweep_and_window_estimate_raise_only_hurstlab_errors(case):
         else:
             event("window: estimate")
     assert [str(w.message) for w in caught] == []
+
+
+@st.composite
+def arrays(draw):
+    """Values at one of _SCALES with constant runs and NaN or infinite
+    runs, as a 1-D array of 0 to 600 values three times in five, else as
+    a scalar or a two-row array."""
+    length = draw(st.integers(0, 600))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32))))
+    scale = draw(_SCALES)
+    values = rng.standard_normal(length) * scale
+    for start, size, level in draw(st.lists(st.tuples(
+            st.integers(0, max(length - 1, 0)), st.integers(1, 200),
+            st.sampled_from([0.0, 1.0, -2.5, math.nan, math.inf, -math.inf])),
+            max_size=3)):
+        values[start:start + size] = level * scale
+    rank = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    if rank == 0:
+        return values[0] if length else np.float64(scale)
+    if rank == 2:
+        return values[: length - length % 2].reshape(2, -1)
+    return values
+
+
+def downfalls(depths, open_last):
+    """One episode per depth, the last one still open if open_last."""
+    day = dt.timedelta(days=1)
+    depths = np.ravel(depths).tolist()
+    episodes = []
+    for i, depth in enumerate(depths):
+        closed = not (open_last and i == len(depths) - 1)
+        peak = SYNTHETIC_EPOCH + 3 * i * day
+        episodes.append(Downfall(
+            peak_date=peak, trough_date=peak + day,
+            recovery_date=peak + 2 * day if closed else None, depth=depth,
+            duration_days=1, peak_index=3 * i, trough_index=3 * i + 1,
+            recovery_index=3 * i + 2 if closed else None))
+    return episodes
+
+
+@st.composite
+def array_calls(draw):
+    """(name, callable, arguments) of an array callable on a drawn array."""
+    x = draw(arrays())
+    scale = draw(st.integers(-3, 700))
+    std_mode = draw(st.sampled_from(list(StdMode)))
+    include_open = draw(st.booleans())
+    return draw(st.sampled_from([
+        ("excess_kurtosis", excess_kurtosis, (x,)),
+        ("progressive_kurtosis", progressive_kurtosis,
+         (downfalls(x, include_open), include_open)),
+        ("rank_size_points", rank_size_points,
+         (downfalls(x, include_open), include_open)),
+        ("dfa_fluctuation", dfa_fluctuation, (x, scale)),
+        ("rs_at_scale", rs_at_scale, (x, scale, std_mode)),
+        ("segment_stats", segment_stats, (x, std_mode)),
+    ]))
+
+
+_H_GRID = st.one_of(
+    st.sampled_from([0.0, 1.0, math.nan, math.inf, -math.inf, -0.5, 1.5,
+                     5e-324, 1e-300, 0.5, 0.999999999999, 1.0 - 2.0 ** -53]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_SEEDS = st.one_of(st.integers(-3, 10), st.integers(2 ** 64 - 2, 2 ** 66))
+
+
+@st.composite
+def generator_calls(draw):
+    """(name, callable, arguments) of a generator at a drawn length, seed
+    and h, or of fgn_autocovariance at a drawn h and lag."""
+    length = draw(st.one_of(st.integers(-3, 300), st.integers(-3, 70_000)))
+    seed, h = draw(_SEEDS), draw(_H_GRID)
+    return draw(st.sampled_from([
+        ("white_noise", white_noise, (length, seed)),
+        ("fgn", fgn, (length, h, seed)),
+        ("fbm", fbm, (length, h, seed)),
+        ("fgn_autocovariance", fgn_autocovariance, (h, length)),
+    ]))
+
+
+def check_call(name, fn, args):
+    """Call fn; only a HurstLabError may escape and nothing may warn."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn(*args)
+        except HurstLabError as exc:
+            event(f"{name}: {type(exc).__name__}")
+            result = None
+        else:
+            event(f"{name}: result")
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(call=array_calls())
+def test_array_callables_raise_only_hurstlab_errors(call):
+    result = check_call(*call)
+    name, _, (x, *_) = call
+    if name == "excess_kurtosis":
+        values = np.asarray(x)
+        # a finite sample of at least 4 values that differ has a kurtosis
+        if (values.ndim == 1 and values.size >= 4
+                and np.isfinite(values).all() and values.min() < values.max()):
+            assert math.isfinite(result)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(call=generator_calls())
+def test_generators_raise_only_hurstlab_errors(call):
+    check_call(*call)

@@ -232,7 +232,7 @@ def test_exact_curve_gives_half():
     curve = ScalingCurve(scales=(8, 16, 32, 64),
                          statistics=tuple(math.sqrt(n) for n in (8, 16, 32, 64)),
                          kind=EstimatorKind.RESCALED_RANGE)
-    est = estimate_from_curve(curve, EstimatorKind.RESCALED_RANGE)
+    est = estimate_from_curve(curve)
     assert est.h == pytest.approx(0.5, abs=1e-12)
     assert est.r_squared == pytest.approx(1.0, abs=1e-12)
     assert est.autocorrelation_c == pytest.approx(0.0, abs=1e-12)

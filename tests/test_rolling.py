@@ -30,7 +30,7 @@ def make_returns(values):
     values = np.asarray(values, dtype=float)
     dates = tuple(SYNTHETIC_EPOCH + dt.timedelta(days=i + 1)
                   for i in range(values.size))
-    return ReturnSeries(source_symbol="T", transform=Transform.RAW,
+    return ReturnSeries(transform=Transform.RAW,
                         dates=dates, values=values)
 
 

@@ -40,10 +40,10 @@ from hurstlab.series import (
 from hurstlab.synthetic import random_walk_prices
 
 
-def make_prices(closes, symbol="TEST"):
+def make_prices(closes):
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i)
                   for i in range(len(closes)))
-    return PriceSeries(symbol=symbol, dates=dates, closes=np.array(closes, float))
+    return PriceSeries(dates=dates, closes=np.array(closes, float))
 
 
 def test_parse_minimal_two_rows():
@@ -118,7 +118,7 @@ def test_parse_custom_columns_and_delimiter():
 def test_parse_serialize_round_trip():
     prices = random_walk_prices(250, seed=7, drift=0.0002, volatility=0.01)
     text = serialize_price_csv(prices)
-    back = parse_price_csv(text, symbol=prices.symbol)
+    back = parse_price_csv(text)
     assert len(back) == 250
     assert back.dates == prices.dates
     assert back.closes.tolist() == prices.closes.tolist()
@@ -200,26 +200,26 @@ def test_price_series_requires_positive_and_ordered():
         make_prices([100.0, -1.0])
     dates = (dt.date(2020, 1, 2), dt.date(2020, 1, 1))
     with pytest.raises(ValueError):
-        PriceSeries(symbol="X", dates=dates, closes=np.array([1.0, 2.0]))
+        PriceSeries(dates=dates, closes=np.array([1.0, 2.0]))
 
 
 DAY = dt.date(2020, 1, 2)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: PriceSeries(symbol="X", dates=(DAY,), closes=np.array([1.0, 2.0])),
+    (lambda: PriceSeries(dates=(DAY,), closes=np.array([1.0, 2.0])),
      "dates and closes differ in length"),
-    (lambda: PriceSeries(symbol="X", dates=(DAY, DAY - dt.timedelta(days=1)),
+    (lambda: PriceSeries(dates=(DAY, DAY - dt.timedelta(days=1)),
                          closes=np.array([1.0, 2.0])),
      "dates must be strictly increasing"),
-    (lambda: ReturnSeries(source_symbol="X", transform=Transform.RAW,
+    (lambda: ReturnSeries(transform=Transform.RAW,
                           dates=(DAY,), values=np.array([0.1, 0.2])),
      "dates and values differ in length"),
-    (lambda: ReturnSeries(source_symbol="X", transform=Transform.SQUARED,
+    (lambda: ReturnSeries(transform=Transform.SQUARED,
                           dates=(DAY,), values=np.array([-0.1])),
      "squared returns must be >= 0"),
     pytest.param(lambda: ReturnSeries(
-        source_symbol="X", transform=Transform.RAW,
+        transform=Transform.RAW,
         dates=(DAY, DAY + dt.timedelta(days=1), DAY), values=np.zeros(3)),
         "dates must be strictly increasing", id="returns-dates-decrease"),
 ])
@@ -235,13 +235,13 @@ def test_malformed_series_raise_typed_input_error(build, message):
 def test_return_series_rejects_non_finite_values(bad):
     dates = tuple(DAY + dt.timedelta(days=i) for i in range(3))
     with pytest.raises(InvalidSeriesError, match="1 of 3 values are not finite"):
-        ReturnSeries(source_symbol="X", transform=Transform.RAW, dates=dates,
+        ReturnSeries(transform=Transform.RAW, dates=dates,
                      values=np.array([0.1, bad, 0.2]))
 
 
 @pytest.mark.parametrize("build", [
-    lambda dates: PriceSeries(symbol="X", dates=dates, closes=np.ones(3)),
-    lambda dates: ReturnSeries(source_symbol="X", transform=Transform.RAW,
+    lambda dates: PriceSeries(dates=dates, closes=np.ones(3)),
+    lambda dates: ReturnSeries(transform=Transform.RAW,
                                dates=dates, values=np.zeros(3)),
 ], ids=["prices", "returns"])
 def test_repeated_date_raises_duplicate_date_error(build):
@@ -254,7 +254,7 @@ def test_repeated_date_raises_duplicate_date_error(build):
 def test_price_series_rejects_non_finite_closes(bad):
     dates = tuple(DAY + dt.timedelta(days=i) for i in range(3))
     with pytest.raises(InvalidSeriesError, match="1 of 3 values are not finite"):
-        PriceSeries(symbol="X", dates=dates, closes=np.array([100.0, bad, 101.0]))
+        PriceSeries(dates=dates, closes=np.array([100.0, bad, 101.0]))
 
 
 @pytest.mark.parametrize("estimate", [

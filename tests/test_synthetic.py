@@ -4,6 +4,7 @@ import pytest
 from hurstlab import synthetic
 from hurstlab.errors import (
     ConfigError,
+    FactorizationFailureError,
     HOutOfRangeError,
     LengthTooLargeError,
     UnknownKindError,
@@ -53,6 +54,27 @@ def test_autocov_is_the_vectorised_gamma(h):
     for k in list(range(40)) + [255, 256, 257, 1024, 4095, 4096]:
         assert fgn_autocovariance(h, k) == gamma[k]
         assert fgn_autocovariance(h, -k) == gamma[k]
+
+
+def test_autocov_matches_mpmath():
+    # Reference: the textbook second difference at 50 digits. The factored
+    # form's error grows like one rounding per lag, k * eps * |gamma(k)|;
+    # the eps term covers h = 0.5, where gamma vanishes.
+    import mpmath
+
+    eps = np.finfo(np.float64).eps
+    lags = np.array([0, 1, 2, 3, 4, 5, 7, 10, 31, 100, 255, 256, 1000, 4095,
+                     4096, 65535, 65536])
+    for h in (1e-9, 0.01, 0.05, 0.3, 0.49, 0.5, 0.51, 0.7, 0.9, 0.99,
+              0.9999999, 1.0 - 2.0 ** -40):
+        gamma = synthetic._fgn_gamma(h, lags)
+        with mpmath.workdps(50):
+            e = 2 * mpmath.mpf(h)
+            ref = [float((abs(mpmath.mpf(k + 1)) ** e - 2 * mpmath.mpf(k) ** e
+                          + abs(mpmath.mpf(k - 1)) ** e) / 2)
+                   for k in lags.tolist()]
+        for k, got, want in zip(lags.tolist(), gamma.tolist(), ref):
+            assert abs(got - want) <= 4 * eps * max(k, 1) * abs(want) + eps, (h, k)
 
 
 def test_autocov_rejects_bad_h():
@@ -112,6 +134,15 @@ def test_circulant_embedding_reproduces_autocovariance(h, n):
     sqrt_eigs = synthetic._circulant_sqrt_eigs(h, n)
     implied = np.fft.ifft(sqrt_eigs ** 2).real[:n]
     assert np.abs(implied - synthetic._fgn_gamma(h, np.arange(n))).max() <= 1e-12
+
+
+def test_indefinite_embedding_is_a_factorization_failure(monkeypatch):
+    # gamma(1) = 2 > gamma(0) is no autocovariance: the circulant's
+    # eigenvalues 1 + 4 cos(theta) reach -3.
+    monkeypatch.setattr(synthetic, "_fgn_gamma", lambda h, lags: np.where(
+        lags == 1, 2.0, (lags == 0).astype(np.float64)))
+    with pytest.raises(FactorizationFailureError, match="eigenvalue -3.000e"):
+        fgn(64, 0.7, seed=0)
 
 
 def test_fgn_lag_one_autocov_circulant_path():
