@@ -57,21 +57,20 @@ from .series import (
     log_returns,
     parse_price_csv,
     parse_return_csv,
+    serialize_dated_csv,
     serialize_price_csv,
     transform_returns,
 )
 from .synthetic import (
-    SYNTHETIC_EPOCH,
     GeneratorKind,
     GeneratorSpec,
     generate,
+    synthetic_calendar,
 )
 from .vstat import DEFAULT_FLAT_TOLERANCE, v_statistic
 
 _TRANSFORMS = {t.value: t for t in Transform}
 _ESTIMATORS = {"rs": EstimatorKind.RESCALED_RANGE, "dfa": EstimatorKind.DFA}
-_PLANS = {"divisors": PartitionPolicy.DIVISORS_ONLY,
-          "preset250": PartitionPolicy.PRESET_250}
 _STD_MODES = {m.value: m for m in StdMode}
 _FIT_TARGETS = {t.value: t for t in FitTarget}
 _KINDS = {k.value: k for k in GeneratorKind}
@@ -212,7 +211,7 @@ def _rolling_config(args, window: int, lag: int = 1) -> RollingConfig:
         lag=lag,
         estimator=_ESTIMATORS[args.estimator],
         transform=_TRANSFORMS[args.transform],
-        plan_policy=None if args.plan == "auto" else _PLANS[args.plan],
+        plan_policy=PartitionPolicy(args.plan),
         min_segment_length=args.min_segment,
         std_mode=_STD_MODES[args.std],
         dfa_fit_target=_FIT_TARGETS[args.fit_target],
@@ -501,12 +500,9 @@ def cmd_synth(args) -> int:
     result = generate(spec)
     if isinstance(result, PriceSeries):
         print(serialize_price_csv(result), end="")
-        return 0
-    lines = ["date,value"]
-    for i, value in enumerate(result.tolist()):
-        date = SYNTHETIC_EPOCH + dt.timedelta(days=i)
-        lines.append(f"{date.isoformat()},{value!r}")
-    print("\n".join(lines))
+    else:
+        print(serialize_dated_csv(synthetic_calendar(result.size), result,
+                                  "value"), end="")
     return 0
 
 

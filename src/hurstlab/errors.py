@@ -6,6 +6,7 @@ malformed series, curves and generator specs used to raise a bare
 ValueError also derive from ValueError, so a caller catching ValueError
 still catches them.
 """
+import operator
 
 
 class HurstLabError(Exception):
@@ -130,3 +131,12 @@ class HOutOfRangeError(ConfigError):
 class LengthTooLargeError(ConfigError):
     """Requested length exceeds the exact fGn/fBm bound or the synthetic
     calendar, whose last date is date.max."""
+
+
+def require_int(value, what: str, error: type[ConfigError] = ConfigError
+                ) -> int:
+    """The value as an int, numpy integers included; anything else raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None

@@ -27,6 +27,7 @@ from .errors import (
     InvalidPlanError,
     NonPositiveHError,
     TooShortError,
+    require_int,
 )
 from .regression import EstimatorKind, PowerLawFit, ScalingCurve, fit_loglog
 from .series import finite_values
@@ -41,6 +42,7 @@ PRESET_250_SEGMENTS = (16, 20, 25, 31, 35, 41, 50, 62, 83, 125)
 
 
 class PartitionPolicy(Enum):
+    AUTO = "auto"
     DIVISORS_ONLY = "divisors"
     PRESET_250 = "preset250"
     EXPLICIT = "explicit"
@@ -215,19 +217,34 @@ def build_partition_plan(total_length: int,
     ten-value fragmentation and is only valid for 250 returns (where
     several lengths deliberately do not divide 250; the trailing
     remainder is discarded at estimation time). EXPLICIT validates a
-    caller-supplied list.
+    caller-supplied list. AUTO is PRESET_250 at exactly 250 values, else
+    DIVISORS_ONLY, else (below 3 divisors, at a prime say) the doubling
+    lengths min_segment_length * 2^k <= length/2, recorded as EXPLICIT.
     """
+    total_length = require_int(total_length, "length", InvalidPlanError)
+    min_segment_length = require_int(min_segment_length, "min_segment_length",
+                                     InvalidPlanError)
     if min_segment_length < 2:
         raise InvalidPlanError("min_segment_length must be >= 2")
     if total_length < 2 * min_segment_length:
         raise InvalidPlanError(
             f"length {total_length} too short for segments of {min_segment_length}"
         )
+    auto = policy is PartitionPolicy.AUTO
+    if auto:
+        policy = (PartitionPolicy.PRESET_250 if total_length == 250
+                  else PartitionPolicy.DIVISORS_ONLY)
     if policy is PartitionPolicy.DIVISORS_ONLY:
         lengths = tuple(
             n for n in range(min_segment_length, total_length // 2 + 1)
             if total_length % n == 0
         )
+        if auto and len(lengths) < 3:
+            policy = PartitionPolicy.EXPLICIT
+            lengths = tuple(
+                min_segment_length * 2 ** k
+                for k in range(total_length.bit_length())
+                if min_segment_length * 2 ** k <= total_length // 2)
     elif policy is PartitionPolicy.PRESET_250:
         if total_length != 250:
             raise InvalidPlanError(
@@ -235,11 +252,13 @@ def build_partition_plan(total_length: int,
             )
         lengths = tuple(sorted(PRESET_250_SEGMENTS))
     elif policy is PartitionPolicy.EXPLICIT:
-        if not explicit:
+        lengths = tuple(sorted({
+            require_int(n, "segment length", InvalidPlanError)
+            for n in (() if explicit is None else explicit)}))
+        if not lengths:
             raise InvalidPlanError("explicit policy needs a segment list")
-        lengths = tuple(sorted(set(int(n) for n in explicit)))
-    else:  # pragma: no cover - exhaustive enum
-        raise InvalidPlanError(f"unknown policy {policy}")
+    else:
+        raise InvalidPlanError(f"unknown policy {policy!r}")
     if len(lengths) < 3:
         raise InvalidPlanError(
             f"plan yields only {len(lengths)} scales; need at least 3"

@@ -30,9 +30,9 @@ from .errors import (
     ComputationError,
     ConfigError,
     EmptyTraceError,
-    InvalidPlanError,
     SeriesTooShortError,
     TraceTooShortError,
+    require_int,
 )
 from .rescaled_range import (
     DEFAULT_MIN_SEGMENT,
@@ -50,23 +50,21 @@ from .series import ReturnSeries, Transform, transform_returns
 
 @dataclass(frozen=True)
 class RollingConfig:
-    """Window size, lag and estimator for one sweep.
-
-    ``plan_policy`` None selects the fixed 250-sample fragmentation when
-    window == 250 and the divisors plan otherwise, with a doubling plan
-    when the divisors are too few (see ``_scheme``).
-    """
+    """Window size, lag and estimator for one sweep."""
 
     window: int = 250
     lag: int = 5
     estimator: EstimatorKind = EstimatorKind.RESCALED_RANGE
     transform: Transform = Transform.RAW
-    plan_policy: PartitionPolicy | None = None
+    plan_policy: PartitionPolicy = PartitionPolicy.AUTO
     min_segment_length: int = DEFAULT_MIN_SEGMENT
     std_mode: StdMode = StdMode.POPULATION
     dfa_fit_target: FitTarget = FitTarget.FLUCTUATION_RMS
 
     def __post_init__(self):
+        for name in ("window", "lag"):
+            value = require_int(getattr(self, name), name)
+            object.__setattr__(self, name, value)
         if self.window < 2:
             raise ConfigError("window must be >= 2")
         if self.lag < 1:
@@ -144,32 +142,12 @@ class MarketClass:
 
 
 def _scheme(config: RollingConfig, length: int) -> PartitionPlan | DfaConfig:
-    """The R/S partition plan or DFA box schedule for windows of a length.
-
-    When the default plan resolves to divisors and the length has too few
-    of them (a prime, say), the segments are the doubling lengths
-    min_segment * 2^k <= length/2 instead; as with preset250, each scale
-    discards the trailing remainder.
-    """
+    """The R/S partition plan or DFA box schedule for windows of a length."""
     if config.estimator is EstimatorKind.DFA:
         return DfaConfig(box_sizes=default_box_sizes(length),
                          fit_target=config.dfa_fit_target)
-    policy = config.plan_policy
-    if policy is None:
-        policy = (PartitionPolicy.PRESET_250 if config.window == 250
-                  else PartitionPolicy.DIVISORS_ONLY)
-    try:
-        return build_partition_plan(length, policy, config.min_segment_length)
-    except InvalidPlanError:
-        if (config.plan_policy is not None
-                or policy is not PartitionPolicy.DIVISORS_ONLY):
-            raise
-    # A bad min_segment or length fails the same checks again below.
-    base = config.min_segment_length
-    doubling = [base * 2 ** k for k in range(length.bit_length())
-                if base * 2 ** k <= length // 2]
-    return build_partition_plan(length, PartitionPolicy.EXPLICIT,
-                                config.min_segment_length, explicit=doubling)
+    return build_partition_plan(length, config.plan_policy,
+                                config.min_segment_length)
 
 
 def estimate_window(values: np.ndarray, config: RollingConfig):

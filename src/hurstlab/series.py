@@ -8,7 +8,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
@@ -74,10 +74,6 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return self.closes.size
-
-    @property
-    def observations(self) -> Iterator[tuple[dt.date, float]]:
-        return zip(self.dates, self.closes.tolist())
 
 
 @dataclass(frozen=True)
@@ -207,12 +203,16 @@ def parse_return_csv(raw_text: str, config: CsvConfig = CsvConfig()) -> ReturnSe
     )
 
 
+def serialize_dated_csv(dates: Sequence[dt.date], values: np.ndarray,
+                        name: str) -> str:
+    """A date,<name> header, then one ISO date and value repr per row."""
+    rows = map("{},{!r}".format, map(dt.date.isoformat, dates), values.tolist())
+    return "\n".join([f"date,{name}", *rows]) + "\n"
+
+
 def serialize_price_csv(series: PriceSeries) -> str:
     """Inverse of parse_price_csv for the default CsvConfig."""
-    lines = ["date,close"]
-    for date, close in series.observations:
-        lines.append(f"{date.strftime('%Y-%m-%d')},{close!r}")
-    return "\n".join(lines) + "\n"
+    return serialize_dated_csv(series.dates, series.closes, "close")
 
 
 def log_returns(series: PriceSeries) -> ReturnSeries:

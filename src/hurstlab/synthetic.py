@@ -152,10 +152,27 @@ def fbm(length: int, h: float, seed: int) -> np.ndarray:
     return path
 
 
+def synthetic_calendar(length: int) -> tuple[dt.date, ...]:
+    """The dates of a synthetic series: one a day from SYNTHETIC_EPOCH."""
+    start = SYNTHETIC_EPOCH.toordinal()
+    return tuple(map(dt.date.fromordinal, range(start, start + length)))
+
+
+def _check_calendar_length(length: int) -> None:
+    if length < 2:
+        raise ConfigError(f"length must be >= 2, got {length}")
+    if length > MAX_CALENDAR_LENGTH:
+        raise LengthTooLargeError(
+            f"length must be <= {MAX_CALENDAR_LENGTH} (one date per day "
+            f"from {SYNTHETIC_EPOCH} to {dt.date.max}), got {length}"
+        )
+
+
 def random_walk_prices(length: int, seed: int, drift: float = 0.0,
                        volatility: float = 1.0) -> PriceSeries:
     """Geometric random walk from WALK_START:
     p_t = p_0 * exp(sum(drift + vol * z_i))."""
+    _check_calendar_length(length)
     z = white_noise(length - 1, seed)
     log_path = np.empty(length)
     with np.errstate(all="ignore"):
@@ -168,19 +185,12 @@ def random_walk_prices(length: int, seed: int, drift: float = 0.0,
             f"drift {drift}, volatility {volatility} and start {WALK_START} "
             "do not give a finite positive price path"
         )
-    dates = tuple(SYNTHETIC_EPOCH + dt.timedelta(days=i) for i in range(length))
-    return PriceSeries(dates=dates, closes=closes)
+    return PriceSeries(dates=synthetic_calendar(length), closes=closes)
 
 
 def generate(spec: GeneratorSpec):
     """Dispatch on spec.kind; returns an array or a PriceSeries."""
-    if spec.length < 2:
-        raise ConfigError(f"length must be >= 2, got {spec.length}")
-    if spec.length > MAX_CALENDAR_LENGTH:
-        raise LengthTooLargeError(
-            f"length must be <= {MAX_CALENDAR_LENGTH} (one date per day "
-            f"from {SYNTHETIC_EPOCH} to {dt.date.max}), got {spec.length}"
-        )
+    _check_calendar_length(spec.length)
     _rng(spec.seed)  # a negative seed fails here, ahead of the checks below
     if not (np.isfinite(spec.drift) and np.isfinite(spec.volatility)):
         raise ConfigError("drift and volatility must be finite")

@@ -7,13 +7,15 @@ is raised, and a window is a gap in the trace exactly when its
 standalone estimate raises, noted with that error. The same holds for
 the kurtosis, rank-size, DFA and R/S callables on arrays with NaN and
 infinities, of rank 0 to 2, and for the generators at any length, seed
-and h.
+and h. Integer arguments of the plan and the rolling config take numpy
+integers, and anything else raises a typed error.
 """
 import datetime as dt
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +26,12 @@ from hurstlab.downfalls import (
     progressive_kurtosis,
     rank_size_points,
 )
-from hurstlab.errors import HurstLabError
+from hurstlab.errors import ConfigError, HurstLabError, InvalidPlanError
 from hurstlab.rescaled_range import (
     EstimatorKind,
     PartitionPolicy,
     StdMode,
+    build_partition_plan,
     rs_at_scale,
     segment_stats,
 )
@@ -70,7 +73,9 @@ def sweep_cases(draw):
         lag=draw(st.one_of(st.integers(-1, 12), st.integers(1, length))),
         estimator=draw(st.sampled_from(list(EstimatorKind))),
         transform=draw(st.sampled_from(list(Transform))),
-        plan_policy=draw(st.sampled_from([None, None, None,
+        plan_policy=draw(st.sampled_from([PartitionPolicy.AUTO,
+                                          PartitionPolicy.AUTO,
+                                          PartitionPolicy.AUTO,
                                           PartitionPolicy.DIVISORS_ONLY,
                                           PartitionPolicy.PRESET_250])),
         min_segment_length=draw(st.sampled_from([8, 8, 8, 2, 4, 30])),
@@ -236,3 +241,57 @@ def test_array_callables_raise_only_hurstlab_errors(call):
 @given(call=generator_calls())
 def test_generators_raise_only_hurstlab_errors(call):
     check_call(*call)
+
+
+# -- integer arguments ---------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: build_partition_plan(300, PartitionPolicy.DIVISORS_ONLY, 8.5),
+    lambda: build_partition_plan(300.0, PartitionPolicy.DIVISORS_ONLY),
+    lambda: build_partition_plan(300, PartitionPolicy.EXPLICIT,
+                                 explicit=[math.nan, 30, 60]),
+    lambda: build_partition_plan(300, PartitionPolicy.EXPLICIT,
+                                 explicit=[10.5, 30, 60]),
+    lambda: build_partition_plan(300, PartitionPolicy.EXPLICIT,
+                                 explicit=["10", 30, 60]),
+])
+def test_plan_non_integers_raise_invalid_plan(call):
+    with pytest.raises(InvalidPlanError):
+        call()
+
+
+def test_plan_accepts_numpy_integers():
+    plan = build_partition_plan(np.int64(300), PartitionPolicy.EXPLICIT,
+                                np.int32(10), explicit=np.array([10, 30, 60]))
+    assert plan.total_length == 300 and type(plan.total_length) is int
+    assert plan.segment_lengths == (10, 30, 60)
+    assert all(type(n) is int for n in plan.segment_lengths)
+    assert plan == build_partition_plan(np.uint16(300), PartitionPolicy.EXPLICIT,
+                                        10, explicit=[60, 10, 30])
+
+
+@pytest.mark.parametrize("options", [
+    dict(window=250.5), dict(window="250"), dict(window=None),
+    dict(lag="5"), dict(lag=5.0),
+])
+def test_rolling_config_non_integers_raise_config_error(options):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        RollingConfig(**options)
+
+
+def test_rolling_config_accepts_numpy_integers():
+    config = RollingConfig(window=np.int64(250), lag=np.int32(50))
+    assert (config.window, config.lag) == (250, 50)
+    values = white_noise(400, seed=2)
+    returns = ReturnSeries(
+        transform=Transform.RAW,
+        dates=tuple(SYNTHETIC_EPOCH + dt.timedelta(days=i)
+                    for i in range(values.size)),
+        values=values)
+    assert sweep(returns, config) == sweep(returns, RollingConfig(lag=50))
+
+
+def test_none_plan_policy_raises_invalid_plan():
+    with pytest.raises(InvalidPlanError, match="unknown policy None"):
+        estimate_window(white_noise(250, seed=1),
+                        RollingConfig(plan_policy=None))

@@ -221,6 +221,39 @@ def test_explicit_plan_validated():
                              explicit=[4, 30, 60])
 
 
+@pytest.mark.parametrize("length, policy, lengths", [
+    (250, PartitionPolicy.PRESET_250, (16, 20, 25, 31, 35, 41, 50, 62, 83, 125)),
+    (500, PartitionPolicy.DIVISORS_ONLY, (10, 20, 25, 50, 100, 125, 250)),
+    (40, PartitionPolicy.DIVISORS_ONLY, (8, 10, 20)),
+    (251, PartitionPolicy.EXPLICIT, (8, 16, 32, 64)),
+    (1009, PartitionPolicy.EXPLICIT, (8, 16, 32, 64, 128, 256)),
+    (2999, PartitionPolicy.EXPLICIT, (8, 16, 32, 64, 128, 256, 512, 1024)),
+    (4096, PartitionPolicy.DIVISORS_ONLY, (8, 16, 32, 64, 128, 256, 512,
+                                           1024, 2048)),
+])
+def test_auto_plan(length, policy, lengths):
+    # preset250 at 250 values, divisors elsewhere, and the doubling
+    # lengths, recorded as explicit, when there are fewer than 3 divisors
+    plan = build_partition_plan(length, PartitionPolicy.AUTO)
+    assert (plan.total_length, plan.policy, plan.segment_lengths) == (
+        length, policy, lengths)
+
+
+@pytest.mark.parametrize("length, min_segment, message", [
+    (15, 8, "length 15 too short for segments of 8"),
+    (1, 8, "length 1 too short for segments of 8"),
+    (31, 8, "plan yields only 1 scales; need at least 3"),
+    (47, 8, "plan yields only 2 scales; need at least 3"),
+    (1009, 300, "plan yields only 1 scales; need at least 3"),
+    (250, 30, "segment lengths 16..125 out of bounds for length 250 (min 30)"),
+    (250, 1, "min_segment_length must be >= 2"),
+])
+def test_auto_plan_errors(length, min_segment, message):
+    with pytest.raises(InvalidPlanError) as info:
+        build_partition_plan(length, PartitionPolicy.AUTO, min_segment)
+    assert str(info.value) == message
+
+
 def test_plan_rejects_short_series():
     with pytest.raises(InvalidPlanError):
         build_partition_plan(12, PartitionPolicy.DIVISORS_ONLY)

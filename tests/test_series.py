@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hurstlab.dfa import (
     DfaConfig,
@@ -124,6 +126,20 @@ def test_parse_serialize_round_trip():
     assert back.closes.tolist() == prices.closes.tolist()
     for d1, d2 in zip(back.dates, back.dates[1:]):
         assert d1 < d2
+
+
+@given(dates=st.lists(st.dates(), min_size=2, max_size=20, unique=True),
+       closes=st.lists(st.floats(min_value=5e-324, max_value=1.7e308),
+                       min_size=20, max_size=20))
+@example(dates=[dt.date(999, 1, 1), dt.date(1000, 1, 1)], closes=[1.0] * 20)
+@example(dates=[dt.date(1, 1, 1), dt.date(9999, 12, 31)], closes=[0.1] * 20)
+def test_serialize_parse_round_trip_any_year(dates, closes):
+    # ISO dates throughout, so years below 1000 keep their four digits
+    series = PriceSeries(dates=tuple(sorted(dates)),
+                         closes=np.array(closes[:len(dates)]))
+    back = parse_price_csv(serialize_price_csv(series))
+    assert back.dates == series.dates
+    assert back.closes.tolist() == series.closes.tolist()
 
 
 def test_log_returns_identity_price():

@@ -1,3 +1,5 @@
+import datetime as dt
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,24 @@ def test_prices_positive_and_valid():
     assert isinstance(prices, PriceSeries)
     assert np.all(prices.closes > 0.0)
     assert len(prices) == 500
+
+
+@pytest.mark.parametrize("length", [1, 0, -5])
+def test_prices_reject_lengths_below_two(length):
+    with pytest.raises(ConfigError) as info:
+        random_walk_prices(length, seed=1)
+    assert str(info.value) == f"length must be >= 2, got {length}"
+
+
+def test_prices_reject_lengths_past_the_calendar():
+    with pytest.raises(LengthTooLargeError, match="length must be <="):
+        random_walk_prices(synthetic.MAX_CALENDAR_LENGTH + 1, seed=1)
+
+
+def test_prices_are_dated_by_the_synthetic_calendar():
+    prices = random_walk_prices(3, seed=1)
+    assert prices.dates == synthetic.synthetic_calendar(3) == tuple(
+        synthetic.SYNTHETIC_EPOCH + dt.timedelta(days=i) for i in range(3))
 
 
 def test_prices_log_returns_recover_white_noise():
