@@ -45,16 +45,18 @@ _MAJOR_ROWS = 4096
 
 @np.errstate(over="ignore", invalid="ignore")
 def rs_segments(x: np.ndarray, n: int, ddof: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mean, standard deviation and cumulative-deviation range of each of
-    the floor(length/n) leading segments, each of shape (..., segments)."""
+    the floor(length/n) leading segments, and whether some value of the
+    segment differs from its first, each of shape (..., segments)."""
     v = x.shape[-1] // n
     seg = x[..., : v * n].reshape(*x.shape[:-1], v, n)
     mean = seg.mean(axis=-1, keepdims=True)
     dev = seg - mean
     std = np.sqrt((dev * dev).sum(axis=-1) / (n - ddof))
     walk = dev.cumsum(axis=-1)
-    return mean[..., 0], std, walk.max(axis=-1) - walk.min(axis=-1)
+    varies = (seg != seg[..., :1]).any(axis=-1)
+    return mean[..., 0], std, walk.max(axis=-1) - walk.min(axis=-1), varies
 
 
 def rs_segment_sums(x: np.ndarray, n: int, ddof: int
@@ -62,19 +64,25 @@ def rs_segment_sums(x: np.ndarray, n: int, ddof: int
     """Sum of R/S ratios over the floor(length/n) leading segments.
 
     Returns (ratio_sum, defined_count, segment_count); the first two have
-    x's leading shape. Segments with zero (or undefined) standard
-    deviation contribute nothing to ratio_sum or defined_count.
+    x's leading shape. Constant segments, and segments with zero (or
+    undefined) standard deviation, contribute nothing to ratio_sum or
+    defined_count.
     """
-    _, std, rng = rs_segments(x, n, ddof)
-    ratio, defined = _ratios(std, rng)
+    ratio, defined = _ratios(*rs_segments(x, n, ddof)[1:])
     return ratio.sum(axis=-1), defined.sum(axis=-1), x.shape[-1] // n
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ratios(std: np.ndarray, rng: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Range over standard deviation, 0 where the deviation is not
-    positive, and the flags of the segments where it is."""
-    defined = std > 0.0
+def _ratios(std: np.ndarray, rng: np.ndarray, varies: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Range over standard deviation where the segment varies and the
+    deviation is positive, else 0, and the flags of those segments.
+
+    A constant segment is told by its values, not by its deviation: the
+    mean of n copies of v often does not round to v, which leaves the
+    same tiny deviation at every position and a ratio of n - 1.
+    """
+    defined = varies & (std > 0.0)
     return np.divide(rng, std, out=np.zeros_like(rng), where=defined), defined
 
 
@@ -153,11 +161,12 @@ def _spans(total: int) -> list[tuple[int, int]]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _column_segments(x: np.ndarray, first: int, rows: int, gap: int, n: int,
-                     ddof: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard deviation and walk range of the segments x[s : s + n] at
-    s = first, first + gap, ..., as rs_segments gives them: column k is
-    the strided view of value k of every segment, the sums run in
-    _pairwise's order and the walk is a running sum, as cumsum runs."""
+                     ddof: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standard deviation, walk range and varying flag of the segments
+    x[s : s + n] at s = first, first + gap, ..., as rs_segments gives
+    them: column k is the strided view of value k of every segment, the
+    sums run in _pairwise's order, the walk is a running sum, as cumsum
+    runs, and a segment varies where some column differs from column 0."""
     def col(k):
         return x[first + k: first + k + (rows - 1) * gap + 1: gap]
 
@@ -170,11 +179,13 @@ def _column_segments(x: np.ndarray, first: int, rows: int, gap: int, n: int,
     std = np.sqrt(_pairwise(square, 0, n) / (n - ddof))
     walk = col(0) - mean
     high, low, dev = walk.copy(), walk.copy(), np.empty_like(walk)
+    varies, differs = np.zeros(walk.shape, bool), np.empty(walk.shape, bool)
     for k in range(1, n):
+        varies |= np.not_equal(col(k), col(0), out=differs)
         walk += np.subtract(col(k), mean, out=dev)
         np.maximum(high, walk, out=high)
         np.minimum(low, walk, out=low)
-    return std, high - low
+    return std, high - low, varies
 
 
 def _pairwise(col, lo: int, n: int) -> np.ndarray:

@@ -19,7 +19,14 @@ import json
 import os
 import sys
 
-from .dfa import FitTarget
+# hurstlab makes no BLAS call, but OpenBLAS starts a pool of worker
+# threads when numpy loads, and they spin for ~0.13 s of CPU in every
+# process; a value the user has set is kept. It must be set before the
+# first numpy import, which the next lines make (hurstlab/__init__
+# imports none).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .dfa import FitTarget  # noqa: E402
 from .downfalls import (
     DEFAULT_LOOKBACK_DAYS,
     classify_episode,

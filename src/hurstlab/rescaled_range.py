@@ -72,7 +72,8 @@ class PartitionPlan:
 class RSSegmentStats:
     """Per-segment quantities of the rescaled-range recipe.
 
-    ``ratio`` is None exactly when the segment is constant (std_dev 0).
+    ``ratio`` is None exactly when the segment is constant, or its
+    deviations round to a std_dev of 0.
     """
 
     mean: float
@@ -138,8 +139,9 @@ def segment_stats(segment: Sequence[float],
     if x.size < 2:
         raise TooShortError(f"segment needs at least 2 values, got {x.size}")
     ddof = 0 if std_mode is StdMode.POPULATION else 1
-    m, std, rng = (float(v[0]) for v in _kernels.rs_segments(x, x.size, ddof))
-    ratio = rng / std if std > 0.0 else None
+    m, std, rng, varies = (v[0].item()
+                           for v in _kernels.rs_segments(x, x.size, ddof))
+    ratio = rng / std if varies and std > 0.0 else None
     return RSSegmentStats(mean=m, std_dev=std, range=rng, ratio=ratio)
 
 

@@ -24,6 +24,7 @@ from .errors import (
     HOutOfRangeError,
     LengthTooLargeError,
     UnknownKindError,
+    require_int,
 )
 from .series import PriceSeries
 
@@ -79,6 +80,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def white_noise(length: int, seed: int) -> np.ndarray:
+    length = require_int(length, "length")
     if length < 0:
         raise ConfigError(f"length must be >= 0, got {length}")
     return _rng(seed).standard_normal(length)
@@ -124,6 +126,7 @@ def fgn(length: int, h: float, seed: int) -> np.ndarray:
     """Exact stationary fGn with autocovariance fgn_autocovariance(h, .)."""
     if not 0.0 < h < 1.0:
         raise HOutOfRangeError(f"h must be in (0, 1), got {h}")
+    length = require_int(length, "length")
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
     if length > MAX_EXACT_LENGTH:
@@ -143,6 +146,7 @@ def fgn(length: int, h: float, seed: int) -> np.ndarray:
 
 def fbm(length: int, h: float, seed: int) -> np.ndarray:
     """Fractional Brownian motion: X(0) = 0, increments are fGn."""
+    length = require_int(length, "length")
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
     steps = fgn(length - 1, h, seed) if length > 1 else np.empty(0)
@@ -159,6 +163,7 @@ def synthetic_calendar(length: int) -> tuple[dt.date, ...]:
 
 
 def _check_calendar_length(length: int) -> None:
+    length = require_int(length, "length")
     if length < 2:
         raise ConfigError(f"length must be >= 2, got {length}")
     if length > MAX_CALENDAR_LENGTH:

@@ -213,6 +213,35 @@ def test_rolling_count_on_260_returns(tmp_path, capsys):
     assert len(report["results"]["trace"]) == 3
 
 
+def test_rolling_shift_keeps_constant_run_gaps(tmp_path, capsys):
+    # 300 zero returns inside white noise make gap windows; shifted by
+    # 0.1, whose mean over n copies often does not round to 0.1, the same
+    # windows are gaps and the others keep their h.
+    lines = synth_csv(capsys, "--kind", "white-noise", "--n", "600",
+                      "--seed", "4").splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    reports = []
+    for shift in (0.0, 0.1):
+        text = "date,value\n" + "".join(
+            f"{date},{(0.0 if 100 <= i < 400 else float(value)) + shift!r}\n"
+            for i, (date, value) in enumerate(rows))
+        path = write_fixture(tmp_path, f"run{shift}.csv", text)
+        code, out, err = run_cli(capsys, "rolling", path, "--returns",
+                                 "--lag", "10")
+        assert code == 0, err
+        reports.append(json.loads(out))
+    base, shifted = reports
+    assert shifted["diagnostics"] == base["diagnostics"]
+    assert base["diagnostics"]["gaps"]
+    for (date, h, r2), (date2, h2, r22) in zip(base["results"]["trace"],
+                                             shifted["results"]["trace"]):
+        assert date2 == date
+        if h is None:
+            assert (h2, r22) == (None, None)
+        else:
+            assert h2 == pytest.approx(h, abs=1e-9)
+
+
 def test_rolling_emits_price_table(tmp_path, capsys):
     csv_text = synth_csv(capsys, "--kind", "prices", "--n", "400",
                          "--seed", "12", "--vol", "0.02")

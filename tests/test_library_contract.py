@@ -6,9 +6,10 @@ escapes the rolling sweep and the standalone window estimate, no warning
 is raised, and a window is a gap in the trace exactly when its
 standalone estimate raises, noted with that error. The same holds for
 the kurtosis, rank-size, DFA and R/S callables on arrays with NaN and
-infinities, of rank 0 to 2, and for the generators at any length, seed
-and h. Integer arguments of the plan and the rolling config take numpy
-integers, and anything else raises a typed error.
+infinities, of rank 0 to 2, and for the generators at any length (an
+integer or not), seed and h. Integer arguments of the plan and the
+rolling config take numpy integers, and anything else raises a typed
+error.
 """
 import datetime as dt
 import math
@@ -42,6 +43,7 @@ from hurstlab.synthetic import (
     fbm,
     fgn,
     fgn_autocovariance,
+    random_walk_prices,
     white_noise,
 )
 
@@ -193,17 +195,25 @@ _H_GRID = st.one_of(
 _SEEDS = st.one_of(st.integers(-3, 10), st.integers(2 ** 64 - 2, 2 ** 66))
 
 
+_LENGTHS = st.one_of(st.integers(-3, 300), st.integers(-3, 70_000))
+_NON_INTEGER_LENGTHS = st.sampled_from([10.5, 10.0, 2.5, math.nan, math.inf,
+                                        np.float64(10.0), "10", None])
+
+
 @st.composite
 def generator_calls(draw):
-    """(name, callable, arguments) of a generator at a drawn length, seed
-    and h, or of fgn_autocovariance at a drawn h and lag."""
-    length = draw(st.one_of(st.integers(-3, 300), st.integers(-3, 70_000)))
+    """(name, callable, arguments) of a generator at a drawn length (now
+    and then not an integer), seed and h, or of fgn_autocovariance at a
+    drawn h and integer lag."""
+    lag = draw(_LENGTHS)
+    length = draw(st.one_of(_LENGTHS, _LENGTHS, _NON_INTEGER_LENGTHS))
     seed, h = draw(_SEEDS), draw(_H_GRID)
     return draw(st.sampled_from([
         ("white_noise", white_noise, (length, seed)),
         ("fgn", fgn, (length, h, seed)),
         ("fbm", fbm, (length, h, seed)),
-        ("fgn_autocovariance", fgn_autocovariance, (h, length)),
+        ("random_walk_prices", random_walk_prices, (length, seed)),
+        ("fgn_autocovariance", fgn_autocovariance, (h, lag)),
     ]))
 
 

@@ -1,11 +1,16 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from hurstlab import _kernels
 from hurstlab.errors import (
     AllSegmentsDegenerateError,
+    HurstLabError,
     InputError,
     InvalidPlanError,
     InvalidSeriesError,
@@ -26,6 +31,7 @@ from hurstlab.rescaled_range import (
     fractal_dimension,
     rs_at_scale,
     rs_at_scale_with_diagnostics,
+    rs_curve_rows,
     segment_stats,
 )
 from hurstlab.synthetic import fgn, white_noise
@@ -46,7 +52,7 @@ def rs_oracle(series, n, ddof=0):
             acc += x - m
             walk.append(acc)
         r = max(walk) - min(walk)
-        if s > 0.0:
+        if any(x != seg[0] for x in seg) and s > 0.0:
             ratios.append(r / s)
     if not ratios:
         raise ValueError("all segments degenerate")
@@ -59,6 +65,14 @@ def test_constant_segment_degenerate():
     stats = segment_stats([3.0, 3.0, 3.0, 3.0])
     assert stats.range == 0.0
     assert stats.std_dev == 0.0
+    assert stats.ratio is None
+
+
+def test_constant_segment_with_inexact_mean_degenerate():
+    # The mean of twenty copies of 0.1 does not round to 0.1: every
+    # deviation is the same 1.4e-17, which once gave a ratio of 19.0.
+    stats = segment_stats([0.1] * 20)
+    assert stats.std_dev > 0.0
     assert stats.ratio is None
 
 
@@ -298,6 +312,71 @@ def test_affine_invariance_exact():
     # and the power-of-two factor keeps it exact in floating point too.
     assert shifted.h == pytest.approx(base.h, abs=1e-12)
     assert shifted.r_squared == pytest.approx(base.r_squared, abs=1e-12)
+
+
+@st.composite
+def shifted_series(draw):
+    """A series with constant runs at 0 and other levels, a window (often
+    the preset 250), a lag, a shift, a std mode and a column-layout
+    threshold: the default, or 8 so that every grid of 8 or more segment
+    starts is read by columns."""
+    length = draw(st.integers(64, 500))
+    window = (250 if length >= 250 and draw(st.booleans())
+              else draw(st.integers(64, length)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32))))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    values = rng.standard_normal(length) * scale
+    for start, size, level in draw(st.lists(st.tuples(
+            st.integers(0, length - 1), st.integers(8, 200),
+            st.sampled_from([0.0, 1.5, -2.0])), min_size=1, max_size=3)):
+        values[start:start + size] = level * scale
+    return (values, window, draw(st.integers(1, 40)),
+            draw(st.sampled_from([0.1, 0.3, 0.7, 1e-3, -0.25, 1e3])),
+            draw(st.sampled_from(list(StdMode))),
+            draw(st.sampled_from([_kernels._MAJOR_ROWS, 8])))
+
+
+def _estimate_or_error(x, plan, std_mode):
+    try:
+        estimate = estimate_hurst_rs(x, plan, std_mode)
+    except HurstLabError as exc:
+        return type(exc), str(exc)
+    return estimate.skipped_segments, estimate.h
+
+
+_ZERO_TAIL = white_noise(250, seed=0)
+_ZERO_TAIL[100:] = 0.0
+
+
+@given(case=shifted_series())
+@example(case=(_ZERO_TAIL, 250, 1, 0.1, StdMode.POPULATION,
+               _kernels._MAJOR_ROWS))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_shift_keeps_constant_segments_and_h(case):
+    # R/S is invariant under adding a constant. Shifting rounds each value
+    # to the shift's ulp, which moves a ratio by about |c| / scale * eps
+    # (at most 1e6 * 2.2e-16 here), so h may move by far less than 1e-6;
+    # which segments are constant, and so the skipped counts and the
+    # all-constant error, must not move at all.
+    x, window, lag, c, std_mode, major_rows = case
+    plan = build_partition_plan(window, PartitionPolicy.AUTO)
+    with mock.patch.object(_kernels, "_MAJOR_ROWS", major_rows):
+        stats, defined = rs_curve_rows(x, window, lag, plan.segment_lengths,
+                                       std_mode)
+        shifted, shifted_defined = rs_curve_rows(
+            x + c, window, lag, plan.segment_lengths, std_mode)
+    assert defined.tolist() == shifted_defined.tolist()
+    np.testing.assert_allclose(shifted, stats, rtol=1e-6)
+    for start in (0, (len(stats) - 1) * lag):
+        base = _estimate_or_error(x[start:start + window], plan, std_mode)
+        moved = _estimate_or_error(x[start:start + window] + c, plan,
+                                   std_mode)
+        assert moved[0] == base[0]
+        if isinstance(base[1], float):
+            assert moved[1] == pytest.approx(base[1], abs=1e-6)
+        else:
+            assert moved[1] == base[1]
 
 
 def test_monotone_response_in_true_h():

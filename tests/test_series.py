@@ -1,11 +1,13 @@
 import datetime as dt
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from hurstlab import series as series_module
 from hurstlab.dfa import (
     DfaConfig,
     default_box_sizes,
@@ -15,6 +17,7 @@ from hurstlab.dfa import (
 from hurstlab.errors import (
     AlreadyTransformedError,
     DuplicateDateError,
+    HurstLabError,
     InputError,
     InvalidSeriesError,
     MalformedRowError,
@@ -140,6 +143,95 @@ def test_serialize_parse_round_trip_any_year(dates, closes):
     back = parse_price_csv(serialize_price_csv(series))
     assert back.dates == series.dates
     assert back.closes.tolist() == series.closes.tolist()
+
+
+#: Cells and line ends that the row loop rejects, reads otherwise than a
+#: plain split of a line, or reads through strptime or a stripped cell.
+_ODD_DATES = ["20000103", "2000-01-03T00", "+2000-01-03", "0000-01-01",
+              "2000-02-30", "2000-1-3", "", " 2000-01-03", "2000-01-03 ",
+              '"2000-01-03"', "2000-01-03\x85", "\uff12000-01-03", "NaT"]
+_ODD_VALUES = ["1_0", "\u0661\u0662", ".5", "5.", "Infinity", "nan", "-inf",
+               "0x10", "1e400", "1e-400", "0", "-0.0", "-2.5", "", " 1.5",
+               "1.5 ", '"1.5"', '"1,5"', "\x851.5", "1.5\x85", "1\x00"]
+_ODD_ENDS = ["\r\n", "\r", "\n\n", "\n \n", "\n,\n", "\x85\n"]
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, config) of a small date/value CSV on one of three layouts:
+    ISO dates in order with float values, and in half of the texts now
+    and then an odd cell, line end or header, a missing cell, a value out
+    of range, or a repeated or swapped date."""
+    delimiter, date_column, close_column = draw(st.sampled_from(
+        [(",", 0, 1), (",", 0, 1), (";", 2, 0), ("\t", 1, 2)]))
+    width = max(date_column, close_column) + 1 + draw(st.integers(0, 1))
+    dates = sorted(draw(st.lists(st.dates(), min_size=1, max_size=12,
+                                 unique=True)))
+    if len(dates) > 1 and draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, len(dates) - 2))
+        dates[i + 1] = dates[i] if draw(st.booleans()) else dates[i + 1]
+        dates[i], dates[i + 1] = dates[i + 1], dates[i]
+    # half of the texts are plain, so that the columnar pass is taken
+    odd = (st.just(False) if draw(st.booleans())
+           else st.integers(0, 9).map(lambda k: k == 0))
+    lines = [draw(st.sampled_from([
+        delimiter.join(f"c{k}" for k in range(width)), "", "date",
+        '"date","close","x"', " " + delimiter, "d\x00te"]))
+        if draw(odd) else delimiter.join(f"c{k}" for k in range(width))]
+    for date in dates:
+        cells = ["x"] * (width - draw(odd))
+        value = repr(draw(st.floats(min_value=-1e6, max_value=1e6)
+                          if draw(odd) else
+                          st.floats(min_value=5e-324, max_value=1e308)))
+        for column, text, cases in (
+                (date_column, date.isoformat(), _ODD_DATES),
+                (close_column, value, _ODD_VALUES)):
+            if column < len(cells):
+                cells[column] = (draw(st.sampled_from(cases)) if draw(odd)
+                                 else text)
+        lines.append(delimiter.join(cells))
+    ends = [draw(st.sampled_from(_ODD_ENDS)) if draw(odd) else "\n"
+            for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return text, CsvConfig(delimiter=delimiter, date_column=date_column,
+                           close_column=close_column)
+
+
+def parse_outcome(parse, text, config):
+    """The parsed dates and value bits, or the error's type and message."""
+    try:
+        parsed = parse(text, config)
+    except HurstLabError as exc:
+        return type(exc), str(exc)
+    values = parsed.closes if isinstance(parsed, PriceSeries) else parsed.values
+    return parsed.dates, values.tobytes()
+
+
+@given(case=csv_texts(), parse=st.sampled_from([parse_price_csv,
+                                                parse_return_csv]))
+@example(case=("date,close\n2000-01-03,1.5\n2000-01-04,2.5\n", CsvConfig()),
+         parse=parse_price_csv)
+@settings(max_examples=500, deadline=None)
+def test_columnar_parse_equals_row_loop(case, parse):
+    text, config = case
+    columnar = series_module._parse_columns(
+        text, config, positive=parse is parse_price_csv) is not None
+    event("columnar pass" if columnar else "row loop")
+    got = parse_outcome(parse, text, config)
+    with mock.patch.object(series_module, "_parse_columns", return_value=None):
+        assert got == parse_outcome(parse, text, config)
+
+
+def test_columnar_parse_takes_plain_iso_files():
+    prices = random_walk_prices(500, seed=3, volatility=0.01)
+    text = serialize_price_csv(prices)
+    dates, closes = series_module._parse_columns(text, CsvConfig(), True)
+    assert dates == prices.dates
+    assert closes.tobytes() == prices.closes.tobytes()
+    assert series_module._parse_columns(
+        text, CsvConfig(date_format="%Y-%m-%d %H"), True) is None
 
 
 def test_log_returns_identity_price():

@@ -103,6 +103,19 @@ MATRIX = [
            "hurst header.csv",
            "hurst P.csv --close-column 5", code=2),
     *_runs("hurst flat.csv", code=3),
+    # CSV cells and lines the columnar parse leaves to the row loop, or
+    # reads as the loop does
+    *_runs("hurst quoted.csv",
+           "hurst crlf.csv",
+           "hurst blank.csv",
+           "hurst padded.csv",
+           "hurst underscore.csv",
+           "hurst extra.csv"),
+    *_runs("hurst feb30.csv",
+           "hurst year0.csv",
+           "hurst compact.csv",
+           "hurst nan.csv",
+           "hurst inf.csv", code=2),
     # dfa
     *_runs("dfa P.csv",
            "dfa P.csv --fit-target squared --format table",
@@ -131,6 +144,9 @@ MATRIX = [
            "--window 200 --lag 7",
            "rolling G.csv --returns --lag 10",
            "rolling G.csv --returns --lag 10 --format table",
+           # G shifted by 0.1: the same gaps, as a constant run is told by
+           # its values, not by a deviation that rounds to 0
+           "rolling G1.csv --returns --lag 10",
            "rolling W.csv --lag 1",
            "rolling flat.csv --window 100 --lag 10",
            "rolling D.csv --window 500 --lag 50 --transform squared"),
@@ -171,12 +187,31 @@ def write_derived_inputs(work: str) -> None:
         with open(os.path.join(work, name)) as handle:
             return handle.read().splitlines()
 
-    def write(name, lines, encoding="utf-8"):
+    def write(name, lines, encoding="utf-8", end="\n"):
         with open(os.path.join(work, name), "wb") as handle:
-            handle.write(("\n".join(lines) + "\n").encode(encoding))
+            handle.write((end.join(lines) + end).encode(encoding))
+
+    def edit(name, row, cells):
+        """P.csv with the cells of data row `row` replaced."""
+        write(name, prices[:row] + [",".join(cells)] + prices[row + 1:])
 
     prices = read("P.csv")
     write("unsorted.csv", prices[:1] + prices[:0:-1])
+    write("quoted.csv", ['"' + row.replace(",", '","') + '"'
+                         for row in prices])
+    write("crlf.csv", prices, end="\r\n")
+    write("blank.csv", prices[:1] + [""] + prices[1:500] + ["  ", " , "]
+          + prices[500:] + [""])
+    write("padded.csv", prices[:1] + [" " + row.replace(",", " ,\t")
+                                      for row in prices[1:]])
+    write("extra.csv", [row + ",1" for row in prices])
+    date, close = prices[7].split(",")
+    edit("underscore.csv", 7, [date, "1_0"])
+    edit("nan.csv", 7, [date, "nan"])
+    edit("inf.csv", 7, [date, "inf"])
+    edit("compact.csv", 7, [date.replace("-", ""), close])
+    edit("feb30.csv", 7, ["2000-02-30", close])
+    edit("year0.csv", 7, ["0000-01-01", close])
     semi = ["close;volume;date"]
     for row in prices[1:]:
         date, close = row.split(",")
@@ -186,6 +221,9 @@ def write_derived_inputs(work: str) -> None:
     noise = read("N.csv")
     write("G.csv", noise[:101] + [row.split(",")[0] + ",0.0"
                                   for row in noise[101:401]] + noise[401:])
+    write("G1.csv", read("G.csv")[:1] + [
+        f"{date},{float(value) + 0.1!r}"
+        for date, value in (row.split(",") for row in read("G.csv")[1:])])
     write("flat.csv", prices[:1] + [row.split(",")[0] + ",100.0"
                                     for row in prices[1:301]])
     write("latin1.csv", ["date,close", "2000-01-03,1é"], "latin-1")
