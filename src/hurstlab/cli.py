@@ -324,7 +324,8 @@ def cmd_hurst(args) -> int:
     }
     report = {
         "command": _echo(args, ("transform", "estimator", "plan",
-                                "min_segment", "std", "returns")),
+                                "min_segment", "std", "returns",
+                                "fit_target")),
         "input": {"fingerprint": fingerprint, "returns": len(transformed)},
         "results": results,
         "diagnostics": {
@@ -355,7 +356,7 @@ def cmd_vstat(args) -> int:
     }
     report = {
         "command": _echo(args, ("transform", "plan", "min_segment",
-                                "flat_tolerance", "returns")),
+                                "flat_tolerance", "returns", "std")),
         "input": {"fingerprint": fingerprint, "returns": len(transformed)},
         "results": results,
         "diagnostics": {"flags": list(est.flags)},
@@ -405,7 +406,8 @@ def cmd_rolling(args) -> int:
     }
     report = {
         "command": _echo(args, ("window", "lag", "estimator", "transform",
-                                "plan", "cuts", "returns")),
+                                "plan", "cuts", "returns", "min_segment",
+                                "std", "fit_target")),
         "input": {"fingerprint": fingerprint, "returns": len(returns)},
         "results": results,
         "diagnostics": diagnostics,

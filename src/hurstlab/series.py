@@ -6,10 +6,9 @@ import datetime as dt
 import io
 import math
 import operator
-import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -17,10 +16,12 @@ from .errors import (
     AlreadyTransformedError,
     ConfigError,
     DuplicateDateError,
+    InputError,
     InvalidSeriesError,
     MalformedRowError,
     NonPositivePriceError,
     TooShortError,
+    require_int,
 )
 
 
@@ -115,112 +116,93 @@ class CsvConfig:
     date_format: str = "%Y-%m-%d"
 
     def __post_init__(self):
-        if len(self.delimiter) != 1:
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise ConfigError(f"delimiter must be one character, got "
                               f"{self.delimiter!r}")
+        if not isinstance(self.date_format, str):
+            raise ConfigError(f"date_format must be a string, got "
+                              f"{self.date_format!r}")
+        for name in ("date_column", "close_column"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.date_column < 0 or self.close_column < 0:
             raise ConfigError("column indices must be >= 0")
 
 
-#: An ASCII YYYY-MM-DD date; strptime("%Y-%m-%d") accepts more spellings
-#: (2000-1-3, non-ASCII digits), and date.fromisoformat others (20000103,
-#: 2000-W01-1), so only this exact shape takes the fast path.
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-#: Maps every ASCII digit to 0: a column of ASCII cells, joined by
-#: newlines, has _ISO_DATE's shape throughout when it maps to copies of
-#: "0000-00-00" (a regex repeat over the column holds ~270 bytes a row).
 _ZERO_DIGITS = str.maketrans("123456789", "000000000")
 
-#: The ASCII characters str.strip() removes, a quote and NUL (which the
-#: csv module rejects before Python 3.11): a data row holding one of them
-#: is left to the csv module and the row loop.
-_UNSAFE = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f\"\x00"
+
+def _iso_shaped(cells: Sequence[str]) -> bool:
+    """Whether every cell has the ASCII YYYY-MM-DD shape, on which
+    date.fromisoformat and strptime("%Y-%m-%d") agree; each also reads
+    spellings the other rejects (20000103, 2000-1-3). The digits of the
+    joined cells map to 0 in one pass (a regex repeat holds ~270 bytes a
+    row)."""
+    return ("\n".join(cells).translate(_ZERO_DIGITS)
+            == "\n".join(["0000-00-00"] * len(cells)))
 
 
 def _parse_date(text: str, fmt: str) -> dt.date:
     """datetime.strptime(text, fmt).date(), ~10x faster on ISO dates."""
-    if fmt == "%Y-%m-%d" and _ISO_DATE.fullmatch(text):
+    if fmt == "%Y-%m-%d" and _iso_shaped([text]):
         return dt.date.fromisoformat(text)
     return dt.datetime.strptime(text, fmt).date()
 
 
+def _tokenise(raw_text: str, delimiter: str) -> list[list[str]]:
+    """csv.reader's rows: a split of each line on the delimiter unless the
+    text holds a quote, CR or NUL, the delimiter is one of those or LF,
+    or a line is longer than the csv field limit."""
+    lines = raw_text.split("\n")
+    if (delimiter not in '"\r\n\x00' and not any(c in raw_text for c in '"\r\x00')
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        return [line.split(delimiter) for line in lines]
+    reader = csv.reader(io.StringIO(raw_text), delimiter=delimiter)
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise MalformedRowError(f"line {reader.line_num}: {exc}") from exc
+
+
 def _parse_rows(raw_text: str, config: CsvConfig, what: str,
                 positive: bool) -> tuple[tuple[dt.date, ...], np.ndarray]:
-    """Dates and values of the data rows after the header, sorted by date:
-    the columnar pass when it accepts the text, else the row loop."""
-    columns = _parse_columns(raw_text, config, positive)
-    if columns is not None:
-        return columns
-    entries = _parse_row_loop(raw_text, config, what, positive)
-    return (tuple(date for date, _ in entries),
-            np.array([value for _, value in entries], dtype=np.float64))
-
-
-def _parse_columns(raw_text: str, config: CsvConfig, positive: bool
-                   ) -> tuple[tuple[dt.date, ...], np.ndarray] | None:
-    """What _parse_row_loop gives, a column at a time, or None when the
-    text may hold anything the loop treats otherwise than a plain split
-    of each line: a date format other than %Y-%m-%d, a blank header or
-    one with a quote, a carriage return or NUL, or a data row with one of
-    those, whitespace, non-ASCII text, too few cells or a cell above the
-    csv field limit. It is also None when any row would make the loop
-    raise or reorder: a date not of the ISO shape or not a calendar date,
-    dates not strictly increasing, or a value float() rejects, not finite
-    or (if positive) not above 0. Cells go through the loop's own
-    date.fromisoformat and float, so an accepted text gives the loop's
-    values bit for bit."""
-    delimiter = config.delimiter
-    if config.date_format != "%Y-%m-%d" or delimiter in "\r\n\"\x00":
-        return None
-    header, _, data = raw_text.partition("\n")
-    if (not header.replace(delimiter, "").strip()
-            or any(c in header for c in "\r\"\x00") or not data.isascii()
-            or any(c in data for c in _UNSAFE if c != delimiter)):
-        return None
-    lines = data.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    rows = [line.split(delimiter) for line in lines]
-    if min(map(len, rows)) <= max(config.date_column, config.close_column):
-        return None
-    columns = list(zip(*rows))
-    date_text = columns[config.date_column]
-    value_text = columns[config.close_column]
-    if ("\n".join(date_text).translate(_ZERO_DIGITS)
-            != "\n".join(["0000-00-00"] * len(date_text))):
-        return None
+    """Dates and values of the data rows, sorted by date. Blank rows are
+    skipped and the first row left is the header. The columns are
+    converted whole; only if that fails does one walk over the rows name
+    the first bad row."""
+    if not isinstance(raw_text, str):
+        raise InputError(f"CSV text must be a str, got {type(raw_text).__name__}")
+    rows = [row for row in _tokenise(raw_text, config.delimiter)
+            if "".join(row).strip()]
+    if not rows:
+        raise TooShortError("empty input")
+    del rows[0]
     try:
-        dates = tuple(map(dt.date.fromisoformat, date_text))
-        values = np.fromiter(map(float, value_text), np.float64, len(value_text))
-    except ValueError:
-        return None
-    if (not all(map(operator.lt, dates, dates[1:]))
-            or not np.isfinite(values).all()
-            or positive and not (values > 0.0).all()):
-        return None
+        date_text = [row[config.date_column].strip() for row in rows]
+        value_text = [row[config.close_column].strip() for row in rows]
+        if config.date_format == "%Y-%m-%d" and _iso_shaped(date_text):
+            dates = tuple(map(dt.date.fromisoformat, date_text))
+        else:
+            dates = tuple(_parse_date(text, config.date_format) for text in date_text)
+        values = np.fromiter(map(float, value_text), np.float64, len(rows))
+        failed = not np.isfinite(values).all() or positive and (values <= 0.0).any()
+    except (IndexError, ValueError):
+        failed = True
+    if failed:
+        _raise_row_error(rows, config, what, positive)
+    if not all(map(operator.lt, dates, dates[1:])):
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        dates, values = tuple(dates[i] for i in order), values[order]
     return dates, values
 
 
-def _parse_row_loop(raw_text: str, config: CsvConfig, what: str,
-                    positive: bool) -> list[tuple[dt.date, float]]:
-    """Date-sorted (date, value) pairs of the data rows after the header.
-
-    Each row is checked in order: column count, date, value (a finite
-    float, and > 0 when positive is set).
-    """
-    reader = csv.reader(io.StringIO(raw_text), delimiter=config.delimiter)
-    try:
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    except csv.Error as exc:
-        raise MalformedRowError(f"line {reader.line_num}: {exc}") from exc
-    if not rows:
-        raise TooShortError("empty input")
+def _raise_row_error(rows: list[list[str]], config: CsvConfig, what: str,
+                     positive: bool) -> NoReturn:
+    """Raise for the first data row (the header is row 1) that fails a
+    check, in order: column count, date, value (a finite float, and > 0
+    when positive is set). These are the column pass's checks row by row,
+    so some row fails whenever that pass does."""
     needed = max(config.date_column, config.close_column)
-    entries: list[tuple[dt.date, float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if len(row) <= needed:
             raise MalformedRowError(f"row {lineno}: expected at least "
                                     f"{needed + 1} columns, got {len(row)}")
@@ -238,9 +220,6 @@ def _parse_row_loop(raw_text: str, config: CsvConfig, what: str,
             raise MalformedRowError(f"row {lineno}: non-finite {what} {value_text!r}")
         if positive and value <= 0.0:
             raise NonPositivePriceError(f"row {lineno}: close {value} on {date}")
-        entries.append((date, value))
-    entries.sort(key=lambda pair: pair[0])
-    return entries
 
 
 def parse_price_csv(raw_text: str, config: CsvConfig = CsvConfig()) -> PriceSeries:

@@ -66,6 +66,7 @@ def fgn_autocovariance(h: float, k: int) -> float:
     gamma(k) = 0.5 * (|k+1|^2h - 2|k|^2h + |k-1|^2h); gamma(0) = 1 and
     every lag vanishes at h = 0.5 (independent increments).
     """
+    k = require_int(k, "lag")
     if not 0.0 < h < 1.0:
         raise HOutOfRangeError(f"h must be in (0, 1), got {h}")
     return float(_fgn_gamma(h, np.array([abs(k)]))[0])

@@ -316,6 +316,30 @@ def test_divisors_plan_without_divisors_exit_4(tmp_path, capsys, argv):
     assert json.loads(err)["error"] == "InvalidPlanError"
 
 
+@pytest.mark.parametrize("argv, flag, values", [
+    (("hurst", "--estimator", "dfa"), "--fit-target", ("rms", "squared")),
+    (("dfa",), "--fit-target", ("rms", "squared")),
+    (("vstat",), "--std", ("population", "sample")),
+    (("rolling", "--window", "300", "--lag", "100"), "--min-segment",
+     ("8", "20")),
+    (("rolling", "--lag", "100"), "--std", ("population", "sample")),
+    (("rolling", "--estimator", "dfa", "--window", "256", "--lag", "100"),
+     "--fit-target", ("rms", "squared")),
+])
+def test_command_echo_tells_apart_flags_that_change_results(
+        tmp_path, capsys, argv, flag, values):
+    csv_text = synth_csv(capsys, "--kind", "prices", "--n", "1025",
+                         "--seed", "2", "--vol", "0.02")
+    path = write_fixture(tmp_path, "px.csv", csv_text)
+    reports = []
+    for value in values:
+        code, out, err = run_cli(capsys, argv[0], path, *argv[1:], flag, value)
+        assert code == 0, err
+        reports.append(json.loads(out))
+    assert reports[0]["results"] != reports[1]["results"]
+    assert reports[0]["command"] != reports[1]["command"]
+
+
 # -- vstat -------------------------------------------------------------------
 
 def test_vstat_white_noise_flat(tmp_path, capsys):

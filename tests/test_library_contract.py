@@ -7,9 +7,10 @@ is raised, and a window is a gap in the trace exactly when its
 standalone estimate raises, noted with that error. The same holds for
 the kurtosis, rank-size, DFA and R/S callables on arrays with NaN and
 infinities, of rank 0 to 2, and for the generators at any length (an
-integer or not), seed and h. Integer arguments of the plan and the
-rolling config take numpy integers, and anything else raises a typed
-error.
+integer or not), seed and h, and for the CSV parsers on any text or
+object and any CSV settings. Integer arguments of the plan, the rolling
+config, the CSV settings and the fGn autocovariance take numpy integers,
+and anything else raises a typed error.
 """
 import datetime as dt
 import math
@@ -27,7 +28,12 @@ from hurstlab.downfalls import (
     progressive_kurtosis,
     rank_size_points,
 )
-from hurstlab.errors import ConfigError, HurstLabError, InvalidPlanError
+from hurstlab.errors import (
+    ConfigError,
+    HurstLabError,
+    InputError,
+    InvalidPlanError,
+)
 from hurstlab.rescaled_range import (
     EstimatorKind,
     PartitionPolicy,
@@ -37,7 +43,14 @@ from hurstlab.rescaled_range import (
     segment_stats,
 )
 from hurstlab.rolling import RollingConfig, estimate_window, sweep
-from hurstlab.series import ReturnSeries, Transform, transform_returns
+from hurstlab.series import (
+    CsvConfig,
+    ReturnSeries,
+    Transform,
+    parse_price_csv,
+    parse_return_csv,
+    transform_returns,
+)
 from hurstlab.synthetic import (
     SYNTHETIC_EPOCH,
     fbm,
@@ -204,8 +217,8 @@ _NON_INTEGER_LENGTHS = st.sampled_from([10.5, 10.0, 2.5, math.nan, math.inf,
 def generator_calls(draw):
     """(name, callable, arguments) of a generator at a drawn length (now
     and then not an integer), seed and h, or of fgn_autocovariance at a
-    drawn h and integer lag."""
-    lag = draw(_LENGTHS)
+    drawn h and lag (now and then not an integer)."""
+    lag = draw(st.one_of(_LENGTHS, _LENGTHS, _NON_INTEGER_LENGTHS))
     length = draw(st.one_of(_LENGTHS, _LENGTHS, _NON_INTEGER_LENGTHS))
     seed, h = draw(_SEEDS), draw(_H_GRID)
     return draw(st.sampled_from([
@@ -250,6 +263,42 @@ def test_array_callables_raise_only_hurstlab_errors(call):
           suppress_health_check=[HealthCheck.too_slow])
 @given(call=generator_calls())
 def test_generators_raise_only_hurstlab_errors(call):
+    check_call(*call)
+
+
+#: The default of each CSV setting, and other values, valid or not
+_CSV_SETTINGS = dict(
+    delimiter=(",", [";", "\t", '"', "\r", "\n", "\x00", "", ",,", None, 5,
+                     b","]),
+    date_column=(0, [1, 2, -1, np.int64(0), 1.5, "0", None]),
+    close_column=(1, [0, 3, np.int32(1), 1.0, "1", None]),
+    date_format=("%Y-%m-%d", ["%d/%m/%Y", "%Y", "%", "", None, 5]),
+)
+
+
+@st.composite
+def parser_calls(draw):
+    """(name, callable, arguments) of a CSV parser on drawn text (now and
+    then not a str) under CSV settings each drawn from its other values
+    one time in four."""
+    text = draw(st.one_of(
+        st.text(alphabet=st.sampled_from(list('0123456789-/.,;e"\r\n\t '
+                                              '\x00\x1c\x85nai')),
+                max_size=80),
+        st.just("date,close\n2000-01-03,1.5\n2000-01-04,2.5\n"),
+        st.sampled_from([b"date,close\n2000-01-03,1.5\n", None, 5,
+                         ["date,close"]])))
+    settings_ = {name: draw(st.sampled_from(others))
+                 if draw(st.integers(0, 3)) == 0 else default
+                 for name, (default, others) in _CSV_SETTINGS.items()}
+    parse = draw(st.sampled_from([parse_price_csv, parse_return_csv]))
+    return (parse.__name__, lambda: parse(text, CsvConfig(**settings_)), ())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(call=parser_calls())
+def test_csv_parsers_raise_only_hurstlab_errors(call):
     check_call(*call)
 
 
@@ -305,3 +354,38 @@ def test_none_plan_policy_raises_invalid_plan():
     with pytest.raises(InvalidPlanError, match="unknown policy None"):
         estimate_window(white_noise(250, seed=1),
                         RollingConfig(plan_policy=None))
+
+
+@pytest.mark.parametrize("settings_", [
+    dict(date_column="0"), dict(date_column=None), dict(close_column=1.5),
+    dict(close_column=1.0), dict(delimiter=None), dict(delimiter=5),
+    dict(delimiter=b","), dict(date_format=None), dict(date_format=5),
+])
+def test_csv_config_bad_types_raise_config_error(settings_):
+    with pytest.raises(ConfigError, match="must be"):
+        CsvConfig(**settings_)
+
+
+def test_csv_config_accepts_numpy_integers():
+    config = CsvConfig(date_column=np.int64(0), close_column=np.int32(1))
+    assert (config.date_column, config.close_column) == (0, 1)
+    assert all(type(n) is int for n in (config.date_column,
+                                        config.close_column))
+
+
+@pytest.mark.parametrize("parse", [parse_price_csv, parse_return_csv])
+@pytest.mark.parametrize("text", [b"date,close\n2000-01-03,1.5\n", None, 5,
+                                  ["date,close"]])
+def test_csv_parsers_reject_text_that_is_not_str(parse, text):
+    with pytest.raises(InputError, match="CSV text must be a str"):
+        parse(text)
+
+
+@pytest.mark.parametrize("lag", [2.5, 10.0, "10", None, math.nan])
+def test_fgn_autocovariance_non_integer_lag_raises_config_error(lag):
+    with pytest.raises(ConfigError, match="lag must be an integer"):
+        fgn_autocovariance(0.7, lag)
+
+
+def test_fgn_autocovariance_takes_numpy_and_negative_lags():
+    assert fgn_autocovariance(0.7, np.int64(-10)) == fgn_autocovariance(0.7, 10)

@@ -1,13 +1,14 @@
+import csv
 import datetime as dt
+import io
 import math
-from unittest import mock
+import re
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from hurstlab import series as series_module
 from hurstlab.dfa import (
     DfaConfig,
     default_box_sizes,
@@ -145,25 +146,106 @@ def test_serialize_parse_round_trip_any_year(dates, closes):
     assert back.closes.tolist() == series.closes.tolist()
 
 
-#: Cells and line ends that the row loop rejects, reads otherwise than a
-#: plain split of a line, or reads through strptime or a stripped cell.
+#: An ASCII YYYY-MM-DD date; strptime("%Y-%m-%d") accepts more spellings
+#: (2000-1-3, non-ASCII digits), and date.fromisoformat others (20000103,
+#: 2000-W01-1), so only this exact shape takes the fast path.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _parse_date(text: str, fmt: str) -> dt.date:
+    """datetime.strptime(text, fmt).date(), ~10x faster on ISO dates."""
+    if fmt == "%Y-%m-%d" and _ISO_DATE.fullmatch(text):
+        return dt.date.fromisoformat(text)
+    return dt.datetime.strptime(text, fmt).date()
+
+
+def _parse_row_loop(raw_text: str, config: CsvConfig, what: str,
+                    positive: bool) -> list[tuple[dt.date, float]]:
+    """Date-sorted (date, value) pairs of the data rows after the header.
+
+    Each row is checked in order: column count, date, value (a finite
+    float, and > 0 when positive is set).
+    """
+    reader = csv.reader(io.StringIO(raw_text), delimiter=config.delimiter)
+    try:
+        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise MalformedRowError(f"line {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise TooShortError("empty input")
+    needed = max(config.date_column, config.close_column)
+    entries: list[tuple[dt.date, float]] = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) <= needed:
+            raise MalformedRowError(f"row {lineno}: expected at least "
+                                    f"{needed + 1} columns, got {len(row)}")
+        date_text = row[config.date_column].strip()
+        value_text = row[config.close_column].strip()
+        try:
+            date = _parse_date(date_text, config.date_format)
+        except ValueError as exc:
+            raise MalformedRowError(f"row {lineno}: bad date {date_text!r}") from exc
+        try:
+            value = float(value_text)
+        except ValueError as exc:
+            raise MalformedRowError(f"row {lineno}: bad {what} {value_text!r}") from exc
+        if not math.isfinite(value):
+            raise MalformedRowError(f"row {lineno}: non-finite {what} {value_text!r}")
+        if positive and value <= 0.0:
+            raise NonPositivePriceError(f"row {lineno}: close {value} on {date}")
+        entries.append((date, value))
+    entries.sort(key=lambda pair: pair[0])
+    return entries
+
+
+def reference_parse(parse, text, config):
+    """What parse gives, read row by row by the csv module with the row
+    loop and date reader hurstlab used before its columnar parser: the
+    reference for that parser."""
+    positive = parse is parse_price_csv
+    entries = _parse_row_loop(text, config, "price" if positive else "value",
+                              positive)
+    dates = tuple(date for date, _ in entries)
+    values = np.array([value for _, value in entries], dtype=np.float64)
+    if positive:
+        if len(dates) < 2:
+            raise TooShortError(f"need at least 2 rows, got {len(dates)}")
+        return PriceSeries(dates=dates, closes=values)
+    if not dates:
+        raise TooShortError("no data rows")
+    return ReturnSeries(transform=Transform.RAW, dates=dates, values=values)
+
+
+#: Cells, line ends and characters that the row loop rejects, reads
+#: otherwise than a plain split of a line, or reads through strptime or a
+#: stripped cell.
 _ODD_DATES = ["20000103", "2000-01-03T00", "+2000-01-03", "0000-01-01",
               "2000-02-30", "2000-1-3", "", " 2000-01-03", "2000-01-03 ",
-              '"2000-01-03"', "2000-01-03\x85", "\uff12000-01-03", "NaT"]
+              '"2000-01-03"', "2000-01-03\x85", "\uff12000-01-03", "NaT",
+              "31/02/2000", "1/2/2000", "03/01/2000", " 03/01/2000\x1c"]
 _ODD_VALUES = ["1_0", "\u0661\u0662", ".5", "5.", "Infinity", "nan", "-inf",
                "0x10", "1e400", "1e-400", "0", "-0.0", "-2.5", "", " 1.5",
-               "1.5 ", '"1.5"', '"1,5"', "\x851.5", "1.5\x85", "1\x00"]
+               "1.5 ", '"1.5"', '"1,5"', "\x851.5", "1.5\x85", "1\x00",
+               "\x1c1.5", "1.5\x1f"]
 _ODD_ENDS = ["\r\n", "\r", "\n\n", "\n \n", "\n,\n", "\x85\n"]
+_JUNK = ['"', "\r", "\x00", "\x85", "\x0c", "\x1c", " {} ", "\n{}\n",
+         "\n{}{}\n"]
+
+#: (delimiter, date column, close column, date format)
+_LAYOUTS = [(",", 0, 1, "%Y-%m-%d"), (",", 0, 1, "%Y-%m-%d"),
+            (";", 2, 0, "%Y-%m-%d"), ("\t", 1, 2, "%Y-%m-%d"),
+            (";", 2, 0, "%d/%m/%Y")]
 
 
 @st.composite
 def csv_texts(draw):
-    """(text, config) of a small date/value CSV on one of three layouts:
-    ISO dates in order with float values, and in half of the texts now
-    and then an odd cell, line end or header, a missing cell, a value out
-    of range, or a repeated or swapped date."""
-    delimiter, date_column, close_column = draw(st.sampled_from(
-        [(",", 0, 1), (",", 0, 1), (";", 2, 0), ("\t", 1, 2)]))
+    """(text, config) of a small date/value CSV on one of five layouts:
+    dates in order with float values, and in half of the texts now and
+    then an odd cell, line end or header, a missing cell, a value out of
+    range, a repeated or swapped date, or junk characters inserted
+    anywhere."""
+    delimiter, date_column, close_column, date_format = draw(
+        st.sampled_from(_LAYOUTS))
     width = max(date_column, close_column) + 1 + draw(st.integers(0, 1))
     dates = sorted(draw(st.lists(st.dates(), min_size=1, max_size=12,
                                  unique=True)))
@@ -171,8 +253,9 @@ def csv_texts(draw):
         i = draw(st.integers(0, len(dates) - 2))
         dates[i + 1] = dates[i] if draw(st.booleans()) else dates[i + 1]
         dates[i], dates[i + 1] = dates[i + 1], dates[i]
-    # half of the texts are plain, so that the columnar pass is taken
-    odd = (st.just(False) if draw(st.booleans())
+    # half of the texts are plain, so that most of them parse
+    plain = draw(st.booleans())
+    odd = (st.just(False) if plain
            else st.integers(0, 9).map(lambda k: k == 0))
     lines = [draw(st.sampled_from([
         delimiter.join(f"c{k}" for k in range(width)), "", "date",
@@ -183,8 +266,10 @@ def csv_texts(draw):
         value = repr(draw(st.floats(min_value=-1e6, max_value=1e6)
                           if draw(odd) else
                           st.floats(min_value=5e-324, max_value=1e308)))
+        date_text = (date.isoformat() if date_format == "%Y-%m-%d" else
+                     f"{date.day:02}/{date.month:02}/{date.year:04}")
         for column, text, cases in (
-                (date_column, date.isoformat(), _ODD_DATES),
+                (date_column, date_text, _ODD_DATES),
                 (close_column, value, _ODD_VALUES)):
             if column < len(cells):
                 cells[column] = (draw(st.sampled_from(cases)) if draw(odd)
@@ -195,8 +280,13 @@ def csv_texts(draw):
     text = "".join(line + end for line, end in zip(lines, ends))
     if draw(st.booleans()):
         text = text[:-len(ends[-1])]
+    if not plain:
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(text)))
+            junk = draw(st.sampled_from(_JUNK)).format(delimiter, delimiter)
+            text = text[:at] + junk + text[at:]
     return text, CsvConfig(delimiter=delimiter, date_column=date_column,
-                           close_column=close_column)
+                           close_column=close_column, date_format=date_format)
 
 
 def parse_outcome(parse, text, config):
@@ -213,25 +303,16 @@ def parse_outcome(parse, text, config):
                                                 parse_return_csv]))
 @example(case=("date,close\n2000-01-03,1.5\n2000-01-04,2.5\n", CsvConfig()),
          parse=parse_price_csv)
+@example(case=("date,close\n2000-01-03,\x1c1.5\n", CsvConfig()),
+         parse=parse_return_csv)
 @settings(max_examples=500, deadline=None)
 def test_columnar_parse_equals_row_loop(case, parse):
     text, config = case
-    columnar = series_module._parse_columns(
-        text, config, positive=parse is parse_price_csv) is not None
-    event("columnar pass" if columnar else "row loop")
+    event("csv.reader" if any(c in text for c in '"\r\x00') else "split")
     got = parse_outcome(parse, text, config)
-    with mock.patch.object(series_module, "_parse_columns", return_value=None):
-        assert got == parse_outcome(parse, text, config)
-
-
-def test_columnar_parse_takes_plain_iso_files():
-    prices = random_walk_prices(500, seed=3, volatility=0.01)
-    text = serialize_price_csv(prices)
-    dates, closes = series_module._parse_columns(text, CsvConfig(), True)
-    assert dates == prices.dates
-    assert closes.tobytes() == prices.closes.tobytes()
-    assert series_module._parse_columns(
-        text, CsvConfig(date_format="%Y-%m-%d %H"), True) is None
+    event("parsed" if isinstance(got[0], tuple) else got[0].__name__)
+    assert got == parse_outcome(
+        lambda *args: reference_parse(parse, *args), text, config)
 
 
 def test_log_returns_identity_price():

@@ -103,8 +103,8 @@ MATRIX = [
            "hurst header.csv",
            "hurst P.csv --close-column 5", code=2),
     *_runs("hurst flat.csv", code=3),
-    # CSV cells and lines the columnar parse leaves to the row loop, or
-    # reads as the loop does
+    # CSV cells and lines that only the csv module tokenises, or that the
+    # parser strips, skips or rejects
     *_runs("hurst quoted.csv",
            "hurst crlf.csv",
            "hurst blank.csv",
@@ -115,7 +115,11 @@ MATRIX = [
            "hurst year0.csv",
            "hurst compact.csv",
            "hurst nan.csv",
-           "hurst inf.csv", code=2),
+           "hurst inf.csv",
+           "hurst cr.csv",
+           "hurst blankbad.csv",
+           "hurst quotedzero.csv", code=2),
+    Run(2, ("hurst", "S31.csv", *SEMI)),
     # dfa
     *_runs("dfa P.csv",
            "dfa P.csv --fit-target squared --format table",
@@ -195,10 +199,17 @@ def write_derived_inputs(work: str) -> None:
         """P.csv with the cells of data row `row` replaced."""
         write(name, prices[:row] + [",".join(cells)] + prices[row + 1:])
 
+    def quote(rows):
+        return ['"' + row.replace(",", '","') + '"' for row in rows]
+
     prices = read("P.csv")
     write("unsorted.csv", prices[:1] + prices[:0:-1])
-    write("quoted.csv", ['"' + row.replace(",", '","') + '"'
-                         for row in prices])
+    write("quoted.csv", quote(prices))
+    write("quotedzero.csv", quote(prices[:2] + [prices[2].split(",")[0] + ",0"]
+                                  + prices[3:]))
+    write("cr.csv", prices[:1] + [prices[1].replace(",", "\r,")] + prices[2:])
+    write("blankbad.csv", prices[:1] + ["", " , "] + prices[1:2]
+          + [" , ", prices[2].split(",")[0] + ",abc"] + prices[3:])
     write("crlf.csv", prices, end="\r\n")
     write("blank.csv", prices[:1] + [""] + prices[1:500] + ["  ", " , "]
           + prices[500:] + [""])
@@ -218,6 +229,8 @@ def write_derived_inputs(work: str) -> None:
         year, month, day = date.split("-")
         semi.append(f"{close};1;{day}/{month}/{year}")
     write("S.csv", semi)
+    write("S31.csv", semi[:2] + [semi[2].rsplit(";", 1)[0] + ";31/02/2000"]
+          + semi[3:])
     noise = read("N.csv")
     write("G.csv", noise[:101] + [row.split(",")[0] + ",0.0"
                                   for row in noise[101:401]] + noise[401:])
