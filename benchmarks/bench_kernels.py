@@ -6,9 +6,9 @@ per-box F^2 of the integrated signal) over the default box schedule of a
 stacked as rows, _kernels._TABLE_VALUES // 250 = 65 per call) and one
 window per call, as a standalone estimate calls both. The two must
 agree bit for bit. A rolling sweep calls both kernels on windows
-stacked the same way when they hold fewer segments or boxes than the
-gcd grid of their starts, else on the segment or box rows of one table
-per scale over that grid (see ``hurstlab._kernels``).
+stacked the same way where that costs less than the gcd grid of their
+starts, else on one table per scale over that grid: R/S by strided
+columns of the series, DFA by box rows (see ``hurstlab._kernels``).
 
     python3 benchmarks/bench_kernels.py [--windows 2000] [--repeat 3]
 """

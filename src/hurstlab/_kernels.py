@@ -3,26 +3,30 @@
 Each kernel takes rows stacked as an array of shape (..., length) and
 reduces over the last axis, so one call serves one window (a 1-D array)
 or a chunk of segment rows of a rolling sweep. The arithmetic is
-elementwise products and last-axis sums only, never a BLAS dot: a row's
-result then does not depend on how many other rows share the call, which
-is what keeps a rolling-trace entry bit-for-bit equal to the standalone
-estimate of the same slice.
+elementwise products and sums only, never a BLAS dot, and every sum that
+R/S shares between layouts adds its terms from the first to the last: a
+cumsum along a row, or a running += down the columns of many rows at
+once, which gives the same bits. So a row's result does not depend on
+how many other rows share the call, which is what keeps a rolling-trace
+entry bit-for-bit equal to the standalone estimate of the same slice.
 
 An R/S ratio depends only on its own segment, and a DFA box's squared
 fluctuation only on its own box, so ``window_sums`` serves the
 overlapping windows of either estimator by one arithmetic rule. Every
 segment start i*lag + j*n of the windows lies on the grid 0, g, 2g, ...
-with g = gcd(lag, n). When the windows hold no more segments than that
-grid has starts up to the last one, the windows themselves are
-evaluated as rows, each summing its own segments; a single window (a
-standalone estimate) always is. Otherwise each grid start is evaluated
-once, into one table per quantity indexed by start // g, and each
-window sums its entries in the order numpy sums a row.
+with g = gcd(lag, n). The windows themselves are evaluated as rows,
+each summing its own segments, where that costs less than evaluating
+the grid; a single window (a standalone estimate) always is. Otherwise
+each grid start is evaluated once, into one table per quantity indexed
+by start // g, from which each window sums its entries. R/S evaluates
+its grid one strided column of the series at a time across all
+segments, DFA one box row at a time.
 
-A grid of many starts (a dense rolling R/S sweep) is evaluated one
-strided column of the series at a time across all segments, instead of
-one segment row at a time; ``_pairwise`` adds columns in the order
-numpy's last-axis reduction adds a row, so both ways give the same bits.
+The sums in order are an R/S segment's mean and sum of squared
+deviations and a window's sum of its segment or box quantities, so the
+layout decides only the speed, never a bit. A DFA box's own sums need
+no such order: every layout evaluates boxes as contiguous rows of
+``dfa_box_fsq``.
 """
 from __future__ import annotations
 
@@ -31,16 +35,34 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-#: Values per chunk of segment or window rows evaluated at once (0.125
-#: MB per temporary): it bounds the working set whatever the series
-#: length; results do not depend on it.
+#: Values per chunk of segment or window rows, and grid starts per
+#: chunk of columns, evaluated at once (0.125 MB per temporary): it
+#: bounds the working set whatever the series length; results do not
+#: depend on it.
 _TABLE_VALUES = 16384
 
-#: Fewest grid starts evaluated column by column; below it the
-#: per-column call overhead outweighs the row-by-row reduction.
-#: Columns and summed windows run in chunks of _MAJOR_ROWS up to twice
-#: that many rows (0.03 to 0.06 MB per temporary).
-_MAJOR_ROWS = 4096
+#: Fewest rows summed down their columns rather than along each row:
+#: one call per column adds across all rows at once, where a cumsum
+#: adds one value at a time. Results do not depend on it.
+_MANY_ROWS = 512
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, added from the first term to the last,
+    by a cumsum along each row or, for many rows, down the columns."""
+    if a.size < _MANY_ROWS * a.shape[-1]:
+        return np.cumsum(a, axis=-1)[..., -1]
+    return _column_sum(np.moveaxis(a, -1, 0))
+
+
+def _column_sum(terms) -> np.ndarray:
+    """Elementwise sum of equal-shape arrays, added from the first to the
+    last; none is written to."""
+    terms = iter(terms)
+    total = next(terms).copy()
+    for term in terms:
+        total += term
+    return total
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -48,15 +70,46 @@ def rs_segments(x: np.ndarray, n: int, ddof: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mean, standard deviation and cumulative-deviation range of each of
     the floor(length/n) leading segments, and whether some value of the
-    segment differs from its first, each of shape (..., segments)."""
+    segment differs from its first, each of shape (..., segments). The
+    mean, the sum of squared deviations and the walk add the values of
+    a segment from the first to the last: along each segment, or for
+    many segments down their columns (_column_segments)."""
     v = x.shape[-1] // n
     seg = x[..., : v * n].reshape(*x.shape[:-1], v, n)
-    mean = seg.mean(axis=-1, keepdims=True)
-    dev = seg - mean
-    std = np.sqrt((dev * dev).sum(axis=-1) / (n - ddof))
-    walk = dev.cumsum(axis=-1)
+    if seg.size >= _MANY_ROWS * n:
+        return _column_segments(np.moveaxis(seg, -1, 0), ddof)
+    mean = _row_sum(seg) / n
+    # The deviations as real parts and their squares as imaginary ones:
+    # one cumsum adds both side by side in the time it adds one.
+    run = np.empty(seg.shape, np.complex128)
+    np.subtract(seg, mean[..., None], out=run.real)
+    np.multiply(run.real, run.real, out=run.imag)
+    np.cumsum(run, axis=-1, out=run)
+    walk = run.real.copy()
     varies = (seg != seg[..., :1]).any(axis=-1)
-    return mean[..., 0], std, walk.max(axis=-1) - walk.min(axis=-1), varies
+    return (mean, np.sqrt(run.imag[..., -1] / (n - ddof)),
+            walk.max(axis=-1) - walk.min(axis=-1), varies)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _column_segments(cols: np.ndarray, ddof: int
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """rs_segments of segments given by columns: cols[k] holds value k of
+    every segment. Each step adds one column across all segments; a
+    segment varies where some column differs from column 0."""
+    n = len(cols)
+    mean = _column_sum(cols) / n
+    walk = cols[0] - mean
+    square, high, low = walk * walk, walk.copy(), walk.copy()
+    dev = np.empty_like(walk)
+    varies, differs = np.zeros(walk.shape, bool), np.empty(walk.shape, bool)
+    for col in cols[1:]:
+        varies |= np.not_equal(col, cols[0], out=differs)
+        walk += np.subtract(col, mean, out=dev)
+        square += np.multiply(dev, dev, out=dev)
+        np.maximum(high, walk, out=high)
+        np.minimum(low, walk, out=low)
+    return mean, np.sqrt(square / (n - ddof)), high - low, varies
 
 
 def rs_segment_sums(x: np.ndarray, n: int, ddof: int
@@ -69,7 +122,7 @@ def rs_segment_sums(x: np.ndarray, n: int, ddof: int
     defined_count.
     """
     ratio, defined = _ratios(*rs_segments(x, n, ddof)[1:])
-    return ratio.sum(axis=-1), defined.sum(axis=-1), x.shape[-1] // n
+    return _row_sum(ratio), defined.sum(axis=-1), x.shape[-1] // n
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -93,8 +146,7 @@ def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
     return window_sums(
         x, window, lag, n,
         lambda rows: _ratios(*rs_segments(rows, n, ddof)[1:]),
-        lambda first, count, gap: _ratios(
-            *_column_segments(x, first, count, gap, n, ddof)))
+        lambda cols: _ratios(*_column_segments(cols, ddof)[1:]))
 
 
 def window_sums(x: np.ndarray, window: int, lag: int, n: int, values,
@@ -104,117 +156,51 @@ def window_sums(x: np.ndarray, window: int, lag: int, n: int, values,
 
     values(rows) gives a tuple of quantities, each (rows, segments), of
     the leading segments of each row of a 2-D array. Every segment start
-    lies on the grid 0, g, 2g, ... with g = gcd(lag, n); whichever is
-    fewer is evaluated: the segments of the windows themselves, as rows,
-    or each grid start once, into one table per quantity indexed by
-    start // g. A grid of at least _MAJOR_ROWS starts is evaluated by
-    columns(first, count, gap) when given, else as one-segment rows.
-    Rows are evaluated from contiguous copies, so that numpy lays out
-    and sums each one as it does a standalone window's. Returns the
-    sums, each (windows,), and window // n.
+    lies on the grid 0, g, 2g, ... with g = gcd(lag, n). The segments of
+    a single window, and of windows that cost less to evaluate than the
+    grid (_reads_windows), are evaluated as rows. Otherwise each grid
+    start is evaluated once, into one table per quantity indexed by
+    start // g: by columns(cols) when given, cols[k] holding value k of
+    every segment of a chunk of starts, else as one-segment rows. Each
+    window then sums its table entries. Rows are passed as contiguous
+    arrays, so that numpy lays out and reduces each one as it does a
+    standalone window's. Returns the sums, each (windows,), and
+    window // n.
     """
     count = (x.size - window) // lag + 1
     v = window // n
     g = math.gcd(lag, n)
     slots = ((count - 1) * lag + (v - 1) * n) // g + 1
     s = x.strides[0]
-    if count * v <= slots:  # a standalone estimate (count 1) lands here
+    if count == 1 or _reads_windows(count * v, slots, columns is not None):
         windows = as_strided(x, (count, window), (lag * s, s), writeable=False)
         step = max(1, _TABLE_VALUES // window)
-        parts = [values(windows[a:a + step].copy())
+        parts = [values(np.ascontiguousarray(windows[a:a + step]))
                  for a in range(0, count, step)]
-        return (*(np.concatenate(q).sum(axis=-1) for q in zip(*parts)), v)
-    if columns is not None and slots >= _MAJOR_ROWS:
-        parts = [columns(a * g, b - a, g) for a, b in _spans(slots)]
+        return (*(_row_sum(np.concatenate(q, dtype=np.float64))
+                  for q in zip(*parts)), v)
+    if columns is not None:
+        cols = as_strided(x, (n, slots), (s, g * s), writeable=False)
+        parts = [columns(cols[:, a:a + _TABLE_VALUES])
+                 for a in range(0, slots, _TABLE_VALUES)]
     else:
         segments = as_strided(x, (slots, n), (g * s, s), writeable=False)
         step = max(1, _TABLE_VALUES // n)
         parts = [[q[:, 0] for q in values(segments[a:a + step].copy())]
                  for a in range(0, slots, step)]
     tables = [np.concatenate(q, dtype=np.float64) for q in zip(*parts)]
-    return (*(_window_sums(t, count, lag // g, n // g, v) for t in tables), v)
+    return (*(_row_sum(as_strided(
+        t, (count, v), (lag // g * t.itemsize, n // g * t.itemsize),
+        writeable=False)) for t in tables), v)
 
 
-def _window_sums(table: np.ndarray, count: int, lag: int, n: int, v: int
-                 ) -> np.ndarray:
-    """table[i*lag] + table[i*lag + n] + ... (v terms) for each i < count,
-    added in numpy's order for a row of v values: a strided sum per
-    window when windows are fewer than terms, else a strided column of
-    windows per term, summed by _pairwise."""
-    if count < v:
-        return np.array([table[i * lag: i * lag + v * n: n].sum()
-                         for i in range(count)], dtype=table.dtype)
-    out = np.empty(count, dtype=table.dtype)
-    for a, b in _spans(count):
-        out[a:b] = _pairwise(lambda j: table[a * lag + j * n:
-                                             (b - 1) * lag + j * n + 1: lag],
-                             0, v)
-    return out
-
-
-def _spans(total: int) -> list[tuple[int, int]]:
-    """Bounds [a, b) of equal chunks of range(total), each of _MAJOR_ROWS
-    to 2 * _MAJOR_ROWS - 1 rows, or one chunk when total is smaller."""
-    size = -(-total // max(total // _MAJOR_ROWS, 1))
-    return [(a, min(a + size, total)) for a in range(0, total, size)]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _column_segments(x: np.ndarray, first: int, rows: int, gap: int, n: int,
-                     ddof: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standard deviation, walk range and varying flag of the segments
-    x[s : s + n] at s = first, first + gap, ..., as rs_segments gives
-    them: column k is the strided view of value k of every segment, the
-    sums run in _pairwise's order, the walk is a running sum, as cumsum
-    runs, and a segment varies where some column differs from column 0."""
-    def col(k):
-        return x[first + k: first + k + (rows - 1) * gap + 1: gap]
-
-    mean = _pairwise(col, 0, n) / n
-
-    def square(k):
-        dev = col(k) - mean
-        return np.multiply(dev, dev, out=dev)
-
-    std = np.sqrt(_pairwise(square, 0, n) / (n - ddof))
-    walk = col(0) - mean
-    high, low, dev = walk.copy(), walk.copy(), np.empty_like(walk)
-    varies, differs = np.zeros(walk.shape, bool), np.empty(walk.shape, bool)
-    for k in range(1, n):
-        varies |= np.not_equal(col(k), col(0), out=differs)
-        walk += np.subtract(col(k), mean, out=dev)
-        np.maximum(high, walk, out=high)
-        np.minimum(low, walk, out=low)
-    return std, high - low, varies
-
-
-def _pairwise(col, lo: int, n: int) -> np.ndarray:
-    """col(lo) + ... + col(lo + n - 1), added in the order numpy's add
-    reduction adds a contiguous row of n values: one by one below 8
-    terms; up to 128, eight running sums over blocks of 8, combined as a
-    tree, then the tail one by one; above 128, the two halves split at a
-    multiple of 8. The arrays col returns are never written to. numpy
-    then adds its sum to 0.0, which only turns a sum of -0.0 terms into
-    0.0; no such sum reaches a ratio.
-    """
-    if n < 8:
-        total = col(lo)
-        for k in range(lo + 1, lo + n):
-            total = total + col(k)
-        return total
-    if n <= 128:
-        end = lo + n - n % 8
-        r = [col(lo + j) for j in range(8)]
-        for i in range(lo + 8, end, 8):
-            # the first block's sums are new arrays; later blocks add in place
-            r = [np.add(r[j], col(i + j), out=None if i == lo + 8 else r[j])
-                 for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for k in range(end, lo + n):
-            total += col(k)
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise(col, lo, half) + _pairwise(col, lo + half, n - half)
+def _reads_windows(segments: int, starts: int, by_columns: bool) -> bool:
+    """Whether the windows' own segments cost less to evaluate as rows
+    than the grid's starts. A start evaluated as a one-segment row costs
+    as much as a segment of a window; read down the columns, about a
+    quarter of that, plus, for the table, about as much as 256 segments
+    more."""
+    return segments <= (256 + starts / 4 if by_columns else starts)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -22,7 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import BoxTooLargeError, InvalidPlanError
+from .errors import (
+    BoxTooLargeError,
+    InvalidPlanError,
+    require_instance,
+    require_ints,
+)
 from .regression import EstimatorKind, PowerLawFit, ScalingCurve, ols_rows
 from .rescaled_range import HurstEstimate, estimate_from_curve
 from .series import finite_values
@@ -41,6 +46,9 @@ class DfaConfig:
     fit_target: FitTarget = FitTarget.FLUCTUATION_RMS
 
     def __post_init__(self):
+        object.__setattr__(self, "box_sizes", require_ints(
+            self.box_sizes, "box size", InvalidPlanError))
+        require_instance(self.fit_target, FitTarget, "fit_target")
         if len(self.box_sizes) < 3:
             raise InvalidPlanError(
                 f"need at least 3 box sizes, got {len(self.box_sizes)}"
@@ -76,7 +84,7 @@ def default_box_sizes(length: int) -> tuple[int, ...]:
 def dfa_fluctuation(series: Sequence[float], tau: int) -> float:
     """Mean squared fluctuation <F^2(tau)> around per-box linear trends of
     the integrated boxes; boxes are anchored at index 0 and the remainder
-    is discarded.
+    is discarded. It is the statistic of the DFA curve at tau.
     """
     x = finite_values(series)
     if tau < 4:
@@ -85,7 +93,7 @@ def dfa_fluctuation(series: Sequence[float], tau: int) -> float:
         raise BoxTooLargeError(
             f"box size {tau} leaves fewer than 2 boxes in length {x.size}"
         )
-    return float(_kernels.dfa_box_fsq(x, tau).mean())
+    return _mean_fsq(x, x.size, 1, tau)[0].item()
 
 
 def dfa_curve_rows(x: np.ndarray, window: int, lag: int,
@@ -96,10 +104,15 @@ def dfa_curve_rows(x: np.ndarray, window: int, lag: int,
     config.validate_for_length(window)
     fsq = np.empty(((x.size - window) // lag + 1, len(config.box_sizes)))
     for k, tau in enumerate(config.box_sizes):
-        total, boxes = _kernels.window_sums(x, window, lag, tau, lambda rows: (
-            _kernels.dfa_box_fsq(rows, tau),))
-        fsq[:, k] = total / boxes
+        fsq[:, k] = _mean_fsq(x, window, lag, tau)
     return fsq
+
+
+def _mean_fsq(x: np.ndarray, window: int, lag: int, tau: int) -> np.ndarray:
+    """Mean F^2 over the boxes of tau values of every window."""
+    total, boxes = _kernels.window_sums(x, window, lag, tau, lambda rows: (
+        _kernels.dfa_box_fsq(rows, tau),))
+    return total / boxes
 
 
 def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
@@ -108,13 +121,15 @@ def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
     """Row-wise fit of <F^2> curves (..., k); the rms target halves the
     log ordinate. Returns ols_rows' (slope, intercept, r_squared, flat)."""
     log_fsq = np.log(fsq)
-    if fit_target is FitTarget.FLUCTUATION_RMS:
+    if require_instance(fit_target, FitTarget,
+                        "fit_target") is FitTarget.FLUCTUATION_RMS:
         log_fsq = 0.5 * log_fsq
     return ols_rows(np.log(scales), log_fsq)
 
 
 def estimate_hurst_dfa(series: Sequence[float], config: DfaConfig) -> HurstEstimate:
     """DFA estimate: the curve stores <F^2(tau)>, fitted as the sweep's rows."""
+    require_instance(config, DfaConfig, "DFA config", InvalidPlanError)
     x = finite_values(series)
     stats = dfa_curve_rows(x, x.size, 1, config)[0]
     curve = ScalingCurve(scales=config.box_sizes, statistics=tuple(stats.tolist()),

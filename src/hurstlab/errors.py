@@ -140,3 +140,23 @@ def require_int(value, what: str, error: type[ConfigError] = ConfigError
         return operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def require_ints(values, what: str, error: type[ConfigError] = ConfigError
+                 ) -> tuple[int, ...]:
+    """The values as a tuple of ints, each by require_int; anything not
+    iterable raises too."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise error(f"{what} must be integers, got {values!r}") from None
+    return tuple(require_int(v, what, error) for v in items)
+
+
+def require_instance(value, kind: type, what: str,
+                     error: type[ConfigError] = ConfigError):
+    """The value if it is a kind (a member of it, for an Enum); anything
+    else, the name or value of a member included, raises."""
+    if not isinstance(value, kind):
+        raise error(f"unknown {what} {value!r}, expected a {kind.__name__}")
+    return value

@@ -27,7 +27,9 @@ from .errors import (
     InvalidPlanError,
     NonPositiveHError,
     TooShortError,
+    require_instance,
     require_int,
+    require_ints,
 )
 from .regression import EstimatorKind, PowerLawFit, ScalingCurve, fit_loglog
 from .series import finite_values
@@ -138,7 +140,7 @@ def segment_stats(segment: Sequence[float],
     x = finite_values(segment)
     if x.size < 2:
         raise TooShortError(f"segment needs at least 2 values, got {x.size}")
-    ddof = 0 if std_mode is StdMode.POPULATION else 1
+    ddof = _ddof(std_mode)
     m, std, rng, varies = (v[0].item()
                            for v in _kernels.rs_segments(x, x.size, ddof))
     ratio = rng / std if varies and std > 0.0 else None
@@ -182,7 +184,7 @@ def rs_curve_rows(x: np.ndarray, window: int, lag: int,
     where every segment at its scale is constant. Each scale reads one
     segment table for all windows.
     """
-    ddof = 0 if std_mode is StdMode.POPULATION else 1
+    ddof = _ddof(std_mode)
     shape = ((x.size - window) // lag + 1, len(segment_lengths))
     totals, defined = np.empty(shape), np.empty(shape, dtype=np.intp)
     for k, n in enumerate(segment_lengths):
@@ -191,6 +193,12 @@ def rs_curve_rows(x: np.ndarray, window: int, lag: int,
     stats = np.divide(totals, defined, out=np.full(shape, np.nan),
                       where=defined > 0)
     return stats, defined
+
+
+def _ddof(std_mode: StdMode) -> int:
+    """The degrees of freedom the mode's standard deviation gives up."""
+    require_instance(std_mode, StdMode, "std_mode")
+    return 0 if std_mode is StdMode.POPULATION else 1
 
 
 def _rs_window(x: np.ndarray, segment_lengths: Sequence[int],
@@ -226,6 +234,7 @@ def build_partition_plan(total_length: int,
     total_length = require_int(total_length, "length", InvalidPlanError)
     min_segment_length = require_int(min_segment_length, "min_segment_length",
                                      InvalidPlanError)
+    require_instance(policy, PartitionPolicy, "policy", InvalidPlanError)
     if min_segment_length < 2:
         raise InvalidPlanError("min_segment_length must be >= 2")
     if total_length < 2 * min_segment_length:
@@ -253,14 +262,12 @@ def build_partition_plan(total_length: int,
                 f"preset250 plan requires exactly 250 values, got {total_length}"
             )
         lengths = tuple(sorted(PRESET_250_SEGMENTS))
-    elif policy is PartitionPolicy.EXPLICIT:
-        lengths = tuple(sorted({
-            require_int(n, "segment length", InvalidPlanError)
-            for n in (() if explicit is None else explicit)}))
+    else:
+        lengths = tuple(sorted(set(require_ints(
+            () if explicit is None else explicit, "segment length",
+            InvalidPlanError))))
         if not lengths:
             raise InvalidPlanError("explicit policy needs a segment list")
-    else:
-        raise InvalidPlanError(f"unknown policy {policy!r}")
     if len(lengths) < 3:
         raise InvalidPlanError(
             f"plan yields only {len(lengths)} scales; need at least 3"
@@ -301,6 +308,7 @@ def estimate_from_curve(curve: ScalingCurve, fit: PowerLawFit | None = None,
 def estimate_hurst_rs(series: Sequence[float], plan: PartitionPlan,
                       std_mode: StdMode = StdMode.POPULATION) -> HurstEstimate:
     """Rescaled-range estimate over a plan: the rolling sweep's batch of one."""
+    require_instance(plan, PartitionPlan, "plan", InvalidPlanError)
     x = finite_values(series)
     if x.size != plan.total_length:
         raise InvalidPlanError(

@@ -31,7 +31,9 @@ from .errors import (
     ConfigError,
     EmptyTraceError,
     SeriesTooShortError,
+    InvalidPlanError,
     TraceTooShortError,
+    require_instance,
     require_int,
 )
 from .rescaled_range import (
@@ -69,6 +71,12 @@ class RollingConfig:
             raise ConfigError("window must be >= 2")
         if self.lag < 1:
             raise ConfigError("lag must be >= 1")
+        for name, kind in (("estimator", EstimatorKind),
+                           ("transform", Transform), ("std_mode", StdMode),
+                           ("dfa_fit_target", FitTarget)):
+            require_instance(getattr(self, name), kind, name)
+        require_instance(self.plan_policy, PartitionPolicy, "policy",
+                         InvalidPlanError)
 
 
 @dataclass(frozen=True)

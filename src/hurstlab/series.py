@@ -21,6 +21,7 @@ from .errors import (
     MalformedRowError,
     NonPositivePriceError,
     TooShortError,
+    require_instance,
     require_int,
 )
 
@@ -171,6 +172,7 @@ def _parse_rows(raw_text: str, config: CsvConfig, what: str,
     the first bad row."""
     if not isinstance(raw_text, str):
         raise InputError(f"CSV text must be a str, got {type(raw_text).__name__}")
+    require_instance(config, CsvConfig, "CSV config")
     rows = [row for row in _tokenise(raw_text, config.delimiter)
             if "".join(row).strip()]
     if not rows:
@@ -277,7 +279,7 @@ def transform_returns(returns: ReturnSeries, kind: Transform) -> ReturnSeries:
     Asking for RAW is the identity on any input; applying a non-raw
     transform to an already transformed series raises.
     """
-    if kind is Transform.RAW:
+    if require_instance(kind, Transform, "transform") is Transform.RAW:
         return returns
     if returns.transform is not Transform.RAW:
         raise AlreadyTransformedError(

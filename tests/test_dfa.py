@@ -39,6 +39,14 @@ def dfa_oracle(series, tau):
 
 # -- dfa_fluctuation ---------------------------------------------------------
 
+def test_fluctuation_is_the_curve_statistic_bit_for_bit():
+    for seed in range(5):
+        x = white_noise(4096, seed=seed)
+        config = DfaConfig(default_box_sizes(x.size))
+        assert estimate_hurst_dfa(x, config).curve.statistics == tuple(
+            dfa_fluctuation(x, tau) for tau in config.box_sizes)
+
+
 def test_constant_series_gives_zero():
     # The mean of 0.1s is not exactly 0.1; the profile is still flat.
     x = np.full(32, 0.1)

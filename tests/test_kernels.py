@@ -1,7 +1,7 @@
 """The R/S and DFA kernels: constant segments, the sums of overlapping
-windows in each layout (windows as rows, grid rows, columns) and for
-both estimators, the summation order they share, and batched calls
-equal to one window per call."""
+windows in each layout (windows as rows; R/S grid columns, DFA grid
+rows) and for both estimators, and batched calls equal to one window
+per call."""
 from unittest import mock
 
 import numpy as np
@@ -53,10 +53,11 @@ _DIRECTED = np.random.Generator(np.random.PCG64(5)).standard_normal(2000)
 
 
 @given(window_sweeps())
-# 3 windows of 20 segments on a gcd grid of 26 starts: each window sums
-# its own table entries
+# 3 windows of 20 segments on a gcd grid of 26 starts: the table is
+# summed 20 terms deep over 3 windows
 @example((_DIRECTED[:1300], 1000, 150, 50, 0, 64))
-# lag > window: 7 disjoint windows, read as rows from a strided series
+# lag > window: 7 disjoint windows of a strided series, read as rows by
+# DFA, R/S takes the grid
 @example((_DIRECTED[::2], 100, 130, 10, 1, 16))
 @settings(max_examples=150, deadline=None)
 def test_segment_table_equals_per_window_sums(case):
@@ -66,10 +67,12 @@ def test_segment_table_equals_per_window_sums(case):
 @given(window_sweeps(dense=True))
 @settings(max_examples=150, deadline=None)
 def test_column_layout_equals_per_window_sums(case):
-    # Every R/S table over a gcd grid of at least 8 starts takes the
-    # column layout, its columns and windows in chunks of 8 to 15 rows;
-    # DFA tables, and R/S scales read as windows, keep rows.
-    with mock.patch.object(_kernels, "_MAJOR_ROWS", 8):
+    # Every scale from the grid, in chunks of 16 values, and every sum of
+    # 4 or more rows down their columns: R/S grid columns 16 starts at a
+    # time, DFA rows of as many boxes as fit (at least one).
+    with mock.patch.object(_kernels, "_TABLE_VALUES", 16), \
+            mock.patch.object(_kernels, "_MANY_ROWS", 4), \
+            mock.patch.object(_kernels, "_reads_windows", lambda *args: False):
         assert_table_equals_per_window_sums(case)
 
 
@@ -88,20 +91,8 @@ def assert_table_equals_per_window_sums(case):
         _kernels.dfa_box_fsq(rows, tau),))
     assert boxes == window // tau
     assert fsq.tolist() == [
-        _kernels.dfa_box_fsq(values[s:s + window], tau).sum().item()
+        np.cumsum(_kernels.dfa_box_fsq(values[s:s + window], tau))[-1].item()
         for s in starts]
-
-
-def test_pairwise_sums_columns_in_numpy_row_order():
-    # n < 8, 8 <= n <= 128 and the split above 128, at magnitudes from
-    # 1e-8 to 1e8; a numpy that changes the order of its last-axis
-    # add.reduce fails here first.
-    rng = np.random.Generator(np.random.PCG64(7))
-    for n in range(1, 301):
-        rows = (rng.standard_normal((64, n))
-                * 10.0 ** rng.integers(-8, 9, (64, n)))
-        got = _kernels._pairwise(lambda k: rows[:, k], 0, n)
-        assert got.tobytes() == np.add.reduce(rows, axis=-1).tobytes(), n
 
 
 def rs_statistic(x, n):

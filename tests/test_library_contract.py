@@ -9,8 +9,10 @@ the kurtosis, rank-size, DFA and R/S callables on arrays with NaN and
 infinities, of rank 0 to 2, and for the generators at any length (an
 integer or not), seed and h, and for the CSV parsers on any text or
 object and any CSV settings. Integer arguments of the plan, the rolling
-config, the CSV settings and the fGn autocovariance take numpy integers,
-and anything else raises a typed error.
+config, the CSV settings, the DFA box sizes and the fGn autocovariance
+take numpy integers, and anything else raises a typed error. So does an
+enum setting given anything but a member (its value string included),
+and an estimator or parser given anything but its plan or config.
 """
 import datetime as dt
 import math
@@ -21,7 +23,13 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from hurstlab.dfa import FitTarget, dfa_fluctuation
+from hurstlab.dfa import (
+    DfaConfig,
+    FitTarget,
+    dfa_fit_rows,
+    dfa_fluctuation,
+    estimate_hurst_dfa,
+)
 from hurstlab.downfalls import (
     Downfall,
     excess_kurtosis,
@@ -39,7 +47,9 @@ from hurstlab.rescaled_range import (
     PartitionPolicy,
     StdMode,
     build_partition_plan,
+    estimate_hurst_rs,
     rs_at_scale,
+    rs_at_scale_with_diagnostics,
     segment_stats,
 )
 from hurstlab.rolling import RollingConfig, estimate_window, sweep
@@ -389,3 +399,76 @@ def test_fgn_autocovariance_non_integer_lag_raises_config_error(lag):
 
 def test_fgn_autocovariance_takes_numpy_and_negative_lags():
     assert fgn_autocovariance(0.7, np.int64(-10)) == fgn_autocovariance(0.7, 10)
+
+
+def test_dfa_box_sizes_take_numpy_integers():
+    config = DfaConfig(np.array([8, 16, 32]))
+    assert config.box_sizes == (8, 16, 32)
+    assert all(type(b) is int for b in config.box_sizes)
+    assert config == DfaConfig([np.int32(8), 16, np.uint8(32)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: DfaConfig(None),
+    lambda: DfaConfig(8),
+    lambda: DfaConfig((8, 16.5, 32)),
+    lambda: DfaConfig((8, "16", 32)),
+    lambda: build_partition_plan(300, PartitionPolicy.EXPLICIT, explicit=5),
+])
+def test_non_integer_sizes_raise_invalid_plan(call):
+    with pytest.raises(InvalidPlanError, match="must be"):
+        call()
+
+
+# -- enum settings and config objects -------------------------------------------
+
+_X = white_noise(250, seed=3)
+_RETURNS = ReturnSeries(
+    transform=Transform.RAW,
+    dates=tuple(SYNTHETIC_EPOCH + dt.timedelta(days=i) for i in range(250)),
+    values=_X)
+
+
+@pytest.mark.parametrize("kind, call", [
+    (EstimatorKind, lambda bad: RollingConfig(estimator=bad)),
+    (Transform, lambda bad: RollingConfig(transform=bad)),
+    (PartitionPolicy, lambda bad: RollingConfig(plan_policy=bad)),
+    (StdMode, lambda bad: RollingConfig(std_mode=bad)),
+    (FitTarget, lambda bad: RollingConfig(dfa_fit_target=bad)),
+    (FitTarget, lambda bad: DfaConfig((8, 16, 32), fit_target=bad)),
+    (FitTarget, lambda bad: dfa_fit_rows((8, 16, 32), np.ones(3), bad)),
+    (PartitionPolicy, lambda bad: build_partition_plan(250, bad)),
+    (StdMode, lambda bad: estimate_hurst_rs(
+        _X, build_partition_plan(250, PartitionPolicy.AUTO), bad)),
+    (StdMode, lambda bad: segment_stats(_X[:25], bad)),
+    (StdMode, lambda bad: rs_at_scale(_X, 25, bad)),
+    (StdMode, lambda bad: rs_at_scale_with_diagnostics(_X, 25, bad)),
+    (Transform, lambda bad: transform_returns(_RETURNS, bad)),
+])
+def test_settings_that_are_not_members_raise_config_error(kind, call):
+    # Before these checks, std_mode "population" gave the sample std,
+    # estimator "dfa" ran R/S, fit target "rms" fitted <F^2> and the
+    # transform "absolute" squared the returns.
+    others = [m for k in (StdMode, Transform, FitTarget) if k is not kind
+              for m in k]
+    for bad in ([m.value for m in kind] + [m.name for m in kind] + others
+                + [None, 0, 1.0]):
+        with pytest.raises(ConfigError, match=f"unknown .* expected a "
+                                              f"{kind.__name__}"):
+            call(bad)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: parse_price_csv("date,close\n2000-01-03,1.5\n", None),
+     ConfigError),
+    (lambda: parse_return_csv("date,value\n2000-01-03,0.5\n", "default"),
+     ConfigError),
+    (lambda: estimate_hurst_rs(_X, None), InvalidPlanError),
+    (lambda: estimate_hurst_rs(_X, DfaConfig((8, 16, 32))), InvalidPlanError),
+    (lambda: estimate_hurst_dfa(_X, None), InvalidPlanError),
+    (lambda: estimate_hurst_dfa(_X, build_partition_plan(
+        250, PartitionPolicy.AUTO)), InvalidPlanError),
+])
+def test_estimators_and_parsers_reject_other_configs(call, error):
+    with pytest.raises(error, match="unknown .* expected a"):
+        call()

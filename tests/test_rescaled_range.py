@@ -317,9 +317,9 @@ def test_affine_invariance_exact():
 @st.composite
 def shifted_series(draw):
     """A series with constant runs at 0 and other levels, a window (often
-    the preset 250), a lag, a shift, a std mode and a column-layout
-    threshold: the default, or 8 so that every grid of 8 or more segment
-    starts is read by columns."""
+    the preset 250), a lag, a shift, a std mode and a layout: None for
+    the default rule, True to read every scale from the windows, False
+    to read every scale from the grid by columns."""
     length = draw(st.integers(64, 500))
     window = (250 if length >= 250 and draw(st.booleans())
               else draw(st.integers(64, length)))
@@ -333,7 +333,7 @@ def shifted_series(draw):
     return (values, window, draw(st.integers(1, 40)),
             draw(st.sampled_from([0.1, 0.3, 0.7, 1e-3, -0.25, 1e3])),
             draw(st.sampled_from(list(StdMode))),
-            draw(st.sampled_from([_kernels._MAJOR_ROWS, 8])))
+            draw(st.sampled_from([None, True, False])))
 
 
 def _estimate_or_error(x, plan, std_mode):
@@ -349,8 +349,7 @@ _ZERO_TAIL[100:] = 0.0
 
 
 @given(case=shifted_series())
-@example(case=(_ZERO_TAIL, 250, 1, 0.1, StdMode.POPULATION,
-               _kernels._MAJOR_ROWS))
+@example(case=(_ZERO_TAIL, 250, 1, 0.1, StdMode.POPULATION, None))
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_shift_keeps_constant_segments_and_h(case):
@@ -359,9 +358,11 @@ def test_shift_keeps_constant_segments_and_h(case):
     # (at most 1e6 * 2.2e-16 here), so h may move by far less than 1e-6;
     # which segments are constant, and so the skipped counts and the
     # all-constant error, must not move at all.
-    x, window, lag, c, std_mode, major_rows = case
+    x, window, lag, c, std_mode, as_rows = case
     plan = build_partition_plan(window, PartitionPolicy.AUTO)
-    with mock.patch.object(_kernels, "_MAJOR_ROWS", major_rows):
+    rule = (_kernels._reads_windows if as_rows is None
+            else lambda *args: as_rows)
+    with mock.patch.object(_kernels, "_reads_windows", rule):
         stats, defined = rs_curve_rows(x, window, lag, plan.segment_lengths,
                                        std_mode)
         shifted, shifted_defined = rs_curve_rows(

@@ -1,18 +1,22 @@
 import datetime as dt
-import math
 
 import numpy as np
 import pytest
 
 from hurstlab import _kernels
-from hurstlab._kernels import _MAJOR_ROWS, _TABLE_VALUES
-from hurstlab.dfa import FitTarget
+from hurstlab._kernels import _TABLE_VALUES
+from hurstlab.dfa import FitTarget, dfa_curve_rows
 from hurstlab.errors import (
     ComputationError,
     SeriesTooShortError,
     TraceTooShortError,
 )
-from hurstlab.rescaled_range import EstimatorKind, PartitionPolicy, StdMode
+from hurstlab.rescaled_range import (
+    EstimatorKind,
+    PartitionPolicy,
+    StdMode,
+    rs_curve_rows,
+)
 from hurstlab.rolling import (
     RollingConfig,
     _scheme,
@@ -113,101 +117,118 @@ def assert_sweep_matches_reference(values, config):
     (1200, RollingConfig(window=256, lag=1, estimator=DFA)),
     (1200, RollingConfig(window=256, lag=3, estimator=DFA,
                          dfa_fit_target=FitTarget.FLUCTUATION_SQUARED)),
-    (1400, RollingConfig(window=250, lag=300)),  # disjoint: windows
+    (1400, RollingConfig(window=250, lag=300)),  # disjoint windows
     (1100, RollingConfig(window=251, lag=1)),  # doubling plan
     (1500, RollingConfig(window=250, lag=5)),  # gcd(5, n) is 1 or 5
-    # Full size: every scale's table takes the column layout
-    (12000, RollingConfig(window=250, lag=1)),
+    (12000, RollingConfig(window=250, lag=1)),  # full size
     (8700, RollingConfig(window=256, lag=2,  # starts 2 apart
                          plan_policy=PartitionPolicy.DIVISORS_ONLY)),
-    # 101 windows: grid scales with more segments than windows (n = 8,
-    # 10, 16) sum each window on its own, the other grid scales sum
-    # columns of windows; n >= 125 is read as windows
+    # 101 windows of up to 250 segments (n = 8) on grids of about 2,100
+    # starts
     (2100, RollingConfig(window=2000, lag=1)),
-    # 3 windows: the grid scales (n = 10, 20, 25, 50, 100) sum each
-    # window on its own; the others are read as windows
+    # 3 windows: the grid scales (n = 10, 20, 25, 50, 100) sum 3 windows
+    # of 10 to 100 table entries each
     (1300, RollingConfig(window=1000, lag=150)),
-    # The paper's 250/5 protocol on 10,000 prices: all three layouts
+    # The paper's 250/5 protocol on 10,000 prices
     (9999, RollingConfig(window=250, lag=5)),
 ])
-def test_sweep_matches_per_window_reference(length, config, monkeypatch):
+def test_sweep_matches_per_window_reference(length, config):
     values = with_constant_block(length, seed=length + config.lag)
-    layouts = {}
-    with monkeypatch.context() as patch:  # the layout of each R/S table
-        column_segments, rs_segments = (_kernels._column_segments,
-                                        _kernels.rs_segments)
-        patch.setattr(_kernels, "_column_segments", lambda *args: (
-            layouts.update({args[4]: "columns"}) or column_segments(*args)))
-        patch.setattr(_kernels, "rs_segments", lambda x, n, ddof: (
-            layouts.setdefault(n, "grid" if x.shape[-1] == n else "windows")
-            and rs_segments(x, n, ddof)))
-        sweep(make_returns(values), config)
     trace = assert_sweep_matches_reference(values, config)
     if config.window == 250 and config.lag == 1:
         assert trace.count > 2 * (_TABLE_VALUES // config.window)
         assert any(m.is_gap for m in trace.measurements)
-    # An R/S table is read as windows when they have no more segments
-    # than the gcd grid up to the last start, else over the grid: by
-    # columns from _MAJOR_ROWS grid starts, else as rows.
-    expected = {}
-    if config.estimator is not DFA:
-        for n in _scheme(config, config.window).segment_lengths:
-            v = config.window // n
-            slots = ((trace.count - 1) * config.lag + (v - 1) * n) // (
-                math.gcd(config.lag, n)) + 1
-            expected[n] = ("windows" if trace.count * v <= slots else
-                           "columns" if slots >= _MAJOR_ROWS else "grid")
-    assert layouts == expected
-    if (length, config.window, config.lag) == (9999, 250, 5):
-        assert {layout: sorted(n for n in layouts if layouts[n] == layout)
-                for layout in set(layouts.values())} == {
-            "columns": [16, 31, 41], "grid": [20, 25, 35, 50, 125],
-            "windows": [62, 83]}
 
 
-def test_constant_block_across_table_and_gather_chunks(monkeypatch):
-    # At lag 1, segment start `boundary` starts the second chunk of the
-    # n = 16 segment table, evaluated as rows.
-    config = RollingConfig(window=250, lag=1)
-    boundary = _TABLE_VALUES // 16
+def with_constant_runs(length, seed):
+    """with_constant_block plus short runs of 0.0 and -2.0, some spanning
+    a whole small segment or box, some part of one."""
+    values = with_constant_block(length, seed)
+    for start in range(1000, length, 1500):
+        values[start:start + 40] = 0.0
+        values[start + 700:start + 711] = -2.0
+    return values
+
+
+def curves_by_layout(monkeypatch, curve, values, window, lag):
+    """The bytes of each array curve(values, window, lag) returns, with
+    every scale evaluated from the windows as rows, then from the grid."""
+    results = []
+    for as_rows in (True, False):
+        monkeypatch.setattr(_kernels, "_reads_windows",
+                            lambda *args: as_rows)
+        results.append([a.tobytes() for a in curve(values, window, lag)])
+    return results
+
+
+@pytest.mark.parametrize("window, lag", [
+    (250, 1), (250, 5), (250, 20), (250, 60), (251, 1), (1000, 150)])
+def test_rs_layouts_give_identical_bytes(window, lag, monkeypatch):
+    # Windows as rows and the gcd grid by columns, on one series with
+    # constant runs: every statistic and defined count is the same bits.
+    values = with_constant_runs(6000, seed=window + lag)
+    plan = _scheme(RollingConfig(window=window), window).segment_lengths
+    rows, columns = curves_by_layout(
+        monkeypatch, lambda x, w, k: rs_curve_rows(x, w, k, plan),
+        values, window, lag)
+    assert rows == columns
+
+
+@pytest.mark.parametrize("window, lag", [
+    (256, 1), (256, 5), (256, 20), (250, 60), (1024, 7)])
+def test_dfa_layouts_give_identical_bytes(window, lag, monkeypatch):
+    # Windows as rows and the gcd grid as box rows, on one series with
+    # constant runs: every <F^2> is the same bits.
+    values = with_constant_runs(6000, seed=window + lag)
+    config = _scheme(RollingConfig(window=window, estimator=DFA), window)
+    rows, grid = curves_by_layout(
+        monkeypatch, lambda x, w, k: (dfa_curve_rows(x, w, k, config),),
+        values, window, lag)
+    assert rows == grid
+
+
+def test_constant_block_across_column_chunks(monkeypatch):
+    # With chunks of 512 values, each R/S table at lag 1 takes its grid
+    # 512 starts at a time by columns; the block covers start 1024, the
+    # first of the third chunk.
+    monkeypatch.setattr(_kernels, "_TABLE_VALUES", 512)
+    boundary = 2 * 512
     values = with_constant_block(boundary + 500, seed=boundary + 501,
                                  start=boundary - 25)
-    trace = assert_sweep_matches_reference(values, config)
-    assert trace.measurements[boundary - 1].is_gap
-    assert trace.measurements[boundary].is_gap
-    # With chunks of 64 to 127 rows, every table takes the column layout
-    # and window `boundary` starts a span of summed windows.
-    monkeypatch.setattr(_kernels, "_MAJOR_ROWS", 64)
-    spans = _kernels._spans(651)
-    boundary = spans[2][0]
-    values = with_constant_block(900, seed=901, start=boundary - 25)
-    trace = assert_sweep_matches_reference(values, config)
-    assert trace.count == 651 and len(spans) > 3
+    starts, column_segments = [], _kernels._column_segments
+    monkeypatch.setattr(_kernels, "_column_segments", lambda cols, ddof: (
+        cols.shape[0] == 16 and starts.append(cols.shape[1])
+        or column_segments(cols, ddof)))
+    trace = assert_sweep_matches_reference(values, RollingConfig(lag=1))
+    assert starts[:2] == [512, 512] and len(starts) == 3
     assert trace.measurements[boundary - 1].is_gap
     assert trace.measurements[boundary].is_gap
 
 
 @pytest.mark.parametrize("config", [
-    RollingConfig(window=250, lag=1),
+    # DFA's largest box table at lag 1, as rows of 64-value boxes: its
+    # entry s is the first box of window s
     RollingConfig(window=256, lag=1, estimator=DFA),
+    # R/S's largest scale at lag 60, read from the windows as rows
+    RollingConfig(window=250, lag=60),
 ])
 def test_trace_equals_standalone_at_chunk_boundaries(config, monkeypatch):
-    # The largest scale's table is evaluated as rows of segments or boxes,
-    # _TABLE_VALUES // scale at a time; at lag 1 its entry s is the first
-    # segment of window s.
+    scale, length = (64, 1100) if config.estimator is DFA else (125, 6310)
+    per_call = _TABLE_VALUES // (scale if config.lag == 1 else config.window)
     name = "dfa_box_fsq" if config.estimator is DFA else "rs_segments"
     calls, kernel = [], getattr(_kernels, name)
-    monkeypatch.setattr(_kernels, name, lambda x, scale, *rest: (
-        calls.append((scale, len(x))) or kernel(x, scale, *rest)))
-    values = white_noise(1100, seed=13)
+    monkeypatch.setattr(_kernels, name, lambda x, n, *rest: (
+        calls.append((n, len(x))) or kernel(x, n, *rest)))
+    values = white_noise(length, seed=13)
     trace = sweep(make_returns(values), config)
-    largest = max(scale for scale, _ in calls)
-    rows = [count for scale, count in calls if scale == largest]
-    assert len(rows) >= 2 and rows[0] == _TABLE_VALUES // largest
+    rows = [count for n, count in calls if n == scale]
+    assert len(rows) >= 2 and rows[0] == per_call
     boundaries = [b for b in np.cumsum(rows[:-1]).tolist() if b < trace.count]
     assert boundaries
     for i in [j for b in boundaries for j in (b - 1, b)] + [trace.count - 1]:
-        standalone = estimate_window(values[i:i + config.window], config)
+        start = i * config.lag
+        standalone = estimate_window(values[start:start + config.window],
+                                     config)
         assert trace.measurements[i].h == standalone.h
         assert trace.measurements[i].r_squared == standalone.r_squared
 
