@@ -112,19 +112,6 @@ def _column_segments(cols: np.ndarray, ddof: int
     return mean, np.sqrt(square / (n - ddof)), high - low, varies
 
 
-def rs_segment_sums(x: np.ndarray, n: int, ddof: int
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sum of R/S ratios over the floor(length/n) leading segments.
-
-    Returns (ratio_sum, defined_count, segment_count); the first two have
-    x's leading shape. Constant segments, and segments with zero (or
-    undefined) standard deviation, contribute nothing to ratio_sum or
-    defined_count.
-    """
-    ratio, defined = _ratios(*rs_segments(x, n, ddof)[1:])
-    return _row_sum(ratio), defined.sum(axis=-1), x.shape[-1] // n
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _ratios(std: np.ndarray, rng: np.ndarray, varies: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +128,9 @@ def _ratios(std: np.ndarray, rng: np.ndarray, varies: np.ndarray
 
 def rs_window_sums(x: np.ndarray, window: int, lag: int, n: int, ddof: int
                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """rs_segment_sums of every window x[i*lag : i*lag + window] of a 1-D
-    x, from window_sums over segment ratios and defined flags."""
+    """The sum of the R/S ratios of the floor(window/n) leading segments
+    of every window x[i*lag : i*lag + window] of a 1-D x, the count of
+    segments that have one (_ratios), and window // n."""
     return window_sums(
         x, window, lag, n,
         lambda rows: _ratios(*rs_segments(rows, n, ddof)[1:]),

@@ -76,11 +76,7 @@ from .synthetic import (
 )
 from .vstat import DEFAULT_FLAT_TOLERANCE, v_statistic
 
-_TRANSFORMS = {t.value: t for t in Transform}
 _ESTIMATORS = {"rs": EstimatorKind.RESCALED_RANGE, "dfa": EstimatorKind.DFA}
-_STD_MODES = {m.value: m for m in StdMode}
-_FIT_TARGETS = {t.value: t for t in FitTarget}
-_KINDS = {k.value: k for k in GeneratorKind}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,15 +114,17 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     def add_estimator_flags(p, default_estimator="rs"):
-        p.add_argument("--transform", choices=sorted(_TRANSFORMS), default="raw")
+        p.add_argument("--transform", default="raw",
+                       choices=sorted(t.value for t in Transform))
         p.add_argument("--estimator", choices=sorted(_ESTIMATORS),
                        default=default_estimator)
         p.add_argument("--plan", choices=("auto", "divisors", "preset250"),
                        default="auto")
         p.add_argument("--min-segment", type=int, default=DEFAULT_MIN_SEGMENT)
-        p.add_argument("--std", choices=sorted(_STD_MODES), default="population")
-        p.add_argument("--fit-target", choices=sorted(_FIT_TARGETS),
-                       default="rms", help="DFA fit target")
+        p.add_argument("--std", default="population",
+                       choices=sorted(m.value for m in StdMode))
+        p.add_argument("--fit-target", default="rms", help="DFA fit target",
+                       choices=sorted(t.value for t in FitTarget))
 
     p_hurst = sub.add_parser("hurst", help="full-series Hurst estimate")
     add_input_flags(p_hurst)
@@ -164,7 +162,8 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="emit a seeded synthetic series "
                                            "as CSV")
-    p_synth.add_argument("--kind", choices=sorted(_KINDS), default="prices")
+    p_synth.add_argument("--kind", default="prices",
+                         choices=sorted(k.value for k in GeneratorKind))
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--h", type=float, default=None)
     p_synth.add_argument("--seed", type=int, default=0)
@@ -217,11 +216,11 @@ def _rolling_config(args, window: int, lag: int = 1) -> RollingConfig:
         window=window,
         lag=lag,
         estimator=_ESTIMATORS[args.estimator],
-        transform=_TRANSFORMS[args.transform],
+        transform=Transform(args.transform),
         plan_policy=PartitionPolicy(args.plan),
         min_segment_length=args.min_segment,
-        std_mode=_STD_MODES[args.std],
-        dfa_fit_target=_FIT_TARGETS[args.fit_target],
+        std_mode=StdMode(args.std),
+        dfa_fit_target=FitTarget(args.fit_target),
     )
 
 
@@ -309,7 +308,7 @@ def _cell(value) -> str:
 
 def cmd_hurst(args) -> int:
     returns, _, fingerprint = _load_returns(args)
-    transformed = transform_returns(returns, _TRANSFORMS[args.transform])
+    transformed = transform_returns(returns, Transform(args.transform))
     est = estimate_window(transformed.values,
                           _rolling_config(args, len(transformed)))
     results = {
@@ -342,7 +341,7 @@ def cmd_hurst(args) -> int:
 
 def cmd_vstat(args) -> int:
     returns, _, fingerprint = _load_returns(args)
-    transformed = transform_returns(returns, _TRANSFORMS[args.transform])
+    transformed = transform_returns(returns, Transform(args.transform))
     args.estimator = "rs"  # V statistic is defined on the R/S curve
     est = estimate_window(transformed.values,
                           _rolling_config(args, len(transformed)))
@@ -501,7 +500,7 @@ def cmd_downfalls(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    kind = _KINDS[args.kind]
+    kind = GeneratorKind(args.kind)
     if kind in (GeneratorKind.FGN, GeneratorKind.FBM) and args.h is None:
         raise ConfigError(f"--kind {args.kind} requires --h")
     spec = GeneratorSpec(kind=kind, length=args.n, seed=args.seed,

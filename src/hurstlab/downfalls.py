@@ -24,6 +24,8 @@ from .errors import (
     NoDownfallsError,
     TooFewError,
     ZeroVarianceError,
+    require_instance,
+    require_int,
 )
 from .series import PriceSeries, finite_values
 
@@ -99,6 +101,8 @@ def extract_downfalls(prices: PriceSeries,
     series end is emitted with recovery fields None. Episodes never
     overlap; the recovery bar becomes the next peak candidate.
     """
+    require_instance(prices, PriceSeries, "price series")
+    lookback_days = require_int(lookback_days, "lookback_days")
     if lookback_days < 1:
         raise ConfigError("lookback_days must be >= 1")
     if not (math.isfinite(min_depth) and min_depth >= 0.0):
@@ -226,7 +230,7 @@ def progressive_kurtosis(downfalls: Sequence[Downfall],
 def critical_cutoff(scan: KurtosisScan) -> CriticalLevel:
     """The scan entry whose kurtosis is nearest zero; ties prefer the
     larger subset (fewer events claimed as self-organized)."""
-    if not scan.entries:
+    if not require_instance(scan, KurtosisScan, "scan").entries:
         raise EmptyScanError("scan has no usable entries")
     best = scan.entries[0]
     for entry in scan.entries[1:]:

@@ -6,12 +6,23 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateCurveError, InvalidCurveError
+from .errors import DegenerateCurveError, InvalidCurveError, require_instance
 
 
 class EstimatorKind(Enum):
     RESCALED_RANGE = "rescaled_range"
     DFA = "dfa"
+
+
+UNFITTABLE = "statistics must be finite and strictly positive for the log fit"
+
+
+def fittable(statistics) -> np.ndarray:
+    """Whether every statistic of each curve (the last axis) is finite and
+    strictly positive; ScalingCurve raises DegenerateCurveError(UNFITTABLE)
+    for a curve that is not."""
+    s = np.asarray(statistics, dtype=np.float64)
+    return (np.isfinite(s) & (s > 0.0)).all(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -38,10 +49,8 @@ class ScalingCurve:
             raise InvalidCurveError("scales must be strictly increasing")
         if self.scales[0] <= 0:
             raise InvalidCurveError("scales must be positive")
-        if any(stat <= 0 or not np.isfinite(stat) for stat in self.statistics):
-            raise DegenerateCurveError(
-                "statistics must be finite and strictly positive for the log fit"
-            )
+        if not fittable(self.statistics):
+            raise DegenerateCurveError(UNFITTABLE)
 
 
 @dataclass(frozen=True)
@@ -105,6 +114,7 @@ def fit_loglog(curve: ScalingCurve) -> PowerLawFit:
     Natural logs on both axes. The exponent is invariant under rescaling
     either axis by a positive constant; only the intercept moves.
     """
+    require_instance(curve, ScalingCurve, "curve", InvalidCurveError)
     log_n = np.log(np.asarray(curve.scales, dtype=np.float64))
     log_s = np.log(np.asarray(curve.statistics, dtype=np.float64))
     slope, intercept, r_squared, flat = ols_line(log_n, log_s)

@@ -201,19 +201,28 @@ def _ddof(std_mode: StdMode) -> int:
     return 0 if std_mode is StdMode.POPULATION else 1
 
 
+def rs_window_error(window: int, segment_lengths: Sequence[int],
+                    defined: Sequence[int]) -> AllSegmentsDegenerateError | None:
+    """The error of the first scale whose segments are all constant, from
+    a window's counts in rs_curve_rows, or None; an estimate raises it
+    ahead of its curve's own (regression.fittable)."""
+    for n, d in zip(segment_lengths, defined):
+        if d == 0:
+            return AllSegmentsDegenerateError(
+                f"all {window // n} segments of length {n} are constant")
+    return None
+
+
 def _rs_window(x: np.ndarray, segment_lengths: Sequence[int],
                std_mode: StdMode) -> tuple[list[float], list[int]]:
     """(R/S)_n and the dropped constant segments per scale of one window,
-    row 0 of rs_curve_rows; raises at the first scale whose segments are
-    all constant."""
+    row 0 of rs_curve_rows; raises rs_window_error's error."""
     stats, defined = rs_curve_rows(x, x.size, 1, segment_lengths, std_mode)
-    dropped = []
-    for n, d in zip(segment_lengths, defined[0].tolist()):
-        if d == 0:
-            raise AllSegmentsDegenerateError(
-                f"all {x.size // n} segments of length {n} are constant")
-        dropped.append(x.size // n - d)
-    return stats[0].tolist(), dropped
+    defined = defined[0].tolist()
+    if error := rs_window_error(x.size, segment_lengths, defined):
+        raise error
+    return stats[0].tolist(), [x.size // n - d
+                               for n, d in zip(segment_lengths, defined)]
 
 
 def build_partition_plan(total_length: int,

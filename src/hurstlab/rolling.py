@@ -5,9 +5,10 @@ R/S plan or DFA box schedule once, builds every window's curve with one
 call of ``rs_curve_rows`` or ``dfa_curve_rows`` on the whole series,
 and fits all of them in one pass. A trace entry equals the standalone
 estimate on that slice bit for bit: that estimate is row 0 of the same
-curve function on the slice alone. A window fails where its standalone
-estimate raises, and is kept as a gap noted with that error rather than
-dropped or interpolated.
+curve function on the slice alone. A window that cannot be fitted is
+kept as a gap noted with the error its standalone estimate raises, built
+from the window's own curves by the functions that estimate raises
+through, not by estimating the window again.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from .dfa import (
 from .errors import (
     ComputationError,
     ConfigError,
+    DegenerateCurveError,
     EmptyTraceError,
     SeriesTooShortError,
     InvalidPlanError,
@@ -45,8 +47,9 @@ from .rescaled_range import (
     build_partition_plan,
     estimate_hurst_rs,
     rs_curve_rows,
+    rs_window_error,
 )
-from .regression import ols_rows
+from .regression import UNFITTABLE, fittable, ols_rows
 from .series import ReturnSeries, Transform, transform_returns
 
 
@@ -168,27 +171,35 @@ def estimate_window(values: np.ndarray, config: RollingConfig):
 
 def _fit_windows(values: np.ndarray, config: RollingConfig,
                  scheme: PartitionPlan | DfaConfig
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h, r_squared, fitted) of every window, fitted in one pass over the
-    curves of the whole series; fitted is False exactly where the
-    standalone estimate of the window raises. The curves are freed on
-    return, before the sweep builds its measurements."""
+                 ) -> tuple[np.ndarray, np.ndarray, dict[int, ComputationError]]:
+    """(h, r_squared, errors) of every window, fitted in one pass over the
+    curves of the whole series; errors maps the index of each window that
+    cannot be fitted to the error its standalone estimate raises, built
+    from its row of curves: rs_window_error's, else the curve's own
+    (regression.fittable). The curves are freed on return."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if isinstance(scheme, PartitionPlan):
-            stats = rs_curve_rows(values, config.window, config.lag,
-                                  scheme.segment_lengths, config.std_mode)[0]
+            stats, defined = rs_curve_rows(values, config.window, config.lag,
+                                           scheme.segment_lengths,
+                                           config.std_mode)
             h, _, r_squared, _ = ols_rows(np.log(scheme.segment_lengths),
                                           np.log(stats))
         else:
             stats = dfa_curve_rows(values, config.window, config.lag, scheme)
             h, _, r_squared, _ = dfa_fit_rows(scheme.box_sizes, stats,
                                               scheme.fit_target)
-    fitted = (np.isfinite(stats) & (stats > 0.0)).all(axis=-1)
-    return h, r_squared, fitted
+    unfit = np.flatnonzero(~fittable(stats)).tolist()
+    errors = dict.fromkeys(unfit, DegenerateCurveError(UNFITTABLE))
+    if isinstance(scheme, PartitionPlan):
+        for i, counts in zip(unfit, defined[unfit].tolist()):
+            errors[i] = rs_window_error(config.window, scheme.segment_lengths,
+                                        counts) or errors[i]
+    return h, r_squared, errors
 
 
 def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
-    """Estimate h over every window; exactly floor((L-w)/lag)+1 entries."""
+    """Estimate h over every window; exactly floor((L-w)/lag)+1 entries,
+    a gap exactly where _fit_windows gives an error."""
     transformed = transform_returns(returns, config.transform)
     values = transformed.values
     window, lag = config.window, config.lag
@@ -196,20 +207,17 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
         raise SeriesTooShortError(
             f"{values.size} returns cannot fill a window of {window}"
         )
-    scheme = _scheme(config, window)
-    h, r_squared, fitted = (part.tolist() for part in
-                            _fit_windows(values, config, scheme))
+    h, r_squared, errors = _fit_windows(values, config,
+                                        _scheme(config, window))
     measurements = []
-    for i, (h_i, r2_i, ok) in enumerate(zip(h, r_squared, fitted)):
+    for i, (h_i, r2_i) in enumerate(zip(h.tolist(), r_squared.tolist())):
         end_date = transformed.dates[i * lag + window - 1]
-        if ok:
+        if i not in errors:
             measurements.append(RollingMeasurement(end_date, h_i, r2_i))
             continue
-        try:  # the standalone estimate raises exactly on unfit windows
-            estimate_window(values[i * lag: i * lag + window], config)
-        except ComputationError as exc:
-            measurements.append(RollingMeasurement(
-                end_date, None, None, note=f"{type(exc).__name__}: {exc}"))
+        exc = errors[i]
+        measurements.append(RollingMeasurement(
+            end_date, None, None, note=f"{type(exc).__name__}: {exc}"))
     return RollingTrace(config=config, measurements=tuple(measurements))
 
 
@@ -220,7 +228,7 @@ def summarize(trace: RollingTrace, cut_points: tuple[float, ...] = (0.5, 0.6, 0.
         raise ConfigError(f"cut points must be finite, got {list(cut_points)}")
     if len(set(cut_points)) < len(cut_points):
         raise ConfigError(f"cut points must be distinct, got {list(cut_points)}")
-    h = trace.h_values()
+    h = require_instance(trace, RollingTrace, "trace").h_values()
     if h.size == 0:
         raise EmptyTraceError("trace has no usable measurements")
     proportions = {float(c): float((h > c).mean()) for c in cut_points}
@@ -237,7 +245,7 @@ def summarize(trace: RollingTrace, cut_points: tuple[float, ...] = (0.5, 0.6, 0.
 
 def classify_market(trace: RollingTrace) -> MarketClass:
     """Mature / emergent / hybrid from the trace's h distribution."""
-    h = trace.h_values()
+    h = require_instance(trace, RollingTrace, "trace").h_values()
     if h.size < MIN_MEASUREMENTS:
         raise TraceTooShortError(
             f"need at least {MIN_MEASUREMENTS} measurements, got {h.size}"

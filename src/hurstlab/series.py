@@ -265,7 +265,8 @@ def log_returns(series: PriceSeries) -> ReturnSeries:
 
     The values telescope, so their sum equals ln(last/first).
     """
-    log_close = np.log(series.closes)
+    log_close = np.log(require_instance(series, PriceSeries,
+                                        "price series").closes)
     return ReturnSeries(
         transform=Transform.RAW,
         dates=series.dates[1:],

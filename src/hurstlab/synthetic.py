@@ -24,6 +24,7 @@ from .errors import (
     HOutOfRangeError,
     LengthTooLargeError,
     UnknownKindError,
+    require_instance,
     require_int,
 )
 from .series import PriceSeries
@@ -73,6 +74,7 @@ def fgn_autocovariance(h: float, k: int) -> float:
 
 
 def _rng(seed: int) -> np.random.Generator:
+    seed = require_int(seed, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     # PCG64 pinned explicitly: the stream must not depend on the numpy
@@ -196,6 +198,7 @@ def random_walk_prices(length: int, seed: int, drift: float = 0.0,
 
 def generate(spec: GeneratorSpec):
     """Dispatch on spec.kind; returns an array or a PriceSeries."""
+    require_instance(spec, GeneratorSpec, "generator spec")
     _check_calendar_length(spec.length)
     _rng(spec.seed)  # a negative seed fails here, ahead of the checks below
     if not (np.isfinite(spec.drift) and np.isfinite(spec.volatility)):

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCurveError
+from .errors import ConfigError, InvalidCurveError, require_instance
 from .regression import EstimatorKind, ScalingCurve, ols_line
 
 #: Half-width of the flat band, in V units per unit log n. Calibrated so
@@ -48,6 +48,7 @@ class VStatCurve:
 def v_statistic(curve: ScalingCurve,
                 flat_tolerance: float = DEFAULT_FLAT_TOLERANCE) -> VStatCurve:
     """Compute V_n from a rescaled-range curve and classify its trend."""
+    require_instance(curve, ScalingCurve, "curve", InvalidCurveError)
     if curve.kind is not EstimatorKind.RESCALED_RANGE:
         raise InvalidCurveError("V statistic is defined on rescaled-range curves")
     if not (math.isfinite(flat_tolerance) and flat_tolerance >= 0.0):

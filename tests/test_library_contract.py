@@ -8,7 +8,11 @@ standalone estimate raises, noted with that error. The same holds for
 the kurtosis, rank-size, DFA and R/S callables on arrays with NaN and
 infinities, of rank 0 to 2, and for the generators at any length (an
 integer or not), seed and h, and for the CSV parsers on any text or
-object and any CSV settings. Integer arguments of the plan, the rolling
+object and any CSV settings. Every gap of a sweep carries its standalone
+estimate's error text, and the sweep has floor((L - w)/lag) + 1 entries.
+The entry points that take a curve, trace, price series, scan or
+generator spec raise a typed error on any other object, and so do a
+non-integer lookback or seed. Integer arguments of the plan, the rolling
 config, the CSV settings, the DFA box sizes and the fGn autocovariance
 take numpy integers, and anything else raises a typed error. So does an
 enum setting given anything but a member (its value string included),
@@ -32,7 +36,9 @@ from hurstlab.dfa import (
 )
 from hurstlab.downfalls import (
     Downfall,
+    critical_cutoff,
     excess_kurtosis,
+    extract_downfalls,
     progressive_kurtosis,
     rank_size_points,
 )
@@ -40,8 +46,10 @@ from hurstlab.errors import (
     ConfigError,
     HurstLabError,
     InputError,
+    InvalidCurveError,
     InvalidPlanError,
 )
+from hurstlab.regression import fit_loglog
 from hurstlab.rescaled_range import (
     EstimatorKind,
     PartitionPolicy,
@@ -52,11 +60,18 @@ from hurstlab.rescaled_range import (
     rs_at_scale_with_diagnostics,
     segment_stats,
 )
-from hurstlab.rolling import RollingConfig, estimate_window, sweep
+from hurstlab.rolling import (
+    RollingConfig,
+    classify_market,
+    estimate_window,
+    summarize,
+    sweep,
+)
 from hurstlab.series import (
     CsvConfig,
     ReturnSeries,
     Transform,
+    log_returns,
     parse_price_csv,
     parse_return_csv,
     transform_returns,
@@ -66,9 +81,11 @@ from hurstlab.synthetic import (
     fbm,
     fgn,
     fgn_autocovariance,
+    generate,
     random_walk_prices,
     white_noise,
 )
+from hurstlab.vstat import v_statistic
 
 _SCALES = st.one_of(
     st.sampled_from([5e-324, 1e-310, 1e-300, 1e-150, 1e-3, 1.0, 1e150,
@@ -119,13 +136,16 @@ def check_sweep(values, options):
     config = RollingConfig(**options)
     trace = sweep(returns, config)
     x = transform_returns(returns, config.transform).values
-    for i in {0, trace.count // 2, trace.count - 1}:
+    assert trace.count == (x.size - config.window) // config.lag + 1
+    gaps = {i for i, m in enumerate(trace.measurements) if m.is_gap}
+    for i in gaps | {0, trace.count // 2, trace.count - 1}:
         start = i * config.lag
         try:
             est = estimate_window(x[start:start + config.window], config)
         except HurstLabError as exc:
             assert trace.measurements[i].note == f"{type(exc).__name__}: {exc}"
         else:
+            assert i not in gaps
             assert (trace.measurements[i].h, trace.measurements[i].r_squared
                     ) == (est.h, est.r_squared)
 
@@ -191,13 +211,36 @@ def downfalls(depths, open_last):
     return episodes
 
 
+_NON_INTEGERS = st.sampled_from([10.5, 10.0, 2.5, math.nan, math.inf,
+                                 np.float64(10.0), "10", None])
+_PRICES = random_walk_prices(300, 1)
+
+
 @st.composite
 def array_calls(draw):
-    """(name, callable, arguments) of an array callable on a drawn array."""
+    """(name, callable, arguments) of an array callable on a drawn array,
+    or, one time in three, of an entry point that takes a curve, trace,
+    price series, scan or generator spec on that array or another
+    object, or of extract_downfalls at a drawn lookback."""
     x = draw(arrays())
     scale = draw(st.integers(-3, 700))
     std_mode = draw(st.sampled_from(list(StdMode)))
     include_open = draw(st.booleans())
+    if draw(st.integers(0, 2)) == 2:
+        other = draw(st.one_of(st.just(x), st.sampled_from(
+            [None, 2.5, "trace", _PRICES])))
+        return draw(st.sampled_from([
+            ("v_statistic", v_statistic, (other,)),
+            ("fit_loglog", fit_loglog, (other,)),
+            ("summarize", summarize, (other,)),
+            ("classify_market", classify_market, (other,)),
+            ("extract_downfalls", extract_downfalls, (other,)),
+            ("extract_downfalls", extract_downfalls, (_PRICES, draw(
+                st.one_of(st.integers(-3, 400), _NON_INTEGERS)))),
+            ("critical_cutoff", critical_cutoff, (other,)),
+            ("log_returns", log_returns, (other,)),
+            ("generate", generate, (other,)),
+        ]))
     return draw(st.sampled_from([
         ("excess_kurtosis", excess_kurtosis, (x,)),
         ("progressive_kurtosis", progressive_kurtosis,
@@ -219,18 +262,18 @@ _SEEDS = st.one_of(st.integers(-3, 10), st.integers(2 ** 64 - 2, 2 ** 66))
 
 
 _LENGTHS = st.one_of(st.integers(-3, 300), st.integers(-3, 70_000))
-_NON_INTEGER_LENGTHS = st.sampled_from([10.5, 10.0, 2.5, math.nan, math.inf,
-                                        np.float64(10.0), "10", None])
 
 
 @st.composite
 def generator_calls(draw):
-    """(name, callable, arguments) of a generator at a drawn length (now
-    and then not an integer), seed and h, or of fgn_autocovariance at a
-    drawn h and lag (now and then not an integer)."""
-    lag = draw(st.one_of(_LENGTHS, _LENGTHS, _NON_INTEGER_LENGTHS))
-    length = draw(st.one_of(_LENGTHS, _LENGTHS, _NON_INTEGER_LENGTHS))
-    seed, h = draw(_SEEDS), draw(_H_GRID)
+    """(name, callable, arguments) of a generator at a drawn length and
+    seed (each now and then not an integer) and h, or of
+    fgn_autocovariance at a drawn h and lag (now and then not an
+    integer)."""
+    lag = draw(st.one_of(_LENGTHS, _LENGTHS, _NON_INTEGERS))
+    length = draw(st.one_of(_LENGTHS, _LENGTHS, _NON_INTEGERS))
+    seed = draw(st.one_of(_SEEDS, _SEEDS, _NON_INTEGERS))
+    h = draw(_H_GRID)
     return draw(st.sampled_from([
         ("white_noise", white_noise, (length, seed)),
         ("fgn", fgn, (length, h, seed)),
@@ -471,4 +514,23 @@ def test_settings_that_are_not_members_raise_config_error(kind, call):
 ])
 def test_estimators_and_parsers_reject_other_configs(call, error):
     with pytest.raises(error, match="unknown .* expected a"):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: v_statistic(None), InvalidCurveError, "unknown curve None"),
+    (lambda: fit_loglog(None), InvalidCurveError, "unknown curve None"),
+    (lambda: summarize(None), ConfigError, "unknown trace None"),
+    (lambda: classify_market(None), ConfigError, "unknown trace None"),
+    (lambda: extract_downfalls(None), ConfigError, "unknown price series"),
+    (lambda: extract_downfalls(_PRICES, lookback_days=2.5), ConfigError,
+     "lookback_days must be an integer"),
+    (lambda: critical_cutoff(None), ConfigError, "unknown scan None"),
+    (lambda: log_returns(None), ConfigError, "unknown price series"),
+    (lambda: generate(None), ConfigError, "unknown generator spec None"),
+    (lambda: random_walk_prices(300, 1.5), ConfigError,
+     "seed must be an integer"),
+])
+def test_entry_points_reject_other_objects(call, error, message):
+    with pytest.raises(error, match=message):
         call()

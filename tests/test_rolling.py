@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from hurstlab import _kernels
+from hurstlab import _kernels, rolling
 from hurstlab._kernels import _TABLE_VALUES
 from hurstlab.dfa import FitTarget, dfa_curve_rows
 from hurstlab.errors import (
@@ -267,6 +267,31 @@ def test_gap_windows_recorded_not_dropped():
     assert not trace.measurements[0].is_gap
     assert trace.measurements[1].is_gap
     assert "AllSegmentsDegenerate" in trace.measurements[1].note
+
+
+@pytest.mark.parametrize("config", [
+    RollingConfig(window=250, lag=1),
+    RollingConfig(window=256, lag=1, estimator=DFA),
+])
+def test_gap_notes_come_from_the_sweep_without_a_second_estimate(
+        config, monkeypatch):
+    # Each gap's note is built from the sweep's own curves: with every
+    # standalone estimate made to fail, the sweep still runs, and each gap
+    # carries the note the standalone estimate's error gives.
+    values = with_constant_runs(3000, seed=config.window)
+    values[1600:2400] = -0.5
+    expected = reference_trace(values, config)
+    assert sum(note != "" for _, _, note in expected) > 500
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the sweep estimated a window again")
+
+    for name in ("estimate_window", "estimate_hurst_rs", "estimate_hurst_dfa"):
+        monkeypatch.setattr(rolling, name, no_estimate)
+    trace = sweep(make_returns(values), config)
+    assert trace.count == (values.size - config.window) // config.lag + 1
+    assert [(m.h, m.r_squared, m.note) for m in trace.measurements] == expected
+    assert all(m.note for m in trace.measurements if m.is_gap)
 
 
 def test_dfa_windows_inside_constant_run_are_gaps():

@@ -148,6 +148,10 @@ MATRIX = [
            "--window 200 --lag 7",
            "rolling G.csv --returns --lag 10",
            "rolling G.csv --returns --lag 10 --format table",
+           # every gap window of G at lag 1, each with its note
+           "rolling G.csv --returns --lag 1",
+           "rolling G.csv --returns --estimator dfa --window 256 --lag 1 "
+           "--format table",
            # G shifted by 0.1: the same gaps, as a constant run is told by
            # its values, not by a deviation that rounds to 0
            "rolling G1.csv --returns --lag 10",
