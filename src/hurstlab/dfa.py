@@ -11,7 +11,7 @@ gives the literal squared-fluctuation reading.
 
 ``dfa_curve_rows(x, window, lag, config)`` gives the curves of the
 windows of a series from one box table per scale, as R/S does; a
-standalone estimate is row 0 of the same call on the series alone.
+standalone estimate is row 0 of the sweep's ``dfa_fits`` call on its series.
 """
 from __future__ import annotations
 
@@ -28,8 +28,8 @@ from .errors import (
     require_instance,
     require_ints,
 )
-from .regression import EstimatorKind, PowerLawFit, ScalingCurve, ols_rows
-from .rescaled_range import HurstEstimate, estimate_from_curve
+from .regression import EstimatorKind, fit_rows, unfittable_rows
+from .rescaled_range import HurstEstimate, estimate_from_fits
 from .series import finite_values
 
 
@@ -119,21 +119,24 @@ def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
                  fit_target: FitTarget = FitTarget.FLUCTUATION_RMS,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise fit of <F^2> curves (..., k); the rms target halves the
-    log ordinate. Returns ols_rows' (slope, intercept, r_squared, flat)."""
-    log_fsq = np.log(fsq)
-    if require_instance(fit_target, FitTarget,
-                        "fit_target") is FitTarget.FLUCTUATION_RMS:
-        log_fsq = 0.5 * log_fsq
-    return ols_rows(np.log(scales), log_fsq)
+    log ordinate. Returns fit_rows' (slope, intercept, r_squared, flat)."""
+    rms = require_instance(fit_target, FitTarget,
+                           "fit_target") is FitTarget.FLUCTUATION_RMS
+    return fit_rows(scales, fsq, 0.5 if rms else 1.0)
+
+
+def dfa_fits(x: np.ndarray, window: int, lag: int, config: DfaConfig
+             ) -> tuple:
+    """(curves, fit, errors) of every window x[i*lag : i*lag + window]: its
+    <F^2> curve, its fit and, by window, the error of each unfittable one."""
+    fsq = dfa_curve_rows(x, window, lag, config)
+    return (fsq, dfa_fit_rows(config.box_sizes, fsq, config.fit_target),
+            unfittable_rows(fsq))
 
 
 def estimate_hurst_dfa(series: Sequence[float], config: DfaConfig) -> HurstEstimate:
-    """DFA estimate: the curve stores <F^2(tau)>, fitted as the sweep's rows."""
+    """DFA estimate of <F^2(tau)>: row 0 of dfa_fits on the series."""
     require_instance(config, DfaConfig, "DFA config", InvalidPlanError)
     x = finite_values(series)
-    stats = dfa_curve_rows(x, x.size, 1, config)[0]
-    curve = ScalingCurve(scales=config.box_sizes, statistics=tuple(stats.tolist()),
-                         kind=EstimatorKind.DFA)
-    fit = PowerLawFit(*(v.item() for v in dfa_fit_rows(
-        config.box_sizes, stats, config.fit_target)))
-    return estimate_from_curve(curve, fit=fit)
+    return estimate_from_fits(config.box_sizes, EstimatorKind.DFA,
+                              *dfa_fits(x, x.size, 1, config))

@@ -24,6 +24,7 @@ from .errors import (
     NoDownfallsError,
     TooFewError,
     ZeroVarianceError,
+    require_float,
     require_instance,
     require_int,
 )
@@ -105,6 +106,7 @@ def extract_downfalls(prices: PriceSeries,
     lookback_days = require_int(lookback_days, "lookback_days")
     if lookback_days < 1:
         raise ConfigError("lookback_days must be >= 1")
+    min_depth = require_float(min_depth, "min_depth")
     if not (math.isfinite(min_depth) and min_depth >= 0.0):
         raise ConfigError(f"min_depth must be finite and >= 0, got {min_depth}")
     closes = prices.closes
@@ -195,7 +197,13 @@ def excess_kurtosis(values: Sequence[float]) -> float:
 
 
 def _depths(downfalls: Sequence[Downfall], include_open: bool) -> list[float]:
-    return [d.depth for d in downfalls if include_open or not d.is_open]
+    try:
+        episodes = [require_instance(d, Downfall, "downfall")
+                    for d in downfalls]
+    except TypeError:
+        raise ConfigError(f"downfalls must be a sequence of Downfall, got "
+                          f"{downfalls!r}") from None
+    return [d.depth for d in episodes if include_open or not d.is_open]
 
 
 def progressive_kurtosis(downfalls: Sequence[Downfall],
@@ -245,6 +253,8 @@ def critical_cutoff(scan: KurtosisScan) -> CriticalLevel:
 
 def classify_episode(downfall: Downfall, critical: CriticalLevel) -> Regime:
     """Leptokurtic strictly above the cutoff; the boundary stays mesokurtic."""
+    require_instance(downfall, Downfall, "downfall")
+    require_instance(critical, CriticalLevel, "critical level")
     if downfall.depth > critical.cutoff_depth:
         return Regime.LEPTOKURTIC
     return Regime.MESOKURTIC

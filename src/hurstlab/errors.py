@@ -6,6 +6,7 @@ malformed series, curves and generator specs used to raise a bare
 ValueError also derive from ValueError, so a caller catching ValueError
 still catches them.
 """
+import numbers
 import operator
 
 
@@ -140,6 +141,29 @@ def require_int(value, what: str, error: type[ConfigError] = ConfigError
         return operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def require_float(value, what: str, error: type[ConfigError] = ConfigError
+                  ) -> float:
+    """The value as a float, numpy reals included; a str, None, a sequence
+    or anything else raises, and so does an int too large for a float."""
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise error(f"{what} must be a real number, got {value!r}")
+
+
+def require_floats(values, what: str, error: type[ConfigError] = ConfigError
+                   ) -> tuple[float, ...]:
+    """The values as a tuple of floats, each by require_float; anything not
+    iterable raises too."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise error(f"{what} must be real numbers, got {values!r}") from None
+    return tuple(require_float(v, what, error) for v in items)
 
 
 def require_ints(values, what: str, error: type[ConfigError] = ConfigError

@@ -14,15 +14,13 @@ class EstimatorKind(Enum):
     DFA = "dfa"
 
 
-UNFITTABLE = "statistics must be finite and strictly positive for the log fit"
-
-
-def fittable(statistics) -> np.ndarray:
-    """Whether every statistic of each curve (the last axis) is finite and
-    strictly positive; ScalingCurve raises DegenerateCurveError(UNFITTABLE)
-    for a curve that is not."""
+def unfittable_rows(statistics) -> dict[int, DegenerateCurveError]:
+    """The error of each curve (last axis) whose statistics are not all
+    finite and strictly positive, by row; ScalingCurve raises through it."""
     s = np.asarray(statistics, dtype=np.float64)
-    return (np.isfinite(s) & (s > 0.0)).all(axis=-1)
+    bad = np.flatnonzero(~(np.isfinite(s) & (s > 0.0)).all(axis=-1))
+    return dict.fromkeys(bad.tolist(), DegenerateCurveError(
+        "statistics must be finite and strictly positive for the log fit"))
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,8 @@ class ScalingCurve:
             raise InvalidCurveError("scales must be strictly increasing")
         if self.scales[0] <= 0:
             raise InvalidCurveError("scales must be positive")
-        if not fittable(self.statistics):
-            raise DegenerateCurveError(UNFITTABLE)
+        if errors := unfittable_rows([self.statistics]):
+            raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -108,6 +106,16 @@ def ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, bool]:
     return tuple(v.item() for v in ols_rows(x, [y]))
 
 
+def fit_rows(scales, statistics, factor: float = 1.0
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """ols_rows of factor * log(statistic) on log(scale), curve by curve;
+    a curve that unfittable_rows names fits to NaN without a warning."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = np.log(statistics)
+        log_s *= factor
+        return ols_rows(np.log(scales), log_s)
+
+
 def fit_loglog(curve: ScalingCurve) -> PowerLawFit:
     """Fit log(statistic) on log(scale); the slope is the scaling exponent.
 
@@ -115,8 +123,5 @@ def fit_loglog(curve: ScalingCurve) -> PowerLawFit:
     either axis by a positive constant; only the intercept moves.
     """
     require_instance(curve, ScalingCurve, "curve", InvalidCurveError)
-    log_n = np.log(np.asarray(curve.scales, dtype=np.float64))
-    log_s = np.log(np.asarray(curve.statistics, dtype=np.float64))
-    slope, intercept, r_squared, flat = ols_line(log_n, log_s)
-    return PowerLawFit(exponent=slope, intercept=intercept,
-                       r_squared=r_squared, flat=flat)
+    return PowerLawFit(*(v.item() for v in fit_rows(curve.scales,
+                                                    [curve.statistics])))

@@ -10,8 +10,8 @@ fractal dimension is 1/h.
 A ratio depends only on its own segment, so the curves of the windows
 of one series (``rs_curve_rows(x, window, lag, ...)``) read one table
 per scale, indexed by segment start, in which each distinct segment is
-evaluated once. A standalone estimate is row 0 of the same call on the
-series alone.
+evaluated once. ``rs_fits`` also fits them, and a standalone estimate is
+row 0 of the sweep's ``rs_fits`` call, made on the series alone.
 """
 from __future__ import annotations
 
@@ -31,7 +31,14 @@ from .errors import (
     require_int,
     require_ints,
 )
-from .regression import EstimatorKind, PowerLawFit, ScalingCurve, fit_loglog
+from .regression import (
+    EstimatorKind,
+    PowerLawFit,
+    ScalingCurve,
+    fit_loglog,
+    fit_rows,
+    unfittable_rows,
+)
 from .series import finite_values
 
 #: Smallest segment the estimator will accept by default. R/S on tiny
@@ -169,8 +176,10 @@ def rs_at_scale_with_diagnostics(
     if x.size // n < 1:
         raise InvalidPlanError(
             f"series of length {x.size} has no segment of length {n}")
-    stats, dropped = _rs_window(x, (n,), std_mode)
-    return stats[0], dropped[0]
+    stats, defined = rs_curve_rows(x, x.size, 1, (n,), std_mode)
+    if error := rs_window_error(x.size, (n,), defined[0].tolist()):
+        raise error
+    return stats[0, 0].item(), x.size // n - defined[0, 0].item()
 
 
 def rs_curve_rows(x: np.ndarray, window: int, lag: int,
@@ -205,7 +214,7 @@ def rs_window_error(window: int, segment_lengths: Sequence[int],
                     defined: Sequence[int]) -> AllSegmentsDegenerateError | None:
     """The error of the first scale whose segments are all constant, from
     a window's counts in rs_curve_rows, or None; an estimate raises it
-    ahead of its curve's own (regression.fittable)."""
+    ahead of its curve's own (regression.unfittable_rows)."""
     for n, d in zip(segment_lengths, defined):
         if d == 0:
             return AllSegmentsDegenerateError(
@@ -213,16 +222,19 @@ def rs_window_error(window: int, segment_lengths: Sequence[int],
     return None
 
 
-def _rs_window(x: np.ndarray, segment_lengths: Sequence[int],
-               std_mode: StdMode) -> tuple[list[float], list[int]]:
-    """(R/S)_n and the dropped constant segments per scale of one window,
-    row 0 of rs_curve_rows; raises rs_window_error's error."""
-    stats, defined = rs_curve_rows(x, x.size, 1, segment_lengths, std_mode)
-    defined = defined[0].tolist()
-    if error := rs_window_error(x.size, segment_lengths, defined):
-        raise error
-    return stats[0].tolist(), [x.size // n - d
-                               for n, d in zip(segment_lengths, defined)]
+def rs_fits(x: np.ndarray, window: int, lag: int, plan: PartitionPlan,
+            std_mode: StdMode = StdMode.POPULATION) -> tuple:
+    """(curves, fit, errors, defined) of every window x[i*lag : i*lag +
+    window]: rs_curve_rows', fit_rows' and, by window, the error of each
+    that cannot be fitted, rs_window_error's, else its curve's own."""
+    stats, defined = rs_curve_rows(x, window, lag, plan.segment_lengths,
+                                   std_mode)
+    fit, errors = fit_rows(plan.segment_lengths, stats), unfittable_rows(stats)
+    unfit = list(errors)
+    for i, counts in zip(unfit, defined[unfit].tolist()):
+        errors[i] = rs_window_error(window, plan.segment_lengths,
+                                    counts) or errors[i]
+    return stats, fit, errors, defined
 
 
 def build_partition_plan(total_length: int,
@@ -314,17 +326,29 @@ def estimate_from_curve(curve: ScalingCurve, fit: PowerLawFit | None = None,
     )
 
 
+def estimate_from_fits(scales: tuple[int, ...], kind: EstimatorKind,
+                       stats: np.ndarray, fit: tuple, errors: dict,
+                       skipped_segments: tuple = ()) -> HurstEstimate:
+    """The estimate of row 0 of rs_fits or dfa_fits, or its error."""
+    if 0 in errors:
+        raise errors[0]
+    return estimate_from_curve(
+        ScalingCurve(scales, tuple(stats[0].tolist()), kind),
+        PowerLawFit(*(v[0].item() for v in fit)), skipped_segments)
+
+
 def estimate_hurst_rs(series: Sequence[float], plan: PartitionPlan,
                       std_mode: StdMode = StdMode.POPULATION) -> HurstEstimate:
-    """Rescaled-range estimate over a plan: the rolling sweep's batch of one."""
+    """Rescaled-range estimate over a plan: row 0 of rs_fits on the series."""
     require_instance(plan, PartitionPlan, "plan", InvalidPlanError)
     x = finite_values(series)
     if x.size != plan.total_length:
         raise InvalidPlanError(
             f"plan built for length {plan.total_length}, series has {x.size}"
         )
-    stats, dropped = _rs_window(x, plan.segment_lengths, std_mode)
-    curve = ScalingCurve(scales=plan.segment_lengths, statistics=tuple(stats),
-                         kind=EstimatorKind.RESCALED_RANGE)
-    skipped = tuple((n, d) for n, d in zip(plan.segment_lengths, dropped) if d)
-    return estimate_from_curve(curve, skipped_segments=skipped)
+    *fits, defined = rs_fits(x, x.size, 1, plan, std_mode)
+    skipped = tuple((n, drop) for n, d in zip(plan.segment_lengths,
+                                              defined[0].tolist())
+                    if (drop := x.size // n - d))
+    return estimate_from_fits(plan.segment_lengths,
+                              EstimatorKind.RESCALED_RANGE, *fits, skipped)

@@ -1,14 +1,13 @@
 """Sliding-window ("dynamic") Hurst estimation over a long return series.
 
 Window i covers returns [i*lag, i*lag + window). The sweep builds the
-R/S plan or DFA box schedule once, builds every window's curve with one
-call of ``rs_curve_rows`` or ``dfa_curve_rows`` on the whole series,
-and fits all of them in one pass. A trace entry equals the standalone
-estimate on that slice bit for bit: that estimate is row 0 of the same
-curve function on the slice alone. A window that cannot be fitted is
-kept as a gap noted with the error its standalone estimate raises, built
-from the window's own curves by the functions that estimate raises
-through, not by estimating the window again.
+R/S plan or DFA box schedule once and makes one call of its estimator's
+fit function, ``rs_fits`` or ``dfa_fits``, on the whole series: every
+window's curve, its fit, and the error of each window that cannot be
+fitted. A standalone estimate is row 0 of the same function on the
+slice alone, so a trace entry equals it bit for bit, and a window that
+cannot be fitted is kept as a gap noted with the very error that
+estimate raises, without estimating the window again.
 """
 from __future__ import annotations
 
@@ -23,18 +22,16 @@ from .dfa import (
     DfaConfig,
     FitTarget,
     default_box_sizes,
-    dfa_curve_rows,
-    dfa_fit_rows,
+    dfa_fits,
     estimate_hurst_dfa,
 )
 from .errors import (
-    ComputationError,
     ConfigError,
-    DegenerateCurveError,
     EmptyTraceError,
     SeriesTooShortError,
     InvalidPlanError,
     TraceTooShortError,
+    require_floats,
     require_instance,
     require_int,
 )
@@ -46,10 +43,8 @@ from .rescaled_range import (
     StdMode,
     build_partition_plan,
     estimate_hurst_rs,
-    rs_curve_rows,
-    rs_window_error,
+    rs_fits,
 )
-from .regression import UNFITTABLE, fittable, ols_rows
 from .series import ReturnSeries, Transform, transform_returns
 
 
@@ -169,37 +164,9 @@ def estimate_window(values: np.ndarray, config: RollingConfig):
     return estimate_hurst_dfa(values, scheme)
 
 
-def _fit_windows(values: np.ndarray, config: RollingConfig,
-                 scheme: PartitionPlan | DfaConfig
-                 ) -> tuple[np.ndarray, np.ndarray, dict[int, ComputationError]]:
-    """(h, r_squared, errors) of every window, fitted in one pass over the
-    curves of the whole series; errors maps the index of each window that
-    cannot be fitted to the error its standalone estimate raises, built
-    from its row of curves: rs_window_error's, else the curve's own
-    (regression.fittable). The curves are freed on return."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if isinstance(scheme, PartitionPlan):
-            stats, defined = rs_curve_rows(values, config.window, config.lag,
-                                           scheme.segment_lengths,
-                                           config.std_mode)
-            h, _, r_squared, _ = ols_rows(np.log(scheme.segment_lengths),
-                                          np.log(stats))
-        else:
-            stats = dfa_curve_rows(values, config.window, config.lag, scheme)
-            h, _, r_squared, _ = dfa_fit_rows(scheme.box_sizes, stats,
-                                              scheme.fit_target)
-    unfit = np.flatnonzero(~fittable(stats)).tolist()
-    errors = dict.fromkeys(unfit, DegenerateCurveError(UNFITTABLE))
-    if isinstance(scheme, PartitionPlan):
-        for i, counts in zip(unfit, defined[unfit].tolist()):
-            errors[i] = rs_window_error(config.window, scheme.segment_lengths,
-                                        counts) or errors[i]
-    return h, r_squared, errors
-
-
 def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
     """Estimate h over every window; exactly floor((L-w)/lag)+1 entries,
-    a gap exactly where _fit_windows gives an error."""
+    a gap exactly where the fit function gives an error."""
     transformed = transform_returns(returns, config.transform)
     values = transformed.values
     window, lag = config.window, config.lag
@@ -207,23 +174,26 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
         raise SeriesTooShortError(
             f"{values.size} returns cannot fill a window of {window}"
         )
-    h, r_squared, errors = _fit_windows(values, config,
-                                        _scheme(config, window))
-    measurements = []
-    for i, (h_i, r2_i) in enumerate(zip(h.tolist(), r_squared.tolist())):
-        end_date = transformed.dates[i * lag + window - 1]
-        if i not in errors:
-            measurements.append(RollingMeasurement(end_date, h_i, r2_i))
-            continue
-        exc = errors[i]
-        measurements.append(RollingMeasurement(
-            end_date, None, None, note=f"{type(exc).__name__}: {exc}"))
-    return RollingTrace(config=config, measurements=tuple(measurements))
+    scheme = _scheme(config, window)
+    # The curves are freed here; only the fit and the errors are kept.
+    (h, _, r_squared, _), errors = (
+        rs_fits(values, window, lag, scheme, config.std_mode)
+        if isinstance(scheme, PartitionPlan)
+        else dfa_fits(values, window, lag, scheme))[1:3]
+    h, r_squared = h.tolist(), r_squared.tolist()
+    notes = [""] * len(h)
+    for i, exc in errors.items():
+        h[i] = r_squared[i] = None
+        notes[i] = f"{type(exc).__name__}: {exc}"
+    return RollingTrace(config=config, measurements=tuple(map(
+        RollingMeasurement, transformed.dates[window - 1::lag], h, r_squared,
+        notes)))
 
 
 def summarize(trace: RollingTrace, cut_points: tuple[float, ...] = (0.5, 0.6, 0.7)
               ) -> TraceSummary:
     """Extrema/mean/proportions of the usable measurements."""
+    cut_points = require_floats(cut_points, "cut point")
     if not all(math.isfinite(c) for c in cut_points):
         raise ConfigError(f"cut points must be finite, got {list(cut_points)}")
     if len(set(cut_points)) < len(cut_points):

@@ -24,6 +24,7 @@ from .errors import (
     HOutOfRangeError,
     LengthTooLargeError,
     UnknownKindError,
+    require_float,
     require_instance,
     require_int,
 )
@@ -67,7 +68,7 @@ def fgn_autocovariance(h: float, k: int) -> float:
     gamma(k) = 0.5 * (|k+1|^2h - 2|k|^2h + |k-1|^2h); gamma(0) = 1 and
     every lag vanishes at h = 0.5 (independent increments).
     """
-    k = require_int(k, "lag")
+    k, h = require_int(k, "lag"), require_float(h, "h")
     if not 0.0 < h < 1.0:
         raise HOutOfRangeError(f"h must be in (0, 1), got {h}")
     return float(_fgn_gamma(h, np.array([abs(k)]))[0])
@@ -127,6 +128,7 @@ def _circulant_sqrt_eigs(h: float, n: int) -> np.ndarray:
 
 def fgn(length: int, h: float, seed: int) -> np.ndarray:
     """Exact stationary fGn with autocovariance fgn_autocovariance(h, .)."""
+    h = require_float(h, "h")
     if not 0.0 < h < 1.0:
         raise HOutOfRangeError(f"h must be in (0, 1), got {h}")
     length = require_int(length, "length")
@@ -181,6 +183,8 @@ def random_walk_prices(length: int, seed: int, drift: float = 0.0,
     """Geometric random walk from WALK_START:
     p_t = p_0 * exp(sum(drift + vol * z_i))."""
     _check_calendar_length(length)
+    drift = require_float(drift, "drift")
+    volatility = require_float(volatility, "volatility")
     z = white_noise(length - 1, seed)
     log_path = np.empty(length)
     with np.errstate(all="ignore"):
@@ -201,7 +205,9 @@ def generate(spec: GeneratorSpec):
     require_instance(spec, GeneratorSpec, "generator spec")
     _check_calendar_length(spec.length)
     _rng(spec.seed)  # a negative seed fails here, ahead of the checks below
-    if not (np.isfinite(spec.drift) and np.isfinite(spec.volatility)):
+    drift = require_float(spec.drift, "drift")
+    volatility = require_float(spec.volatility, "volatility")
+    if not (np.isfinite(drift) and np.isfinite(volatility)):
         raise ConfigError("drift and volatility must be finite")
     if spec.kind is GeneratorKind.WHITE_NOISE:
         return white_noise(spec.length, spec.seed)

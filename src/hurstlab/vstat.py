@@ -14,7 +14,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, InvalidCurveError, require_instance
+from .errors import (
+    ConfigError,
+    InvalidCurveError,
+    require_float,
+    require_instance,
+)
 from .regression import EstimatorKind, ScalingCurve, ols_line
 
 #: Half-width of the flat band, in V units per unit log n. Calibrated so
@@ -51,6 +56,7 @@ def v_statistic(curve: ScalingCurve,
     require_instance(curve, ScalingCurve, "curve", InvalidCurveError)
     if curve.kind is not EstimatorKind.RESCALED_RANGE:
         raise InvalidCurveError("V statistic is defined on rescaled-range curves")
+    flat_tolerance = require_float(flat_tolerance, "flat_tolerance")
     if not (math.isfinite(flat_tolerance) and flat_tolerance >= 0.0):
         raise ConfigError(f"flat_tolerance must be finite and >= 0, got "
                           f"{flat_tolerance}")

@@ -10,9 +10,11 @@ infinities, of rank 0 to 2, and for the generators at any length (an
 integer or not), seed and h, and for the CSV parsers on any text or
 object and any CSV settings. Every gap of a sweep carries its standalone
 estimate's error text, and the sweep has floor((L - w)/lag) + 1 entries.
-The entry points that take a curve, trace, price series, scan or
-generator spec raise a typed error on any other object, and so do a
-non-integer lookback or seed. Integer arguments of the plan, the rolling
+The entry points that take a curve, trace, price series, scan, downfall,
+critical level or generator spec raise a typed error on any other
+object, and so do a non-integer lookback or seed and a float argument
+(h, drift, volatility, minimum depth, flat tolerance, cut points) given
+a str, None or a sequence. Integer arguments of the plan, the rolling
 config, the CSV settings, the DFA box sizes and the fGn autocovariance
 take numpy integers, and anything else raises a typed error. So does an
 enum setting given anything but a member (its value string included),
@@ -36,6 +38,7 @@ from hurstlab.dfa import (
 )
 from hurstlab.downfalls import (
     Downfall,
+    classify_episode,
     critical_cutoff,
     excess_kurtosis,
     extract_downfalls,
@@ -78,6 +81,8 @@ from hurstlab.series import (
 )
 from hurstlab.synthetic import (
     SYNTHETIC_EPOCH,
+    GeneratorKind,
+    GeneratorSpec,
     fbm,
     fgn,
     fgn_autocovariance,
@@ -213,15 +218,25 @@ def downfalls(depths, open_last):
 
 _NON_INTEGERS = st.sampled_from([10.5, 10.0, 2.5, math.nan, math.inf,
                                  np.float64(10.0), "10", None])
+_NON_FLOATS = st.sampled_from(["0.5", None, (0.5,), [0.5], b"0.5", 1j,
+                               np.array([0.5])])
+#: Reals of every kind, and now and then something else
+_FLOATS = st.one_of(st.floats(), st.integers(), st.sampled_from(
+    [np.float32(0.5), np.int64(0), 10 ** 400]), _NON_FLOATS)
 _PRICES = random_walk_prices(300, 1)
+_CURVE = estimate_hurst_rs(white_noise(250, seed=3), build_partition_plan(
+    250, PartitionPolicy.AUTO)).curve
+_TRACE = sweep(log_returns(_PRICES), RollingConfig(window=250, lag=5))
 
 
 @st.composite
 def array_calls(draw):
     """(name, callable, arguments) of an array callable on a drawn array,
     or, one time in three, of an entry point that takes a curve, trace,
-    price series, scan or generator spec on that array or another
-    object, or of extract_downfalls at a drawn lookback."""
+    price series, scan, downfalls or generator spec on that array or
+    another object, of extract_downfalls at a drawn lookback, or of an
+    entry point given a drawn real or other object as its float or cut
+    points."""
     x = draw(arrays())
     scale = draw(st.integers(-3, 700))
     std_mode = draw(st.sampled_from(list(StdMode)))
@@ -240,6 +255,16 @@ def array_calls(draw):
             ("critical_cutoff", critical_cutoff, (other,)),
             ("log_returns", log_returns, (other,)),
             ("generate", generate, (other,)),
+            ("progressive_kurtosis", progressive_kurtosis, (other,)),
+            ("rank_size_points", rank_size_points, (other,)),
+            ("classify_episode", classify_episode, (other, other)),
+            ("classify_episode", classify_episode,
+             (downfalls([0.1], False)[0], other)),
+            ("v_statistic", v_statistic, (_CURVE, draw(_FLOATS))),
+            ("extract_downfalls", extract_downfalls,
+             (_PRICES, 126, draw(_FLOATS))),
+            ("summarize", summarize, (_TRACE, draw(st.one_of(
+                st.lists(_FLOATS, max_size=4), _FLOATS)))),
         ]))
     return draw(st.sampled_from([
         ("excess_kurtosis", excess_kurtosis, (x,)),
@@ -266,20 +291,27 @@ _LENGTHS = st.one_of(st.integers(-3, 300), st.integers(-3, 70_000))
 
 @st.composite
 def generator_calls(draw):
-    """(name, callable, arguments) of a generator at a drawn length and
-    seed (each now and then not an integer) and h, or of
+    """(name, callable, arguments) of a generator, directly or through a
+    spec, at a drawn length and seed (each now and then not an integer),
+    h, drift and volatility (each now and then not a real), or of
     fgn_autocovariance at a drawn h and lag (now and then not an
     integer)."""
     lag = draw(st.one_of(_LENGTHS, _LENGTHS, _NON_INTEGERS))
     length = draw(st.one_of(_LENGTHS, _LENGTHS, _NON_INTEGERS))
     seed = draw(st.one_of(_SEEDS, _SEEDS, _NON_INTEGERS))
-    h = draw(_H_GRID)
+    h = draw(st.one_of(_H_GRID, _H_GRID, _NON_FLOATS))
+    drift, volatility = (draw(st.one_of(
+        st.sampled_from([0.0, 1e-3, -0.5, 1e300]), _FLOATS)) for _ in "dv")
+    spec = GeneratorSpec(draw(st.sampled_from(list(GeneratorKind))), length,
+                         seed, h, drift, volatility)
     return draw(st.sampled_from([
         ("white_noise", white_noise, (length, seed)),
         ("fgn", fgn, (length, h, seed)),
         ("fbm", fbm, (length, h, seed)),
-        ("random_walk_prices", random_walk_prices, (length, seed)),
+        ("random_walk_prices", random_walk_prices,
+         (length, seed, drift, volatility)),
         ("fgn_autocovariance", fgn_autocovariance, (h, lag)),
+        ("generate", generate, (spec,)),
     ]))
 
 
@@ -530,7 +562,47 @@ def test_estimators_and_parsers_reject_other_configs(call, error):
     (lambda: generate(None), ConfigError, "unknown generator spec None"),
     (lambda: random_walk_prices(300, 1.5), ConfigError,
      "seed must be an integer"),
+    (lambda: summarize(_TRACE, None), ConfigError,
+     "cut point must be real numbers, got None"),
+    (lambda: summarize(_TRACE, ("a",)), ConfigError,
+     "cut point must be a real number, got 'a'"),
+    (lambda: v_statistic(_CURVE, None), ConfigError,
+     "flat_tolerance must be a real number, got None"),
+    (lambda: extract_downfalls(_PRICES, min_depth=None), ConfigError,
+     "min_depth must be a real number, got None"),
+    (lambda: progressive_kurtosis(None), ConfigError,
+     "downfalls must be a sequence of Downfall, got None"),
+    (lambda: progressive_kurtosis([0.1] * 5), ConfigError,
+     "unknown downfall 0.1"),
+    (lambda: rank_size_points(None), ConfigError,
+     "downfalls must be a sequence of Downfall, got None"),
+    (lambda: classify_episode(None, None), ConfigError,
+     "unknown downfall None"),
+    (lambda: classify_episode(downfalls([0.1], False)[0], None), ConfigError,
+     "unknown critical level None"),
+    (lambda: random_walk_prices(10, 1, drift=None), ConfigError,
+     "drift must be a real number, got None"),
+    (lambda: random_walk_prices(10, 1, volatility="1"), ConfigError,
+     "volatility must be a real number, got '1'"),
+    (lambda: fgn(10, None, 1), ConfigError, "h must be a real number"),
+    (lambda: fgn(10, "0.5", 1), ConfigError, "h must be a real number"),
+    (lambda: generate(GeneratorSpec(GeneratorKind.WHITE_NOISE, 10, 1,
+                                    drift=None)), ConfigError,
+     "drift must be a real number, got None"),
+    (lambda: generate(GeneratorSpec(GeneratorKind.FGN, 10, 1, h="0.5")),
+     ConfigError, "h must be a real number, got '0.5'"),
 ])
 def test_entry_points_reject_other_objects(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_float_arguments_take_numpy_reals():
+    assert summarize(_TRACE, np.array([0.5, 0.6])) == summarize(
+        _TRACE, (0.5, 0.6))
+    assert extract_downfalls(_PRICES, min_depth=np.float32(0.0)) == (
+        extract_downfalls(_PRICES))
+    assert v_statistic(_CURVE, np.float64(0.09)) == v_statistic(_CURVE)
+    assert np.array_equal(fgn(64, np.float32(0.5), 1), fgn(64, 0.5, 1))
+    assert np.array_equal(random_walk_prices(10, 1, np.int64(0), 1).closes,
+                          random_walk_prices(10, 1).closes)

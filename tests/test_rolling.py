@@ -1,11 +1,12 @@
 import datetime as dt
+import sys
 
 import numpy as np
 import pytest
 
-from hurstlab import _kernels, rolling
+from hurstlab import _kernels, dfa, rescaled_range, rolling
 from hurstlab._kernels import _TABLE_VALUES
-from hurstlab.dfa import FitTarget, dfa_curve_rows
+from hurstlab.dfa import FitTarget, dfa_curve_rows, estimate_hurst_dfa
 from hurstlab.errors import (
     ComputationError,
     SeriesTooShortError,
@@ -15,6 +16,7 @@ from hurstlab.rescaled_range import (
     EstimatorKind,
     PartitionPolicy,
     StdMode,
+    estimate_hurst_rs,
     rs_curve_rows,
 )
 from hurstlab.rolling import (
@@ -292,6 +294,46 @@ def test_gap_notes_come_from_the_sweep_without_a_second_estimate(
     assert trace.count == (values.size - config.window) // config.lag + 1
     assert [(m.h, m.r_squared, m.note) for m in trace.measurements] == expected
     assert all(m.note for m in trace.measurements if m.is_gap)
+
+
+@pytest.mark.parametrize("config", [
+    RollingConfig(window=250, lag=1),
+    RollingConfig(window=256, lag=3, estimator=DFA),
+])
+def test_sweep_and_estimates_make_one_call_of_the_fit_function(
+        config, monkeypatch):
+    # Curves, fits and gap errors have one path per estimator: the sweep
+    # calls rs_fits or dfa_fits once on the whole series, and a standalone
+    # estimate, fitted or not, is one call of it on its own window.
+    calls = []
+    modules = [m for key, m in sys.modules.items()
+               if key.split(".")[0] == "hurstlab"]
+    for module, name in ((rescaled_range, "rs_fits"), (dfa, "dfa_fits")):
+        fits = getattr(module, name)
+
+        def counted(x, window, lag, *rest, name=name, fits=fits, **options):
+            calls.append((name, x.size, window, lag))
+            return fits(x, window, lag, *rest, **options)
+        for bound in modules:  # wherever the name is bound
+            if getattr(bound, name, None) is fits:
+                monkeypatch.setattr(bound, name, counted)
+    name = "dfa_fits" if config.estimator is DFA else "rs_fits"
+    values = with_constant_block(1100, seed=5)
+    sweep(make_returns(values), config)
+    assert calls == [(name, values.size, config.window, config.lag)]
+    scheme, w = _scheme(config, config.window), config.window
+    direct = estimate_hurst_dfa if config.estimator is DFA else estimate_hurst_rs
+    for estimate in (lambda x: direct(x, scheme),
+                     lambda x: estimate_window(x, config)):
+        raised = []
+        for start in (0, 420):  # fitted, and inside the constant block
+            calls.clear()
+            try:
+                estimate(values[start:start + w])
+            except ComputationError:
+                raised.append(start)
+            assert calls == [(name, w, w, 1)]
+        assert raised == [420]
 
 
 def test_dfa_windows_inside_constant_run_are_gaps():

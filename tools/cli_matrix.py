@@ -82,7 +82,11 @@ MATRIX = [
            "hurst F.csv --returns",
            "hurst F.csv --returns --transform absolute --std sample",
            "hurst F.csv --returns --transform squared --min-segment 16",
-           "hurst unsorted.csv"),
+           "hurst unsorted.csv",
+           # G: 600 returns with a run of 300 zeros, so standalone
+           # estimates skip the constant segments of most scales
+           "hurst G.csv --returns",
+           "hurst G.csv --returns --format table"),
     *_runs("hurst P.csv --plan divisors",
            "hurst P.csv --plan preset250",
            "hurst D.csv --min-segment 1",
@@ -124,13 +128,15 @@ MATRIX = [
     *_runs("dfa P.csv",
            "dfa P.csv --fit-target squared --format table",
            "dfa F.csv --returns",
+           "dfa G.csv --returns",
            "hurst F.csv --returns --estimator dfa"),
     *_runs("dfa flat.csv", code=3),
     # vstat
     *_runs("vstat P.csv",
            "vstat D.csv --format table",
            "vstat F.csv --returns --flat-tolerance 0.01 --std sample",
-           "vstat Q.csv --min-segment 10"),
+           "vstat Q.csv --min-segment 10",
+           "vstat G.csv --returns"),
     *_runs("vstat P.csv --flat-tolerance -1",
            "vstat P.csv --plan divisors", code=4),
     # rolling
