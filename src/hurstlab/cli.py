@@ -113,22 +113,26 @@ def build_parser() -> _Parser:
         p.add_argument("--date-format", default="%Y-%m-%d")
         p.add_argument("--format", choices=("json", "table"), default="json")
 
-    def add_estimator_flags(p, default_estimator="rs"):
+    def add_estimator_flags(p, default_estimator=None):
+        # Without a default estimator (vstat, always R/S) there is neither
+        # --estimator nor --fit-target.
         p.add_argument("--transform", default="raw",
                        choices=sorted(t.value for t in Transform))
-        p.add_argument("--estimator", choices=sorted(_ESTIMATORS),
-                       default=default_estimator)
+        if default_estimator is not None:
+            p.add_argument("--estimator", choices=sorted(_ESTIMATORS),
+                           default=default_estimator)
         p.add_argument("--plan", choices=("auto", "divisors", "preset250"),
                        default="auto")
         p.add_argument("--min-segment", type=int, default=DEFAULT_MIN_SEGMENT)
         p.add_argument("--std", default="population",
                        choices=sorted(m.value for m in StdMode))
-        p.add_argument("--fit-target", default="rms", help="DFA fit target",
-                       choices=sorted(t.value for t in FitTarget))
+        if default_estimator is not None:
+            p.add_argument("--fit-target", default="rms", help="DFA fit target",
+                           choices=sorted(t.value for t in FitTarget))
 
     p_hurst = sub.add_parser("hurst", help="full-series Hurst estimate")
     add_input_flags(p_hurst)
-    add_estimator_flags(p_hurst)
+    add_estimator_flags(p_hurst, default_estimator="rs")
     p_hurst.set_defaults(func=cmd_hurst)
 
     p_dfa = sub.add_parser("dfa", help="alias of hurst --estimator dfa")
@@ -138,7 +142,7 @@ def build_parser() -> _Parser:
 
     p_roll = sub.add_parser("rolling", help="sliding-window Hurst trace")
     add_input_flags(p_roll)
-    add_estimator_flags(p_roll)
+    add_estimator_flags(p_roll, default_estimator="rs")
     p_roll.add_argument("--window", type=int, default=250)
     p_roll.add_argument("--lag", type=int, default=5)
     p_roll.add_argument("--cuts", type=float, nargs="+",
@@ -150,7 +154,8 @@ def build_parser() -> _Parser:
     add_estimator_flags(p_vstat)
     p_vstat.add_argument("--flat-tolerance", type=float,
                          default=DEFAULT_FLAT_TOLERANCE)
-    p_vstat.set_defaults(func=cmd_vstat)
+    # The V statistic is defined on the R/S curve.
+    p_vstat.set_defaults(func=cmd_vstat, estimator="rs", fit_target="rms")
 
     p_down = sub.add_parser("downfalls", help="downfall episodes and "
                                               "kurtosis regimes")
@@ -216,7 +221,6 @@ def _rolling_config(args, window: int, lag: int = 1) -> RollingConfig:
         window=window,
         lag=lag,
         estimator=_ESTIMATORS[args.estimator],
-        transform=Transform(args.transform),
         plan_policy=PartitionPolicy(args.plan),
         min_segment_length=args.min_segment,
         std_mode=StdMode(args.std),
@@ -342,7 +346,6 @@ def cmd_hurst(args) -> int:
 def cmd_vstat(args) -> int:
     returns, _, fingerprint = _load_returns(args)
     transformed = transform_returns(returns, Transform(args.transform))
-    args.estimator = "rs"  # V statistic is defined on the R/S curve
     est = estimate_window(transformed.values,
                           _rolling_config(args, len(transformed)))
     curve = v_statistic(est.curve, flat_tolerance=args.flat_tolerance)
@@ -369,7 +372,9 @@ def cmd_vstat(args) -> int:
 
 def cmd_rolling(args) -> int:
     returns, prices, fingerprint = _load_returns(args)
-    trace = sweep(returns, _rolling_config(args, args.window, args.lag))
+    config = _rolling_config(args, args.window, args.lag)
+    trace = sweep(transform_returns(returns, Transform(args.transform)),
+                  config)
     diagnostics = {"gaps": [[m.end_date.isoformat(), m.note]
                             for m in trace.measurements if m.is_gap]}
     summary = market = None

@@ -33,9 +33,7 @@ from .errors import (
 )
 from .regression import (
     EstimatorKind,
-    PowerLawFit,
     ScalingCurve,
-    fit_loglog,
     fit_rows,
     unfittable_rows,
 )
@@ -70,11 +68,32 @@ class Persistence(Enum):
 
 @dataclass(frozen=True)
 class PartitionPlan:
-    """Segment lengths used to build the R/S scaling curve."""
+    """Segment lengths used to build the R/S scaling curve: at least 3
+    strictly increasing integers from 2 to the total length."""
 
     total_length: int
     segment_lengths: tuple[int, ...]
     policy: PartitionPolicy
+
+    def __post_init__(self):
+        total = require_int(self.total_length, "length", InvalidPlanError)
+        lengths = require_ints(self.segment_lengths, "segment length",
+                               InvalidPlanError)
+        object.__setattr__(self, "total_length", total)
+        object.__setattr__(self, "segment_lengths", lengths)
+        require_instance(self.policy, PartitionPolicy, "policy",
+                         InvalidPlanError)
+        if len(lengths) < 3:
+            raise InvalidPlanError(
+                f"plan yields only {len(lengths)} scales; need at least 3"
+            )
+        if any(n2 <= n1 for n1, n2 in zip(lengths, lengths[1:])):
+            raise InvalidPlanError("segment lengths must be strictly increasing")
+        if lengths[0] < 2 or lengths[-1] > total:
+            raise InvalidPlanError(
+                f"segment lengths {lengths[0]}..{lengths[-1]} out of bounds "
+                f"for length {total}"
+            )
 
 
 @dataclass(frozen=True)
@@ -289,52 +308,39 @@ def build_partition_plan(total_length: int,
             InvalidPlanError))))
         if not lengths:
             raise InvalidPlanError("explicit policy needs a segment list")
-    if len(lengths) < 3:
-        raise InvalidPlanError(
-            f"plan yields only {len(lengths)} scales; need at least 3"
-        )
-    if lengths[0] < min_segment_length or lengths[-1] > total_length:
+    plan = PartitionPlan(total_length=total_length,
+                         segment_lengths=lengths, policy=policy)
+    if lengths[0] < min_segment_length:
         raise InvalidPlanError(
             f"segment lengths {lengths[0]}..{lengths[-1]} out of bounds "
             f"for length {total_length} (min {min_segment_length})"
         )
-    return PartitionPlan(total_length=total_length,
-                         segment_lengths=lengths, policy=policy)
-
-
-def estimate_from_curve(curve: ScalingCurve, fit: PowerLawFit | None = None,
-                        skipped_segments: tuple[tuple[int, int], ...] = (),
-                        ) -> HurstEstimate:
-    """Wrap a fitted scaling curve into a HurstEstimate with derived values."""
-    if fit is None:
-        fit = fit_loglog(curve)
-    h = fit.exponent
-    flags = []
-    if fit.flat:
-        flags.append("flat_curve")
-    if not 0.0 <= h <= 1.0:
-        flags.append("h_out_of_range")
-    return HurstEstimate(
-        h=h,
-        r_squared=fit.r_squared,
-        autocorrelation_c=autocorrelation_from_h(h),
-        fractal_dimension=(1.0 / h) if h > 0.0 else None,
-        estimator=curve.kind,
-        curve=curve,
-        skipped_segments=skipped_segments,
-        flags=tuple(flags),
-    )
+    return plan
 
 
 def estimate_from_fits(scales: tuple[int, ...], kind: EstimatorKind,
                        stats: np.ndarray, fit: tuple, errors: dict,
                        skipped_segments: tuple = ()) -> HurstEstimate:
-    """The estimate of row 0 of rs_fits or dfa_fits, or its error."""
+    """The estimate of row 0 of rs_fits or dfa_fits, with its derived
+    values and flags, or row 0's error."""
     if 0 in errors:
         raise errors[0]
-    return estimate_from_curve(
-        ScalingCurve(scales, tuple(stats[0].tolist()), kind),
-        PowerLawFit(*(v[0].item() for v in fit)), skipped_segments)
+    h, _, r_squared, flat = (v[0].item() for v in fit)
+    flags = []
+    if flat:
+        flags.append("flat_curve")
+    if not 0.0 <= h <= 1.0:
+        flags.append("h_out_of_range")
+    return HurstEstimate(
+        h=h,
+        r_squared=r_squared,
+        autocorrelation_c=autocorrelation_from_h(h),
+        fractal_dimension=(1.0 / h) if h > 0.0 else None,
+        estimator=kind,
+        curve=ScalingCurve(scales, tuple(stats[0].tolist()), kind),
+        skipped_segments=skipped_segments,
+        flags=tuple(flags),
+    )
 
 
 def estimate_hurst_rs(series: Sequence[float], plan: PartitionPlan,

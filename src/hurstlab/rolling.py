@@ -1,12 +1,14 @@
 """Sliding-window ("dynamic") Hurst estimation over a long return series.
 
-Window i covers returns [i*lag, i*lag + window). The sweep builds the
-R/S plan or DFA box schedule once and makes one call of its estimator's
-fit function, ``rs_fits`` or ``dfa_fits``, on the whole series: every
-window's curve, its fit, and the error of each window that cannot be
-fitted. A standalone estimate is row 0 of the same function on the
-slice alone, so a trace entry equals it bit for bit, and a window that
-cannot be fitted is kept as a gap noted with the very error that
+Window i covers returns [i*lag, i*lag + window) of the series as given;
+an absolute or squared reading is transformed first, with
+``series.transform_returns``. The sweep builds the R/S plan or DFA box
+schedule once and makes one call of its estimator's fit function,
+``rs_fits`` or ``dfa_fits``, on the whole series: every window's curve,
+its fit, and the error of each window that cannot be fitted. A
+standalone estimate is row 0 of the same function on the slice alone,
+so a trace entry equals it bit for bit under every config, and a window
+that cannot be fitted is kept as a gap noted with the very error that
 estimate raises, without estimating the window again.
 """
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .rescaled_range import (
     estimate_hurst_rs,
     rs_fits,
 )
-from .series import ReturnSeries, Transform, transform_returns
+from .series import ReturnSeries, finite_values
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,6 @@ class RollingConfig:
     window: int = 250
     lag: int = 5
     estimator: EstimatorKind = EstimatorKind.RESCALED_RANGE
-    transform: Transform = Transform.RAW
     plan_policy: PartitionPolicy = PartitionPolicy.AUTO
     min_segment_length: int = DEFAULT_MIN_SEGMENT
     std_mode: StdMode = StdMode.POPULATION
@@ -69,8 +70,7 @@ class RollingConfig:
             raise ConfigError("window must be >= 2")
         if self.lag < 1:
             raise ConfigError("lag must be >= 1")
-        for name, kind in (("estimator", EstimatorKind),
-                           ("transform", Transform), ("std_mode", StdMode),
+        for name, kind in (("estimator", EstimatorKind), ("std_mode", StdMode),
                            ("dfa_fit_target", FitTarget)):
             require_instance(getattr(self, name), kind, name)
         require_instance(self.plan_policy, PartitionPolicy, "policy",
@@ -158,17 +158,21 @@ def _scheme(config: RollingConfig, length: int) -> PartitionPlan | DfaConfig:
 
 def estimate_window(values: np.ndarray, config: RollingConfig):
     """Standalone estimate of one window under a rolling config."""
-    scheme = _scheme(config, values.size)
+    require_instance(config, RollingConfig, "rolling config")
+    x = finite_values(values)
+    scheme = _scheme(config, x.size)
     if isinstance(scheme, PartitionPlan):
-        return estimate_hurst_rs(values, scheme, config.std_mode)
-    return estimate_hurst_dfa(values, scheme)
+        return estimate_hurst_rs(x, scheme, config.std_mode)
+    return estimate_hurst_dfa(x, scheme)
 
 
 def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
-    """Estimate h over every window; exactly floor((L-w)/lag)+1 entries,
-    a gap exactly where the fit function gives an error."""
-    transformed = transform_returns(returns, config.transform)
-    values = transformed.values
+    """Estimate h over every window of the returns as given; exactly
+    floor((L-w)/lag)+1 entries, a gap exactly where the fit function
+    gives an error."""
+    require_instance(returns, ReturnSeries, "return series")
+    require_instance(config, RollingConfig, "rolling config")
+    values = returns.values
     window, lag = config.window, config.lag
     if values.size < window:
         raise SeriesTooShortError(
@@ -186,7 +190,7 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
         h[i] = r_squared[i] = None
         notes[i] = f"{type(exc).__name__}: {exc}"
     return RollingTrace(config=config, measurements=tuple(map(
-        RollingMeasurement, transformed.dates[window - 1::lag], h, r_squared,
+        RollingMeasurement, returns.dates[window - 1::lag], h, r_squared,
         notes)))
 
 

@@ -92,6 +92,7 @@ class ReturnSeries:
     values: np.ndarray
 
     def __post_init__(self):
+        require_instance(self.transform, Transform, "transform")
         values = finite_values(self.values)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -280,6 +281,7 @@ def transform_returns(returns: ReturnSeries, kind: Transform) -> ReturnSeries:
     Asking for RAW is the identity on any input; applying a non-raw
     transform to an already transformed series raises.
     """
+    require_instance(returns, ReturnSeries, "return series")
     if require_instance(kind, Transform, "transform") is Transform.RAW:
         return returns
     if returns.transform is not Transform.RAW:

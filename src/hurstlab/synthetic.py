@@ -68,10 +68,16 @@ def fgn_autocovariance(h: float, k: int) -> float:
     gamma(k) = 0.5 * (|k+1|^2h - 2|k|^2h + |k-1|^2h); gamma(0) = 1 and
     every lag vanishes at h = 0.5 (independent increments).
     """
-    k, h = require_int(k, "lag"), require_float(h, "h")
+    k, h = require_int(k, "lag"), _check_h(h)
+    return float(_fgn_gamma(h, np.array([abs(k)]))[0])
+
+
+def _check_h(h: float) -> float:
+    """h as a float strictly inside (0, 1); anything else raises."""
+    h = require_float(h, "h")
     if not 0.0 < h < 1.0:
         raise HOutOfRangeError(f"h must be in (0, 1), got {h}")
-    return float(_fgn_gamma(h, np.array([abs(k)]))[0])
+    return h
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -128,9 +134,7 @@ def _circulant_sqrt_eigs(h: float, n: int) -> np.ndarray:
 
 def fgn(length: int, h: float, seed: int) -> np.ndarray:
     """Exact stationary fGn with autocovariance fgn_autocovariance(h, .)."""
-    h = require_float(h, "h")
-    if not 0.0 < h < 1.0:
-        raise HOutOfRangeError(f"h must be in (0, 1), got {h}")
+    h = _check_h(h)
     length = require_int(length, "length")
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
@@ -154,10 +158,13 @@ def fbm(length: int, h: float, seed: int) -> np.ndarray:
     length = require_int(length, "length")
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
-    steps = fgn(length - 1, h, seed) if length > 1 else np.empty(0)
+    if length == 1:  # no increment to draw; h and seed are checked as fgn does
+        _check_h(h)
+        _rng(seed)
+        return np.zeros(1)
     path = np.empty(length)
     path[0] = 0.0
-    np.cumsum(steps, out=path[1:])
+    np.cumsum(fgn(length - 1, h, seed), out=path[1:])
     return path
 
 

@@ -280,6 +280,19 @@ def test_rolling_too_short_exit_3(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "SeriesTooShortError"
 
 
+@pytest.mark.parametrize("window, expected", [
+    ("1", (4, "ConfigError")), ("250", (2, "InvalidSeriesError"))])
+def test_rolling_checks_its_config_before_the_transform(tmp_path, capsys,
+                                                        window, expected):
+    # 1e200 squared overflows, which only a valid config gets to see
+    path = write_fixture(tmp_path, "big.csv",
+                         "date,value\n2000-01-03,1e200\n2000-01-04,0.5\n")
+    code, out, err = run_cli(capsys, "rolling", path, "--returns",
+                             "--transform", "squared", "--window", window)
+    assert out == ""
+    assert (code, json.loads(err)["error"]) == expected
+
+
 def _prime_length_prices(tmp_path, capsys):
     """3,000 prices: 2,999 returns, a prime, so no divisor plan exists."""
     csv_text = synth_csv(capsys, "--kind", "prices", "--n", "3000",
@@ -360,6 +373,21 @@ def test_vstat_persistent_increasing(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "vstat", path, "--returns")
     assert code == 0
     assert json.loads(out)["results"]["trend"] == "increasing"
+
+
+@pytest.mark.parametrize("flag, value", [("--estimator", "dfa"),
+                                         ("--fit-target", "squared")])
+def test_vstat_has_no_estimator_flags(tmp_path, capsys, flag, value):
+    # The V statistic is defined on the R/S curve only
+    csv_text = synth_csv(capsys, "--kind", "prices", "--n", "513",
+                         "--seed", "17", "--vol", "0.02")
+    path = write_fixture(tmp_path, "px.csv", csv_text)
+    code, out, err = run_cli(capsys, "vstat", path, flag, value)
+    assert code == 4
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "UsageError"
+    assert f"unrecognized arguments: {flag} {value}" in error["message"]
 
 
 # -- downfalls ---------------------------------------------------------------

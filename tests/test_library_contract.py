@@ -1,18 +1,20 @@
 """Property tests of the library contract of the exported callables.
 
-Whatever the window, lag, plan, estimator and transform, on series with
-constant runs at magnitudes from 5e-324 to 1e307: only a HurstLabError
-escapes the rolling sweep and the standalone window estimate, no warning
-is raised, and a window is a gap in the trace exactly when its
-standalone estimate raises, noted with that error. The same holds for
-the kurtosis, rank-size, DFA and R/S callables on arrays with NaN and
-infinities, of rank 0 to 2, and for the generators at any length (an
-integer or not), seed and h, and for the CSV parsers on any text or
-object and any CSV settings. Every gap of a sweep carries its standalone
-estimate's error text, and the sweep has floor((L - w)/lag) + 1 entries.
-The entry points that take a curve, trace, price series, scan, downfall,
-critical level or generator spec raise a typed error on any other
-object, and so do a non-integer lookback or seed and a float argument
+Whatever the window, lag, plan and estimator, on series with constant
+runs at magnitudes from 5e-324 to 1e307, raw or transformed: only a
+HurstLabError escapes the rolling sweep and the standalone window
+estimate, no warning is raised, and a window is a gap in the trace
+exactly when its standalone estimate raises, noted with that error. The
+same holds for the kurtosis, rank-size, DFA and R/S callables on arrays
+with NaN and infinities, of rank 0 to 2, and for the generators at any
+length (an integer or not), seed and h, and for the CSV parsers on any
+text or object and any CSV settings. Every gap of a sweep carries its
+standalone estimate's error text, and the sweep has
+floor((L - w)/lag) + 1 entries. The entry points that take a curve,
+trace, price or return series, rolling config, scan, downfall, critical
+level or generator spec raise a typed error on any other object, and so
+do a hand-built plan whose segment lengths are not at least 3 increasing
+integers in bounds, a non-integer lookback or seed and a float argument
 (h, drift, volatility, minimum depth, flat tolerance, cut points) given
 a str, None or a sequence. Integer arguments of the plan, the rolling
 config, the CSV settings, the DFA box sizes and the fGn autocovariance
@@ -46,15 +48,19 @@ from hurstlab.downfalls import (
     rank_size_points,
 )
 from hurstlab.errors import (
+    AllSegmentsDegenerateError,
     ConfigError,
+    HOutOfRangeError,
     HurstLabError,
     InputError,
     InvalidCurveError,
     InvalidPlanError,
+    InvalidSeriesError,
 )
 from hurstlab.regression import fit_loglog
 from hurstlab.rescaled_range import (
     EstimatorKind,
+    PartitionPlan,
     PartitionPolicy,
     StdMode,
     build_partition_plan,
@@ -101,7 +107,8 @@ _SCALES = st.one_of(
 
 @st.composite
 def sweep_cases(draw):
-    """Raw returns with constant runs, and a rolling config for them."""
+    """Raw returns with constant runs, a transform and a rolling config for
+    them."""
     length = draw(st.one_of(st.integers(2, 600), st.integers(260, 600)))
     rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2 ** 32))))
     scale = draw(_SCALES)
@@ -119,7 +126,6 @@ def sweep_cases(draw):
         window=window,
         lag=draw(st.one_of(st.integers(-1, 12), st.integers(1, length))),
         estimator=draw(st.sampled_from(list(EstimatorKind))),
-        transform=draw(st.sampled_from(list(Transform))),
         plan_policy=draw(st.sampled_from([PartitionPolicy.AUTO,
                                           PartitionPolicy.AUTO,
                                           PartitionPolicy.AUTO,
@@ -129,18 +135,18 @@ def sweep_cases(draw):
         std_mode=draw(st.sampled_from(list(StdMode))),
         dfa_fit_target=draw(st.sampled_from(list(FitTarget))),
     )
-    return values, config
+    return values, draw(st.sampled_from(list(Transform))), config
 
 
-def check_sweep(values, options):
-    returns = ReturnSeries(
+def check_sweep(values, transform, options):
+    returns = transform_returns(ReturnSeries(
         transform=Transform.RAW,
         dates=tuple(SYNTHETIC_EPOCH + dt.timedelta(days=i + 1)
                     for i in range(values.size)),
-        values=values)
+        values=values), transform)
     config = RollingConfig(**options)
     trace = sweep(returns, config)
-    x = transform_returns(returns, config.transform).values
+    x = returns.values
     assert trace.count == (x.size - config.window) // config.lag + 1
     gaps = {i for i, m in enumerate(trace.measurements) if m.is_gap}
     for i in gaps | {0, trace.count // 2, trace.count - 1}:
@@ -159,11 +165,11 @@ def check_sweep(values, options):
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=sweep_cases())
 def test_sweep_and_window_estimate_raise_only_hurstlab_errors(case):
-    values, options = case
+    values, transform, options = case
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            check_sweep(values, options)
+            check_sweep(values, transform, options)
         except HurstLabError as exc:
             event(f"sweep: {type(exc).__name__}")
         else:
@@ -506,13 +512,14 @@ _RETURNS = ReturnSeries(
 
 @pytest.mark.parametrize("kind, call", [
     (EstimatorKind, lambda bad: RollingConfig(estimator=bad)),
-    (Transform, lambda bad: RollingConfig(transform=bad)),
+    (Transform, lambda bad: ReturnSeries(bad, _RETURNS.dates, _X)),
     (PartitionPolicy, lambda bad: RollingConfig(plan_policy=bad)),
     (StdMode, lambda bad: RollingConfig(std_mode=bad)),
     (FitTarget, lambda bad: RollingConfig(dfa_fit_target=bad)),
     (FitTarget, lambda bad: DfaConfig((8, 16, 32), fit_target=bad)),
     (FitTarget, lambda bad: dfa_fit_rows((8, 16, 32), np.ones(3), bad)),
     (PartitionPolicy, lambda bad: build_partition_plan(250, bad)),
+    (PartitionPolicy, lambda bad: PartitionPlan(250, (8, 16, 32), bad)),
     (StdMode, lambda bad: estimate_hurst_rs(
         _X, build_partition_plan(250, PartitionPolicy.AUTO), bad)),
     (StdMode, lambda bad: segment_stats(_X[:25], bad)),
@@ -591,10 +598,63 @@ def test_estimators_and_parsers_reject_other_configs(call, error):
      "drift must be a real number, got None"),
     (lambda: generate(GeneratorSpec(GeneratorKind.FGN, 10, 1, h="0.5")),
      ConfigError, "h must be a real number, got '0.5'"),
+    (lambda: fbm(1, "0.5", -1), ConfigError, "h must be a real number"),
+    (lambda: fbm(1, None, 0), ConfigError, "h must be a real number"),
+    (lambda: fbm(1, 2.0, 0), HOutOfRangeError, r"h must be in \(0, 1\)"),
+    (lambda: transform_returns(None, Transform.ABSOLUTE), ConfigError,
+     "unknown return series None"),
+    (lambda: transform_returns(None, Transform.RAW), ConfigError,
+     "unknown return series None"),
+    (lambda: sweep(None, RollingConfig()), ConfigError,
+     "unknown return series None"),
+    (lambda: sweep([0.1] * 300, RollingConfig()), ConfigError,
+     "unknown return series"),
+    (lambda: sweep(_RETURNS, None), ConfigError, "unknown rolling config None"),
+    (lambda: sweep(_RETURNS, "x"), ConfigError, "unknown rolling config 'x'"),
+    (lambda: estimate_window(np.ones(250), None), ConfigError,
+     "unknown rolling config None"),
+    (lambda: estimate_window(None, RollingConfig()), InvalidSeriesError,
+     r"expected a 1-D series, got shape \(\)"),
+    # A list is read as its values; these are constant
+    (lambda: estimate_window([0.1] * 250, RollingConfig()),
+     AllSegmentsDegenerateError, "segments of length 16 are constant"),
 ])
 def test_entry_points_reject_other_objects(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_window_estimate_reads_a_list_as_its_values():
+    config = RollingConfig(window=250)
+    assert estimate_window(list(_X), config) == estimate_window(_X, config)
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ((0, 8, 16), "segment lengths 0..16 out of bounds for length 250"),
+    ((-5, 8, 16), "segment lengths -5..16 out of bounds for length 250"),
+    ((8, 16, 300), "segment lengths 8..300 out of bounds for length 250"),
+    ((8.5, 16, 32), "segment length must be an integer, got 8.5"),
+    (("8", 16, 32), "segment length must be an integer, got '8'"),
+    ((8, 16), "plan yields only 2 scales; need at least 3"),
+    ((8, 32, 16), "segment lengths must be strictly increasing"),
+    ((8, 16, 16), "segment lengths must be strictly increasing"),
+    (None, "segment length must be integers, got None"),
+])
+def test_hand_built_plans_check_their_segment_lengths(lengths, message):
+    with pytest.raises(InvalidPlanError) as info:
+        estimate_hurst_rs(_X, PartitionPlan(250, lengths,
+                                            PartitionPolicy.EXPLICIT))
+    assert str(info.value) == message
+
+
+def test_hand_built_plan_takes_numpy_integers():
+    plan = PartitionPlan(np.int64(250), np.array([25, 50, 125]),
+                         PartitionPolicy.EXPLICIT)
+    assert (plan.total_length, plan.segment_lengths) == (250, (25, 50, 125))
+    assert all(type(n) is int for n in (plan.total_length,
+                                        *plan.segment_lengths))
+    assert estimate_hurst_rs(_X, plan) == estimate_hurst_rs(
+        _X, build_partition_plan(250, PartitionPolicy.DIVISORS_ONLY, 25))
 
 
 def test_float_arguments_take_numpy_reals():

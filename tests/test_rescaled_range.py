@@ -17,7 +17,7 @@ from hurstlab.errors import (
     NonPositiveHError,
     TooShortError,
 )
-from hurstlab.regression import ScalingCurve
+from hurstlab.regression import fit_rows
 from hurstlab.rescaled_range import (
     EstimatorKind,
     PartitionPolicy,
@@ -26,7 +26,7 @@ from hurstlab.rescaled_range import (
     autocorrelation_from_h,
     build_partition_plan,
     classify_persistence,
-    estimate_from_curve,
+    estimate_from_fits,
     estimate_hurst_rs,
     fractal_dimension,
     rs_at_scale,
@@ -276,10 +276,10 @@ def test_plan_rejects_short_series():
 # -- estimate_hurst_rs -------------------------------------------------------
 
 def test_exact_curve_gives_half():
-    curve = ScalingCurve(scales=(8, 16, 32, 64),
-                         statistics=tuple(math.sqrt(n) for n in (8, 16, 32, 64)),
-                         kind=EstimatorKind.RESCALED_RANGE)
-    est = estimate_from_curve(curve)
+    scales = (8, 16, 32, 64)
+    stats = np.sqrt([scales])
+    est = estimate_from_fits(scales, EstimatorKind.RESCALED_RANGE, stats,
+                             fit_rows(scales, stats), {})
     assert est.h == pytest.approx(0.5, abs=1e-12)
     assert est.r_squared == pytest.approx(1.0, abs=1e-12)
     assert est.autocorrelation_c == pytest.approx(0.0, abs=1e-12)

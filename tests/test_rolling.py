@@ -28,7 +28,7 @@ from hurstlab.rolling import (
     sweep,
 )
 from hurstlab.rolling import MarketClassKind
-from hurstlab.series import ReturnSeries, Transform
+from hurstlab.series import ReturnSeries, Transform, transform_returns
 from hurstlab.synthetic import SYNTHETIC_EPOCH, fgn, white_noise
 
 
@@ -65,11 +65,16 @@ def test_count_formula_random_triples():
         assert trace.count == (length - window) // lag + 1, (length, window, lag)
 
 
-def test_window_measurements_match_standalone_bit_for_bit():
+@pytest.mark.parametrize("transform", list(Transform))
+def test_window_measurements_match_standalone_bit_for_bit(transform):
+    # The sweep reads its returns as given, so a transformed series gives
+    # the standalone estimates of its own windows.
     rng = np.random.Generator(np.random.PCG64(41))
-    values = rng.normal(size=1000)
+    returns = transform_returns(make_returns(rng.normal(size=1000)),
+                                transform)
+    values = returns.values
     config = RollingConfig(window=250, lag=20)
-    trace = sweep(make_returns(values), config)
+    trace = sweep(returns, config)
     for i in (0, 7, len(trace.measurements) - 1):
         start = i * config.lag
         standalone = estimate_window(values[start:start + 250], config)

@@ -129,6 +129,7 @@ MATRIX = [
            "dfa P.csv --fit-target squared --format table",
            "dfa F.csv --returns",
            "dfa G.csv --returns",
+           "dfa F.csv --returns --transform absolute",
            "hurst F.csv --returns --estimator dfa"),
     *_runs("dfa flat.csv", code=3),
     # vstat
@@ -138,7 +139,9 @@ MATRIX = [
            "vstat Q.csv --min-segment 10",
            "vstat G.csv --returns"),
     *_runs("vstat P.csv --flat-tolerance -1",
-           "vstat P.csv --plan divisors", code=4),
+           "vstat P.csv --plan divisors",
+           # vstat is always R/S and takes no estimator flags
+           "vstat P.csv --estimator dfa", code=4),
     # rolling
     *_runs("rolling P.csv",
            "rolling P.csv --lag 1",
@@ -163,7 +166,9 @@ MATRIX = [
            "rolling G1.csv --returns --lag 10",
            "rolling W.csv --lag 1",
            "rolling flat.csv --window 100 --lag 10",
-           "rolling D.csv --window 500 --lag 50 --transform squared"),
+           "rolling D.csv --window 500 --lag 50 --transform squared",
+           "rolling F.csv --returns --estimator dfa --transform squared "
+           "--window 256 --lag 16"),
     Run(0, ("rolling", "-", "--lag", "25"), stdin="P.csv"),
     *_runs("rolling P.csv --window 251 --plan divisors",
            "rolling P.csv --window 20",
