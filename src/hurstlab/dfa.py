@@ -15,13 +15,13 @@ standalone estimate is row 0 of the sweep's ``dfa_fits`` call on its series.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
+from ._record import Record
 from .errors import (
     BoxTooLargeError,
     InvalidPlanError,
@@ -38,8 +38,7 @@ class FitTarget(Enum):
     FLUCTUATION_SQUARED = "squared"  # fit log <F^2> on log tau
 
 
-@dataclass(frozen=True)
-class DfaConfig:
+class DfaConfig(Record):
     """Box schedule and fitting choices for DFA."""
 
     box_sizes: tuple[int, ...]

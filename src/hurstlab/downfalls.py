@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     ConfigError,
     EmptyScanError,
@@ -41,8 +41,7 @@ class Regime(Enum):
     LEPTOKURTIC = "leptokurtic"
 
 
-@dataclass(frozen=True)
-class Downfall:
+class Downfall(Record):
     """One peak-to-trough episode; recovery fields are None while open."""
 
     peak_date: dt.date
@@ -59,21 +58,18 @@ class Downfall:
         return self.recovery_date is None
 
 
-@dataclass(frozen=True)
-class KurtosisScanEntry:
+class KurtosisScanEntry(Record):
     upper_index: int      # how many of the smallest depths are included
     upper_value: float    # depth of the largest included downfall
     excess_kurtosis: float
 
 
-@dataclass(frozen=True)
-class KurtosisScan:
+class KurtosisScan(Record):
     entries: tuple[KurtosisScanEntry, ...]
     skipped_subsets: tuple[int, ...] = ()  # zero-variance subset sizes
 
 
-@dataclass(frozen=True)
-class CriticalLevel:
+class CriticalLevel(Record):
     cutoff_depth: float
     cutoff_index: int
     kurtosis_at_cutoff: float

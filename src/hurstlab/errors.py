@@ -8,6 +8,7 @@ still catches them.
 """
 import numbers
 import operator
+import reprlib
 
 
 class HurstLabError(Exception):
@@ -134,13 +135,22 @@ class LengthTooLargeError(ConfigError):
     calendar, whose last date is date.max."""
 
 
+#: The rejected value as the checks below print it: its repr, with a long
+#: string, number, sequence or other object cut around "..." so that a
+#: message stays short. maxother is raised from 30 so that an enum member,
+#: or a record such as a partition plan, prints whole.
+_bounded = reprlib.Repr()
+_bounded.maxother = 160
+
+
 def require_int(value, what: str, error: type[ConfigError] = ConfigError
                 ) -> int:
     """The value as an int, numpy integers included; anything else raises."""
     try:
         return operator.index(value)
     except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+        raise error(f"{what} must be an integer, got "
+                    f"{_bounded.repr(value)}") from None
 
 
 def require_float(value, what: str, error: type[ConfigError] = ConfigError
@@ -152,7 +162,7 @@ def require_float(value, what: str, error: type[ConfigError] = ConfigError
             return float(value)
         except OverflowError:
             pass
-    raise error(f"{what} must be a real number, got {value!r}")
+    raise error(f"{what} must be a real number, got {_bounded.repr(value)}")
 
 
 def require_floats(values, what: str, error: type[ConfigError] = ConfigError
@@ -162,7 +172,8 @@ def require_floats(values, what: str, error: type[ConfigError] = ConfigError
     try:
         items = tuple(values)
     except TypeError:
-        raise error(f"{what} must be real numbers, got {values!r}") from None
+        raise error(f"{what} must be real numbers, got "
+                    f"{_bounded.repr(values)}") from None
     return tuple(require_float(v, what, error) for v in items)
 
 
@@ -173,7 +184,8 @@ def require_ints(values, what: str, error: type[ConfigError] = ConfigError
     try:
         items = tuple(values)
     except TypeError:
-        raise error(f"{what} must be integers, got {values!r}") from None
+        raise error(f"{what} must be integers, got "
+                    f"{_bounded.repr(values)}") from None
     return tuple(require_int(v, what, error) for v in items)
 
 
@@ -182,5 +194,6 @@ def require_instance(value, kind: type, what: str,
     """The value if it is a kind (a member of it, for an Enum); anything
     else, the name or value of a member included, raises."""
     if not isinstance(value, kind):
-        raise error(f"unknown {what} {value!r}, expected a {kind.__name__}")
+        raise error(f"unknown {what} {_bounded.repr(value)}, "
+                    f"expected a {kind.__name__}")
     return value

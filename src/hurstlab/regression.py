@@ -1,11 +1,11 @@
 """Ordinary least squares in log-log space for scaling exponents."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import Record
 from .errors import DegenerateCurveError, InvalidCurveError, require_instance
 
 
@@ -23,8 +23,7 @@ def unfittable_rows(statistics) -> dict[int, DegenerateCurveError]:
         "statistics must be finite and strictly positive for the log fit"))
 
 
-@dataclass(frozen=True)
-class ScalingCurve:
+class ScalingCurve(Record):
     """Pairs (scale, statistic) destined for a log-log regression.
 
     Scales must be strictly increasing positive integers, statistics
@@ -51,8 +50,7 @@ class ScalingCurve:
             raise errors[0]
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Record):
     """Slope/intercept/goodness of a log-log OLS fit.
 
     ``flat`` marks the degenerate zero-variance-in-y case where the

@@ -15,13 +15,13 @@ row 0 of the sweep's ``rs_fits`` call, made on the series alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from . import _kernels
+from ._record import Record
 from .errors import (
     AllSegmentsDegenerateError,
     InvalidPlanError,
@@ -66,8 +66,7 @@ class Persistence(Enum):
     PERSISTENT = "persistent"
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
+class PartitionPlan(Record):
     """Segment lengths used to build the R/S scaling curve: at least 3
     strictly increasing integers from 2 to the total length."""
 
@@ -96,8 +95,7 @@ class PartitionPlan:
             )
 
 
-@dataclass(frozen=True)
-class RSSegmentStats:
+class RSSegmentStats(Record):
     """Per-segment quantities of the rescaled-range recipe.
 
     ``ratio`` is None exactly when the segment is constant, or its
@@ -110,8 +108,7 @@ class RSSegmentStats:
     ratio: float | None
 
 
-@dataclass(frozen=True)
-class HurstEstimate:
+class HurstEstimate(Record):
     """A fitted Hurst exponent with its derived quantities.
 
     ``fractal_dimension`` is None when h <= 0 (1/h undefined).

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import Record
 from .dfa import (
     DfaConfig,
     FitTarget,
@@ -50,8 +50,7 @@ from .rescaled_range import (
 from .series import ReturnSeries, finite_values
 
 
-@dataclass(frozen=True)
-class RollingConfig:
+class RollingConfig(Record):
     """Window size, lag and estimator for one sweep."""
 
     window: int = 250
@@ -77,8 +76,7 @@ class RollingConfig:
                          InvalidPlanError)
 
 
-@dataclass(frozen=True)
-class RollingMeasurement:
+class RollingMeasurement(Record):
     """One window's estimate; h is None for a failed (gap) window."""
 
     end_date: dt.date
@@ -91,8 +89,7 @@ class RollingMeasurement:
         return self.h is None
 
 
-@dataclass(frozen=True)
-class RollingTrace:
+class RollingTrace(Record):
     config: RollingConfig
     measurements: tuple[RollingMeasurement, ...]
 
@@ -104,8 +101,7 @@ class RollingTrace:
         return np.array([m.h for m in self.measurements if not m.is_gap])
 
 
-@dataclass(frozen=True)
-class TraceSummary:
+class TraceSummary(Record):
     """Extrema, mean and cut-point proportions over non-gap measurements.
 
     Proportions use strict inequalities on both sides: a measurement
@@ -141,8 +137,7 @@ EMERGENT_LOW_MAX_FRACTION = 0.1
 MIN_MEASUREMENTS = 10
 
 
-@dataclass(frozen=True)
-class MarketClass:
+class MarketClass(Record):
     kind: MarketClassKind
     rationale: str
 

@@ -6,12 +6,12 @@ import datetime as dt
 import io
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import NoReturn, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     AlreadyTransformedError,
     ConfigError,
@@ -53,8 +53,7 @@ def _check_dates(dates: tuple[dt.date, ...]) -> None:
             raise InvalidSeriesError("dates must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class PriceSeries(Record):
     """Daily closing prices, strictly ordered by date."""
 
     dates: tuple[dt.date, ...]
@@ -79,8 +78,7 @@ class PriceSeries:
         return self.closes.size
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(Record):
     """Log-returns of a price series under one of three transforms.
 
     Each value is dated at the later of the two prices it compares, so a
@@ -108,8 +106,7 @@ class ReturnSeries:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class CsvConfig:
+class CsvConfig(Record):
     """Column mapping and formats for price CSV parsing."""
 
     delimiter: str = ","

@@ -13,11 +13,11 @@ output.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     ConfigError,
     FactorizationFailureError,
@@ -50,8 +50,7 @@ class GeneratorKind(Enum):
     RANDOM_WALK_PRICES = "prices"
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     """Deterministic description of one synthetic series."""
 
     kind: GeneratorKind

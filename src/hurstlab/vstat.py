@@ -9,11 +9,11 @@ upward, so the band must absorb that tilt).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     ConfigError,
     InvalidCurveError,
@@ -35,8 +35,7 @@ class Trend(Enum):
     DECREASING = "decreasing"
 
 
-@dataclass(frozen=True)
-class VStatCurve:
+class VStatCurve(Record):
     """Point-wise V statistic with its fitted trend.
 
     ``peak_scale`` (the scale of the largest V) is a diagnostic only; no

@@ -20,7 +20,8 @@ a str, None or a sequence. Integer arguments of the plan, the rolling
 config, the CSV settings, the DFA box sizes and the fGn autocovariance
 take numpy integers, and anything else raises a typed error. So does an
 enum setting given anything but a member (its value string included),
-and an estimator or parser given anything but its plan or config.
+and an estimator or parser given anything but its plan or config. Such a
+message prints a long rejected value cut short around "...".
 """
 import datetime as dt
 import math
@@ -622,6 +623,24 @@ def test_estimators_and_parsers_reject_other_configs(call, error):
 def test_entry_points_reject_other_objects(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # Printed whole, these values made messages of 1,547 and 5,043 characters
+    (lambda: sweep([0.1] * 300, RollingConfig()),
+     "unknown return series [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, ...], "
+     "expected a ReturnSeries"),
+    (lambda: parse_price_csv("date,close\n2000-01-03,1.5\n", "x" * 5000),
+     "unknown CSV config 'xxxxxxxxxxxx...xxxxxxxxxxxxx', expected a CsvConfig"),
+    # An enum member is printed whole
+    (lambda: rs_at_scale(_X, 25, EstimatorKind.RESCALED_RANGE),
+     "unknown std_mode <EstimatorKind.RESCALED_RANGE: 'rescaled_range'>, "
+     "expected a StdMode"),
+])
+def test_rejected_values_are_printed_bounded(call, message):
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_window_estimate_reads_a_list_as_its_values():

@@ -1,6 +1,8 @@
 """Start-up of a fresh process: `import hurstlab` loads no numpy and
 resolves its exports on first use, and the CLI module starts numpy with
-OpenBLAS single-threaded unless the user has chosen a thread count.
+OpenBLAS single-threaded unless the user has chosen a thread count and
+loads no dataclasses. The program entry, `main()` with no arguments,
+freezes the objects the imports made; a call with arguments does not.
 
 Each case runs in a new interpreter with OPENBLAS_NUM_THREADS removed
 from its environment, since this process has long imported numpy.
@@ -97,3 +99,28 @@ def test_unknown_attribute_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         hurstlab.nope
+
+
+def test_cli_import_loads_no_dataclasses():
+    # The records are plain classes; numpy does not import dataclasses
+    # either, so the module and its code generation stay out of start-up.
+    assert run_python(
+        "import json, sys, hurstlab.cli\n"
+        "print(json.dumps('dataclasses' in sys.modules))") is False
+
+
+FREEZE = ("import gc, json, sys\n"
+          "import hurstlab.cli\n"
+          "before = gc.get_freeze_count()\n"
+          "sys.argv = ['hurstlab', 'synth', '--n', '5']\n"
+          "code = hurstlab.cli.main({})\n"
+          "print()\n"
+          "print(json.dumps([before, code, gc.get_freeze_count() > 0]))")
+
+
+def test_program_entry_freezes_the_import_time_heap():
+    assert run_python(FREEZE.format("")) == [0, 0, True]
+
+
+def test_in_process_call_keeps_the_heap_unfrozen():
+    assert run_python(FREEZE.format("sys.argv[1:]")) == [0, 0, False]
