@@ -210,8 +210,7 @@ def _load_returns(args) -> tuple[ReturnSeries, PriceSeries | None, str]:
     text, fingerprint = _read_input(args)
     config = _csv_config(args)
     if args.returns:
-        returns = parse_return_csv(text, config)
-        return returns, None, fingerprint
+        return parse_return_csv(text, config), None, fingerprint
     prices = parse_price_csv(text, config)
     return log_returns(prices), prices, fingerprint
 
@@ -232,10 +231,7 @@ def _rolling_config(args, window: int, lag: int = 1) -> RollingConfig:
 # -- report rendering --------------------------------------------------------
 
 def _echo(args, keys: tuple[str, ...]) -> dict:
-    echo = {"command": args.command}
-    for key in keys:
-        echo[key] = getattr(args, key.replace("-", "_"))
-    return echo
+    return {"command": args.command, **{key: getattr(args, key) for key in keys}}
 
 
 def _emit(report: dict, fmt: str, tables: list[tuple]) -> None:
@@ -373,11 +369,12 @@ def cmd_vstat(args) -> int:
 
 def cmd_rolling(args) -> int:
     returns, prices, fingerprint = _load_returns(args)
-    config = _rolling_config(args, args.window, args.lag)
+    config = _rolling_config(args, args.window, args.lag)  # before the transform
     trace = sweep(transform_returns(returns, Transform(args.transform)),
                   config)
-    diagnostics = {"gaps": [[m.end_date.isoformat(), m.note]
-                            for m in trace.measurements if m.is_gap]}
+    end_dates = list(map(dt.date.isoformat, trace.end_dates))
+    diagnostics = {"gaps": [[day, note] for day, note
+                            in zip(end_dates, trace.notes) if note]}
     summary = market = None
     try:
         summary = summarize(trace, tuple(args.cuts))
@@ -389,8 +386,7 @@ def cmd_rolling(args) -> int:
                                 "class omitted"]
     results = {
         "count": trace.count,
-        "trace": [[m.end_date.isoformat(), m.h, m.r_squared]
-                  for m in trace.measurements],
+        "trace": list(map(list, zip(end_dates, trace.h, trace.r_squared))),
         "summary": ({
             "h_min": summary.h_min,
             "h_max": summary.h_max,
@@ -428,17 +424,15 @@ def cmd_rolling(args) -> int:
 def _summary_rows(results: dict) -> list | None:
     """Rows of the summary table: count, extrema, mean, first date and the
     share below 0.5, then one row per cut, then the market class."""
-    summary = results["summary"]
+    summary, market = results["summary"], results["market_class"]
     if summary is None:
         return None
-    rows = [(key, summary[key]) for key in (
-        "count", "h_min", "h_max", "h_mean", "first_measurement_date",
-        "fraction_below_half")]
-    rows.extend((f"fraction_above_{cut}", frac)
-                for cut, frac in summary["proportions_above"].items())
-    if results["market_class"] is not None:
-        rows.append(("market_class", results["market_class"]["class"]))
-    return rows
+    keys = ("count", "h_min", "h_max", "h_mean", "first_measurement_date",
+            "fraction_below_half")
+    return ([(key, summary[key]) for key in keys]
+            + [(f"fraction_above_{cut}", frac)
+               for cut, frac in summary["proportions_above"].items()]
+            + ([("market_class", market["class"])] if market else []))
 
 
 def cmd_downfalls(args) -> int:
@@ -449,9 +443,11 @@ def cmd_downfalls(args) -> int:
     episodes = extract_downfalls(prices, lookback_days=args.lookback,
                                  min_depth=args.min_depth)
     diagnostics = {}
-    scan = critical = None
+    scan = scan_rows = critical = None
     try:
         scan = progressive_kurtosis(episodes, include_open=args.include_open)
+        scan_rows = list(map(list, zip(scan.upper_index, scan.upper_value,
+                                       scan.excess_kurtosis)))
         critical = critical_cutoff(scan)
     except ComputationError as exc:
         diagnostics["notes"] = [f"kurtosis scan unavailable: {exc}"]
@@ -459,11 +455,8 @@ def cmd_downfalls(args) -> int:
         rank_size = rank_size_points(episodes, include_open=args.include_open)
     except ComputationError:
         rank_size = []
-    episode_rows = []
-    for ep in episodes:
-        regime = (classify_episode(ep, critical).value
-                  if critical is not None else None)
-        episode_rows.append({
+    results = {
+        "episodes": [{
             "peak_date": ep.peak_date.isoformat(),
             "trough_date": ep.trough_date.isoformat(),
             "recovery_date": (ep.recovery_date.isoformat()
@@ -471,16 +464,13 @@ def cmd_downfalls(args) -> int:
             "depth": ep.depth,
             "duration_days": ep.duration_days,
             "open": ep.is_open,
-            "regime": regime,
-        })
-    results = {
-        "episodes": episode_rows,
+            "regime": (classify_episode(ep, critical).value
+                       if critical is not None else None),
+        } for ep in episodes],
         "rank_size": [[lr, ld] for lr, ld in rank_size],
-        "kurtosis_scan": ({
-            "entries": [[e.upper_index, e.upper_value, e.excess_kurtosis]
-                        for e in scan.entries],
-            "skipped_subsets": list(scan.skipped_subsets),
-        } if scan is not None else None),
+        "kurtosis_scan": ({"entries": scan_rows,
+                           "skipped_subsets": list(scan.skipped_subsets)}
+                          if scan is not None else None),
         "critical": ({
             "cutoff_depth": critical.cutoff_depth,
             "cutoff_index": critical.cutoff_index,
@@ -493,13 +483,12 @@ def cmd_downfalls(args) -> int:
         "results": results,
         "diagnostics": diagnostics,
     }
-    scan_payload = results["kurtosis_scan"]
     _emit(report, args.format, [
         ("episodes", ("peak_date", "trough_date", "recovery_date", "depth",
                       "duration_days", "open", "regime"), results["episodes"]),
         ("rank_size", ("log_rank", "log_depth"), results["rank_size"]),
         ("kurtosis_scan", ("upper_index", "upper_value", "excess_kurtosis"),
-         scan_payload["entries"] if scan_payload is not None else None),
+         scan_rows),
         ("critical", ("key", "value"), results["critical"]),
     ])
     return 0

@@ -24,6 +24,7 @@ from .errors import (
     NoDownfallsError,
     TooFewError,
     ZeroVarianceError,
+    require_equal_lengths,
     require_float,
     require_instance,
     require_int,
@@ -48,7 +49,6 @@ class Downfall(Record):
     trough_date: dt.date
     recovery_date: dt.date | None
     depth: float
-    duration_days: int
     peak_index: int
     trough_index: int
     recovery_index: int | None
@@ -57,16 +57,29 @@ class Downfall(Record):
     def is_open(self) -> bool:
         return self.recovery_date is None
 
-
-class KurtosisScanEntry(Record):
-    upper_index: int      # how many of the smallest depths are included
-    upper_value: float    # depth of the largest included downfall
-    excess_kurtosis: float
+    @property
+    def duration_days(self) -> int:
+        return self.trough_index - self.peak_index
 
 
 class KurtosisScan(Record):
-    entries: tuple[KurtosisScanEntry, ...]
+    """Columns with an entry per scanned subset: how many of the smallest
+    depths it holds, the largest of them, and its excess kurtosis."""
+
+    upper_index: tuple[int, ...]
+    upper_value: tuple[float, ...]
+    excess_kurtosis: tuple[float, ...]
     skipped_subsets: tuple[int, ...] = ()  # zero-variance subset sizes
+
+    def __post_init__(self):
+        require_equal_lengths(self, "upper_index", "upper_value",
+                              "excess_kurtosis")
+
+    @property
+    def entries(self) -> tuple[tuple[int, float, float], ...]:
+        """(upper_index, upper_value, excess_kurtosis) of each entry."""
+        return tuple(zip(self.upper_index, self.upper_value,
+                         self.excess_kurtosis))
 
 
 class CriticalLevel(Record):
@@ -121,16 +134,9 @@ def extract_downfalls(prices: PriceSeries,
         trough = lo + int(np.argmin(closes[lo:hi]))
         depth = float(log_close[peak] - log_close[trough])
         if depth >= min_depth:
-            episodes.append(Downfall(
-                peak_date=dates[peak],
-                trough_date=dates[trough],
-                recovery_date=dates[recovery] if recovery is not None else None,
-                depth=depth,
-                duration_days=trough - peak,
-                peak_index=peak,
-                trough_index=trough,
-                recovery_index=recovery,
-            ))
+            recovery_date = dates[recovery] if recovery is not None else None
+            episodes.append(Downfall(dates[peak], dates[trough], recovery_date,
+                                     depth, peak, trough, recovery))
 
     peak = 0
     in_episode = False
@@ -214,37 +220,28 @@ def progressive_kurtosis(downfalls: Sequence[Downfall],
         raise TooFewError(
             f"progressive scan needs at least 5 episodes, got {len(depths)}"
         )
-    entries = []
-    skipped = []
+    index, kurtosis, skipped = [], [], []
     values = np.asarray(depths)
     for k in range(4, len(depths) + 1):
         try:
-            kurt = excess_kurtosis(values[:k])
+            kurtosis.append(excess_kurtosis(values[:k]))
+            index.append(k)
         except ZeroVarianceError:
             skipped.append(k)
-            continue
-        entries.append(KurtosisScanEntry(
-            upper_index=k,
-            upper_value=float(values[k - 1]),
-            excess_kurtosis=kurt,
-        ))
-    return KurtosisScan(entries=tuple(entries), skipped_subsets=tuple(skipped))
+    upper = tuple(float(values[k - 1]) for k in index)
+    return KurtosisScan(tuple(index), upper, tuple(kurtosis), tuple(skipped))
 
 
 def critical_cutoff(scan: KurtosisScan) -> CriticalLevel:
     """The scan entry whose kurtosis is nearest zero; ties prefer the
     larger subset (fewer events claimed as self-organized)."""
-    if not require_instance(scan, KurtosisScan, "scan").entries:
+    kurtosis = require_instance(scan, KurtosisScan, "scan").excess_kurtosis
+    if not kurtosis:
         raise EmptyScanError("scan has no usable entries")
-    best = scan.entries[0]
-    for entry in scan.entries[1:]:
-        if abs(entry.excess_kurtosis) <= abs(best.excess_kurtosis):
-            best = entry
-    return CriticalLevel(
-        cutoff_depth=best.upper_value,
-        cutoff_index=best.upper_index,
-        kurtosis_at_cutoff=best.excess_kurtosis,
-    )
+    # min keeps the first of equals it meets, so search from the end
+    best = min(reversed(range(len(kurtosis))), key=lambda i: abs(kurtosis[i]))
+    return CriticalLevel(scan.upper_value[best], scan.upper_index[best],
+                         kurtosis[best])
 
 
 def classify_episode(downfall: Downfall, critical: CriticalLevel) -> Regime:

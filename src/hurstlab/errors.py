@@ -197,3 +197,13 @@ def require_instance(value, kind: type, what: str,
         raise error(f"unknown {what} {_bounded.repr(value)}, "
                     f"expected a {kind.__name__}")
     return value
+
+
+def require_equal_lengths(record, *columns: str) -> None:
+    """Raise InvalidSeriesError unless the record's columns, fields named
+    in order, have one length."""
+    lengths = [len(getattr(record, name)) for name in columns]
+    if len(set(lengths)) > 1:
+        raise InvalidSeriesError(
+            f"{type(record).__name__} columns differ in length: "
+            + ", ".join(map("{} {}".format, columns, lengths)))

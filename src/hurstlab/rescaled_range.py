@@ -111,7 +111,6 @@ class RSSegmentStats(Record):
 class HurstEstimate(Record):
     """A fitted Hurst exponent with its derived quantities.
 
-    ``fractal_dimension`` is None when h <= 0 (1/h undefined).
     ``skipped_segments`` lists (scale, dropped_count) for scales where
     constant segments were excluded from the average. ``flags`` carries
     diagnostics such as "h_out_of_range" or "flat_curve"; h itself is
@@ -120,9 +119,6 @@ class HurstEstimate(Record):
 
     h: float
     r_squared: float
-    autocorrelation_c: float
-    fractal_dimension: float | None
-    estimator: EstimatorKind
     curve: ScalingCurve
     skipped_segments: tuple[tuple[int, int], ...] = ()
     flags: tuple[str, ...] = ()
@@ -130,6 +126,19 @@ class HurstEstimate(Record):
     @property
     def persistence(self) -> Persistence:
         return classify_persistence(self.h)
+
+    @property
+    def autocorrelation_c(self) -> float:
+        return autocorrelation_from_h(self.h)
+
+    @property
+    def fractal_dimension(self) -> float | None:
+        """1/h, or None when h <= 0, where it is undefined."""
+        return fractal_dimension(self.h) if self.h > 0.0 else None
+
+    @property
+    def estimator(self) -> EstimatorKind:
+        return self.curve.kind
 
 
 def classify_persistence(h: float) -> Persistence:
@@ -323,21 +332,10 @@ def estimate_from_fits(scales: tuple[int, ...], kind: EstimatorKind,
     if 0 in errors:
         raise errors[0]
     h, _, r_squared, flat = (v[0].item() for v in fit)
-    flags = []
-    if flat:
-        flags.append("flat_curve")
-    if not 0.0 <= h <= 1.0:
-        flags.append("h_out_of_range")
-    return HurstEstimate(
-        h=h,
-        r_squared=r_squared,
-        autocorrelation_c=autocorrelation_from_h(h),
-        fractal_dimension=(1.0 / h) if h > 0.0 else None,
-        estimator=kind,
-        curve=ScalingCurve(scales, tuple(stats[0].tolist()), kind),
-        skipped_segments=skipped_segments,
-        flags=tuple(flags),
-    )
+    flags = tuple(flag for flag, raised in (
+        ("flat_curve", flat), ("h_out_of_range", not 0.0 <= h <= 1.0)) if raised)
+    curve = ScalingCurve(scales, tuple(stats[0].tolist()), kind)
+    return HurstEstimate(h, r_squared, curve, skipped_segments, flags)
 
 
 def estimate_hurst_rs(series: Sequence[float], plan: PartitionPlan,

@@ -33,6 +33,7 @@ from .errors import (
     SeriesTooShortError,
     InvalidPlanError,
     TraceTooShortError,
+    require_equal_lengths,
     require_floats,
     require_instance,
     require_int,
@@ -90,15 +91,30 @@ class RollingMeasurement(Record):
 
 
 class RollingTrace(Record):
+    """A sweep's columns, an entry per window: its last return's date, its
+    fit (None at a gap) and the gap's error, "" where it was fitted."""
+
     config: RollingConfig
-    measurements: tuple[RollingMeasurement, ...]
+    end_dates: tuple[dt.date, ...]
+    h: tuple[float | None, ...]
+    r_squared: tuple[float | None, ...]
+    notes: tuple[str, ...]
+
+    def __post_init__(self):
+        require_equal_lengths(self, "end_dates", "h", "r_squared", "notes")
 
     @property
     def count(self) -> int:
-        return len(self.measurements)
+        return len(self.h)
+
+    @property
+    def measurements(self) -> tuple[RollingMeasurement, ...]:
+        """The columns as one record per window, built on each read."""
+        return tuple(map(RollingMeasurement, self.end_dates, self.h,
+                         self.r_squared, self.notes))
 
     def h_values(self) -> np.ndarray:
-        return np.array([m.h for m in self.measurements if not m.is_gap])
+        return np.array([h for h in self.h if h is not None])
 
 
 class TraceSummary(Record):
@@ -184,9 +200,8 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
     for i, exc in errors.items():
         h[i] = r_squared[i] = None
         notes[i] = f"{type(exc).__name__}: {exc}"
-    return RollingTrace(config=config, measurements=tuple(map(
-        RollingMeasurement, returns.dates[window - 1::lag], h, r_squared,
-        notes)))
+    return RollingTrace(config, returns.dates[window - 1::lag], tuple(h),
+                        tuple(r_squared), tuple(notes))
 
 
 def summarize(trace: RollingTrace, cut_points: tuple[float, ...] = (0.5, 0.6, 0.7)
@@ -205,7 +220,7 @@ def summarize(trace: RollingTrace, cut_points: tuple[float, ...] = (0.5, 0.6, 0.
         h_min=float(h.min()),
         h_max=float(h.max()),
         h_mean=float(h.mean()),
-        first_measurement_date=trace.measurements[0].end_date,
+        first_measurement_date=trace.end_dates[0],
         count=int(h.size),
         proportions=proportions,
         fraction_below_half=float((h < 0.5).mean()),

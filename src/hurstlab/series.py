@@ -44,6 +44,24 @@ def finite_values(series) -> np.ndarray:
     return x
 
 
+def _own_values(values) -> np.ndarray:
+    """A read-only copy of finite_values(values): a series keeps its own
+    array, which no caller can write."""
+    x = finite_values(values).copy()
+    x.flags.writeable = False
+    return x
+
+
+def _series_eq(self, other):
+    """Series are equal when their other fields are and their arrays, the
+    last field, hold equal values."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    *fields, values = self._values()
+    *other_fields, other_values = other._values()
+    return fields == other_fields and np.array_equal(values, other_values)
+
+
 def _check_dates(dates: tuple[dt.date, ...]) -> None:
     """Raise unless the dates strictly increase; a repeat is a duplicate."""
     for d1, d2 in zip(dates, dates[1:]):
@@ -54,14 +72,17 @@ def _check_dates(dates: tuple[dt.date, ...]) -> None:
 
 
 class PriceSeries(Record):
-    """Daily closing prices, strictly ordered by date."""
+    """Daily closing prices, strictly ordered by date. A series holds a
+    read-only copy of the closes it is given, and is unhashable."""
 
     dates: tuple[dt.date, ...]
     closes: np.ndarray
 
+    __eq__ = _series_eq
+    __hash__ = None
+
     def __post_init__(self):
-        closes = finite_values(self.closes)
-        closes.flags.writeable = False
+        closes = _own_values(self.closes)
         object.__setattr__(self, "closes", closes)
         if len(self.dates) != closes.size:
             raise InvalidSeriesError("dates and closes differ in length")
@@ -82,17 +103,20 @@ class ReturnSeries(Record):
     """Log-returns of a price series under one of three transforms.
 
     Each value is dated at the later of the two prices it compares, so a
-    series of N prices yields N-1 returns.
+    series of N prices yields N-1 returns. Like a PriceSeries, it holds a
+    read-only copy of its values and compares them by value.
     """
 
     transform: Transform
     dates: tuple[dt.date, ...]
     values: np.ndarray
 
+    __eq__ = _series_eq
+    __hash__ = None
+
     def __post_init__(self):
         require_instance(self.transform, Transform, "transform")
-        values = finite_values(self.values)
-        values.flags.writeable = False
+        values = _own_values(self.values)
         object.__setattr__(self, "values", values)
         if len(self.dates) != values.size:
             raise InvalidSeriesError("dates and values differ in length")

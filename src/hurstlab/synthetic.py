@@ -95,19 +95,40 @@ def white_noise(length: int, seed: int) -> np.ndarray:
     return _rng(seed).standard_normal(length)
 
 
+#: Lags from which _fgn_gamma sums its series in 1/k^2, and the number of
+#: terms it sums; the first omitted term is below 64^-24 of the first.
+SERIES_FROM_LAG = 64
+SERIES_TERMS = 12
+
+
 def _fgn_gamma(h: float, lags: np.ndarray) -> np.ndarray:
     """fgn_autocovariance(h, k) for each k >= 0 of an integer array.
 
-    For k >= 2 the second difference is factored as
-    0.5 * k^2h * [expm1(2h log1p(1/k)) + expm1(2h log1p(-1/k))]: its
-    error stays near k * eps * |gamma(k)|, where the three powers of size
-    k^2h in the textbook form cancel to far worse near h = 1. gamma(0)
-    and gamma(1) are taken exactly.
+    The three powers of size k^2h in the textbook form cancel to far
+    worse than eps * |gamma(k)| near h = 1. For 2 <= k < SERIES_FROM_LAG
+    the second difference is factored as
+    0.5 * k^2h * [expm1(2h log1p(1/k)) + expm1(2h log1p(-1/k))], whose
+    error stays near k * eps * |gamma(k)|. From SERIES_FROM_LAG on, the
+    bracket's binomial series leaves k^2h * sum_j C(2h, 2j) k^-2j,
+    summed from its smallest term, with an error near eps * |gamma(k)|.
+    gamma(0) and gamma(1) are taken exactly.
     """
     e = 2.0 * h
     k = np.maximum(lags, 2).astype(np.float64)
-    gamma = 0.5 * k ** e * (np.expm1(e * np.log1p(1.0 / k))
-                            + np.expm1(e * np.log1p(-1.0 / k)))
+    near = lags < SERIES_FROM_LAG
+    gamma = np.empty(k.shape)
+    kn, kf = k[near], k[~near]
+    gamma[near] = 0.5 * kn ** e * (np.expm1(e * np.log1p(1.0 / kn))
+                                   + np.expm1(e * np.log1p(-1.0 / kn)))
+    coefficients = [e * (e - 1.0) / 2.0]  # C(2h, 2j) for j = 1, 2, ...
+    for j in range(1, SERIES_TERMS):
+        coefficients.append(coefficients[-1] * (e - 2 * j) * (e - 2 * j - 1)
+                            / ((2 * j + 1) * (2 * j + 2)))
+    u = 1.0 / (kf * kf)
+    total = np.zeros(kf.shape)
+    for c in reversed(coefficients):
+        total = (total + c) * u
+    gamma[~near] = kf ** e * total
     gamma[lags == 0] = 1.0
     gamma[lags == 1] = 0.5 * (2.0 ** e - 2.0)
     return gamma

@@ -174,8 +174,8 @@ def test_criterion_06_rolling_protocol_exactness():
     trace = sweep(make_returns(values), config)
     for i in map(int, rng.integers(0, trace.count, size=20)):
         standalone = estimate_window(values[i * 7:i * 7 + 250], config)
-        if (trace.measurements[i].h != standalone.h
-                or trace.measurements[i].r_squared != standalone.r_squared):
+        if (trace.h[i] != standalone.h
+                or trace.r_squared[i] != standalone.r_squared):
             spot_ok = False
             break
     ok = count_ok and spot_ok
@@ -192,7 +192,7 @@ def test_criterion_07_crash_persistence():
         quiet = 0.01 * white_noise(1000, seed=7100 + seed)
         selloff = 0.01 * fgn(600, 0.85, seed=7200 + seed) - 0.002
         trace = sweep(make_returns(np.concatenate([quiet, selloff])), config)
-        h = np.array([m.h for m in trace.measurements])
+        h = np.array(trace.h)
         diff = h[200:271].mean() - h[:151].mean()
         diffs.append(diff)
         votes += diff >= 0.1

@@ -36,6 +36,15 @@ def write_fixture(tmp_path, name, text):
 
 # -- synth -------------------------------------------------------------------
 
+def test_synth_fgn_at_max_length_near_h_one(capsys):
+    # Its circulant eigenvalue was -1.141e-08 with the factored
+    # autocovariance alone, past the -1e-8 bound, so it exited 3.
+    code, out, err = run_cli(capsys, "synth", "--kind", "fgn", "--n", "65536",
+                             "--h", "0.9999999999933364")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 65537
+
+
 def test_synth_prices_csv_shape(capsys):
     out = synth_csv(capsys, "--kind", "prices", "--n", "10", "--seed", "3")
     lines = out.strip().splitlines()

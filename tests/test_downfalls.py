@@ -8,7 +8,6 @@ from hurstlab.downfalls import (
     CriticalLevel,
     Downfall,
     KurtosisScan,
-    KurtosisScanEntry,
     Regime,
     classify_episode,
     critical_cutoff,
@@ -74,7 +73,7 @@ def mk_downfall(depth, index=0, closed=True):
     return Downfall(
         peak_date=base, trough_date=base + dt.timedelta(days=1),
         recovery_date=base + dt.timedelta(days=2) if closed else None,
-        depth=float(depth), duration_days=1,
+        depth=float(depth),
         peak_index=3 * index, trough_index=3 * index + 1,
         recovery_index=3 * index + 2 if closed else None,
     )
@@ -258,18 +257,20 @@ def test_progressive_entries_match_prefixes():
                  for i, d in enumerate(rng.uniform(0.01, 0.5, size=30))]
     scan = progressive_kurtosis(downfalls)
     depths = sorted(d.depth for d in downfalls)
-    assert [e.upper_index for e in scan.entries] == list(range(4, 31))
-    for entry in scan.entries:
-        assert entry.upper_value == depths[entry.upper_index - 1]
-        assert entry.excess_kurtosis == pytest.approx(
-            excess_kurtosis(depths[:entry.upper_index]), abs=1e-12)
+    assert scan.upper_index == tuple(range(4, 31))
+    for k, value, kurt in zip(scan.upper_index, scan.upper_value,
+                              scan.excess_kurtosis):
+        assert value == depths[k - 1]
+        assert kurt == excess_kurtosis(depths[:k])
+    assert scan.entries == tuple(zip(scan.upper_index, scan.upper_value,
+                                     scan.excess_kurtosis))
 
 
 def test_progressive_equal_depths_all_skipped():
     downfalls = [mk_downfall(0.2, i) for i in range(6)]
     scan = progressive_kurtosis(downfalls)
+    assert scan == KurtosisScan((), (), (), skipped_subsets=(4, 5, 6))
     assert scan.entries == ()
-    assert scan.skipped_subsets == (4, 5, 6)
     with pytest.raises(EmptyScanError):
         critical_cutoff(scan)
 
@@ -283,19 +284,18 @@ def test_open_episodes_excluded_by_default():
     downfalls = [mk_downfall(0.1 * (i + 1), i) for i in range(6)]
     downfalls.append(mk_downfall(9.9, 7, closed=False))
     scan = progressive_kurtosis(downfalls)
-    assert max(e.upper_value for e in scan.entries) < 9.0
+    assert max(scan.upper_value) < 9.0
     scan_open = progressive_kurtosis(downfalls, include_open=True)
-    assert max(e.upper_value for e in scan_open.entries) == pytest.approx(9.9)
+    assert max(scan_open.upper_value) == pytest.approx(9.9)
 
 
 # -- critical cutoff and classification --------------------------------------
 
 def scan_from(kurtoses):
-    entries = tuple(
-        KurtosisScanEntry(upper_index=4 + i, upper_value=0.1 * (i + 1),
-                          excess_kurtosis=k)
-        for i, k in enumerate(kurtoses))
-    return KurtosisScan(entries=entries)
+    return KurtosisScan(
+        upper_index=tuple(range(4, 4 + len(kurtoses))),
+        upper_value=tuple(0.1 * (i + 1) for i in range(len(kurtoses))),
+        excess_kurtosis=tuple(kurtoses))
 
 
 def test_cutoff_picks_nearest_zero():
@@ -308,6 +308,36 @@ def test_cutoff_tie_goes_to_larger_subset():
     level = critical_cutoff(scan_from([0.2, -0.2]))
     assert level.cutoff_index == 5
     assert level.kurtosis_at_cutoff == -0.2
+
+
+@pytest.mark.parametrize("kurtoses, index", [
+    ([0.3, -0.1, 0.1, 0.5], 6),
+    ([0.1, -0.1, 0.1, -0.1], 7),
+    ([-0.1, 0.1, 0.2, 0.3], 5),
+    ([0.0, 1.0, 0.0, 2.0], 6),
+    ([0.7], 4),
+])
+def test_cutoff_ties_on_columns(kurtoses, index):
+    scan = scan_from(kurtoses)
+    level = critical_cutoff(scan)
+    assert level.cutoff_index == index
+    assert level.cutoff_depth == scan.upper_value[index - 4]
+    assert level.kurtosis_at_cutoff == kurtoses[index - 4]
+
+
+@pytest.mark.parametrize("columns", [
+    dict(upper_index=(4, 5), upper_value=(0.1,), excess_kurtosis=(0.2, 0.3)),
+    dict(upper_index=(4,), upper_value=(0.1,), excess_kurtosis=()),
+    dict(upper_index=(), upper_value=(0.1,), excess_kurtosis=()),
+])
+def test_ragged_scan_columns_raise(columns):
+    with pytest.raises(InvalidSeriesError, match="KurtosisScan columns differ"):
+        KurtosisScan(**columns)
+
+
+def test_duration_is_the_trough_index_minus_the_peak_index():
+    for ep in extract_downfalls(random_walk_prices(2000, 4)):
+        assert ep.duration_days == ep.trough_index - ep.peak_index
 
 
 def test_boundary_classified_mesokurtic():

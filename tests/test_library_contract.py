@@ -149,17 +149,16 @@ def check_sweep(values, transform, options):
     trace = sweep(returns, config)
     x = returns.values
     assert trace.count == (x.size - config.window) // config.lag + 1
-    gaps = {i for i, m in enumerate(trace.measurements) if m.is_gap}
+    gaps = {i for i, h in enumerate(trace.h) if h is None}
     for i in gaps | {0, trace.count // 2, trace.count - 1}:
         start = i * config.lag
         try:
             est = estimate_window(x[start:start + config.window], config)
         except HurstLabError as exc:
-            assert trace.measurements[i].note == f"{type(exc).__name__}: {exc}"
+            assert trace.notes[i] == f"{type(exc).__name__}: {exc}"
         else:
             assert i not in gaps
-            assert (trace.measurements[i].h, trace.measurements[i].r_squared
-                    ) == (est.h, est.r_squared)
+            assert (trace.h[i], trace.r_squared[i]) == (est.h, est.r_squared)
 
 
 @settings(max_examples=300, deadline=None,
@@ -218,7 +217,7 @@ def downfalls(depths, open_last):
         episodes.append(Downfall(
             peak_date=peak, trough_date=peak + day,
             recovery_date=peak + 2 * day if closed else None, depth=depth,
-            duration_days=1, peak_index=3 * i, trough_index=3 * i + 1,
+            peak_index=3 * i, trough_index=3 * i + 1,
             recovery_index=3 * i + 2 if closed else None))
     return episodes
 

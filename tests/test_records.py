@@ -13,7 +13,6 @@ from hurstlab.downfalls import (
     CriticalLevel,
     Downfall,
     KurtosisScan,
-    KurtosisScanEntry,
 )
 from hurstlab.regression import EstimatorKind, PowerLawFit, ScalingCurve
 from hurstlab.rescaled_range import (
@@ -39,10 +38,6 @@ from hurstlab.vstat import Trend, VStatCurve
 _DAYS = tuple(dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(3))
 _CURVE = ScalingCurve(scales=(8, 16, 32), statistics=(1.0, 2.0, 4.0),
                       kind=EstimatorKind.RESCALED_RANGE)
-_MEASUREMENT = RollingMeasurement(end_date=_DAYS[0], h=0.6, r_squared=0.9,
-                                  note="")
-_ENTRY = KurtosisScanEntry(upper_index=4, upper_value=0.2,
-                           excess_kurtosis=1.5)
 
 #: (record class, every field in declared order with a valid value, the
 #: default of each field that has one). Each default differs from the
@@ -70,8 +65,9 @@ RECORDS = [
     (RollingMeasurement, dict(end_date=_DAYS[0], h=None, r_squared=None,
                               note="TooFewError: 2 values"),
      dict(note="")),
-    (RollingTrace, dict(config=RollingConfig(),
-                        measurements=(_MEASUREMENT,)), {}),
+    (RollingTrace, dict(config=RollingConfig(), end_dates=_DAYS[:2],
+                        h=(0.6, None), r_squared=(0.9, None),
+                        notes=("", "TooFewError: 2 values")), {}),
     (TraceSummary, dict(h_min=0.4, h_max=0.6, h_mean=0.5,
                         first_measurement_date=_DAYS[0], count=3,
                         proportions={0.5: 0.25}, fraction_below_half=0.5),
@@ -86,21 +82,18 @@ RECORDS = [
     (VStatCurve, dict(log_scales=(1.0, 2.0, 3.0), v_values=(1.0, 1.1, 1.2),
                       slope=0.1, trend=Trend.INCREASING, peak_scale=20), {}),
     (Downfall, dict(peak_date=_DAYS[0], trough_date=_DAYS[1],
-                    recovery_date=None, depth=0.1, duration_days=1,
+                    recovery_date=None, depth=0.1,
                     peak_index=0, trough_index=1, recovery_index=None), {}),
-    (KurtosisScanEntry, dict(upper_index=4, upper_value=0.2,
-                             excess_kurtosis=1.5), {}),
-    (KurtosisScan, dict(entries=(_ENTRY,), skipped_subsets=(3,)),
+    (KurtosisScan, dict(upper_index=(4, 6), upper_value=(0.2, 0.3),
+                        excess_kurtosis=(1.5, -0.5), skipped_subsets=(5,)),
      dict(skipped_subsets=())),
     (CriticalLevel, dict(cutoff_depth=0.3, cutoff_index=10,
                          kurtosis_at_cutoff=2.0), {}),
     (PartitionPlan, dict(total_length=64, segment_lengths=(8, 16, 32),
                          policy=PartitionPolicy.EXPLICIT), {}),
     (RSSegmentStats, dict(mean=0.0, std_dev=1.0, range=3.0, ratio=3.0), {}),
-    (HurstEstimate, dict(h=0.6, r_squared=0.9, autocorrelation_c=0.15,
-                         fractal_dimension=1.4,
-                         estimator=EstimatorKind.RESCALED_RANGE,
-                         curve=_CURVE, skipped_segments=((8, 1),),
+    (HurstEstimate, dict(h=0.6, r_squared=0.9, curve=_CURVE,
+                         skipped_segments=((8, 1),),
                          flags=("flat_curve",)),
      dict(skipped_segments=(), flags=())),
     (DfaConfig, dict(box_sizes=(4, 8, 16),
@@ -116,7 +109,7 @@ def test_every_record_class_is_listed():
     import hurstlab.cli  # noqa: F401 - imports every module
     from hurstlab._record import Record
 
-    assert len(RECORDS) == 20
+    assert len(RECORDS) == 19
     assert set(Record.__subclasses__()) == {cls for cls, _, _ in RECORDS}
 
 

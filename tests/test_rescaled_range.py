@@ -17,9 +17,10 @@ from hurstlab.errors import (
     NonPositiveHError,
     TooShortError,
 )
-from hurstlab.regression import fit_rows
+from hurstlab.regression import ScalingCurve, fit_rows
 from hurstlab.rescaled_range import (
     EstimatorKind,
+    HurstEstimate,
     PartitionPolicy,
     Persistence,
     StdMode,
@@ -284,6 +285,21 @@ def test_exact_curve_gives_half():
     assert est.r_squared == pytest.approx(1.0, abs=1e-12)
     assert est.autocorrelation_c == pytest.approx(0.0, abs=1e-12)
     assert est.fractal_dimension == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("h", [-0.3, 0.0, 1e-300, 0.25, 0.5, 0.8, 1.0, 1.7])
+@pytest.mark.parametrize("kind", list(EstimatorKind))
+def test_derived_values_are_formulas_of_h_and_the_curve(h, kind):
+    est = HurstEstimate(h=h, r_squared=0.9, curve=ScalingCurve(
+        (8, 16, 32), (1.0, 2.0, 4.0), kind))
+    assert est.autocorrelation_c == autocorrelation_from_h(h)
+    assert est.autocorrelation_c == 2.0 ** (2.0 * h - 1.0) - 1.0
+    if h > 0.0:
+        assert est.fractal_dimension == fractal_dimension(h) == 1.0 / h
+    else:
+        assert est.fractal_dimension is None
+    assert est.estimator is est.curve.kind is kind
+    assert est.persistence is classify_persistence(h)
 
 
 def test_white_noise_estimate_in_band():

@@ -9,6 +9,7 @@ from hurstlab._kernels import _TABLE_VALUES
 from hurstlab.dfa import FitTarget, dfa_curve_rows, estimate_hurst_dfa
 from hurstlab.errors import (
     ComputationError,
+    InvalidSeriesError,
     SeriesTooShortError,
     TraceTooShortError,
 )
@@ -21,6 +22,8 @@ from hurstlab.rescaled_range import (
 )
 from hurstlab.rolling import (
     RollingConfig,
+    RollingMeasurement,
+    RollingTrace,
     _scheme,
     classify_market,
     estimate_window,
@@ -44,7 +47,7 @@ def test_single_window_boundary():
     trace = sweep(make_returns(white_noise(250, seed=1)),
                   RollingConfig(window=250, lag=5))
     assert trace.count == 1
-    assert trace.measurements[0].end_date == SYNTHETIC_EPOCH + dt.timedelta(days=250)
+    assert trace.end_dates[0] == SYNTHETIC_EPOCH + dt.timedelta(days=250)
 
 
 def test_count_260_returns():
@@ -75,11 +78,11 @@ def test_window_measurements_match_standalone_bit_for_bit(transform):
     values = returns.values
     config = RollingConfig(window=250, lag=20)
     trace = sweep(returns, config)
-    for i in (0, 7, len(trace.measurements) - 1):
+    for i in (0, 7, trace.count - 1):
         start = i * config.lag
         standalone = estimate_window(values[start:start + 250], config)
-        assert trace.measurements[i].h == standalone.h
-        assert trace.measurements[i].r_squared == standalone.r_squared
+        assert trace.h[i] == standalone.h
+        assert trace.r_squared[i] == standalone.r_squared
 
 
 def reference_trace(values, config):
@@ -110,9 +113,7 @@ def assert_sweep_matches_reference(values, config):
     trace = sweep(make_returns(values), config)
     expected = reference_trace(values, config)
     assert trace.count == len(expected)
-    assert [m.note for m in trace.measurements] == [e[2] for e in expected]
-    assert [(m.h, m.r_squared) for m in trace.measurements] == [
-        (h, r_squared) for h, r_squared, _ in expected]
+    assert list(zip(trace.h, trace.r_squared, trace.notes)) == expected
     return trace
 
 
@@ -144,7 +145,7 @@ def test_sweep_matches_per_window_reference(length, config):
     trace = assert_sweep_matches_reference(values, config)
     if config.window == 250 and config.lag == 1:
         assert trace.count > 2 * (_TABLE_VALUES // config.window)
-        assert any(m.is_gap for m in trace.measurements)
+        assert None in trace.h
 
 
 def with_constant_runs(length, seed):
@@ -208,8 +209,7 @@ def test_constant_block_across_column_chunks(monkeypatch):
         or column_segments(cols, ddof)))
     trace = assert_sweep_matches_reference(values, RollingConfig(lag=1))
     assert starts[:2] == [512, 512] and len(starts) == 3
-    assert trace.measurements[boundary - 1].is_gap
-    assert trace.measurements[boundary].is_gap
+    assert trace.h[boundary - 1] is trace.h[boundary] is None
 
 
 @pytest.mark.parametrize("config", [
@@ -236,8 +236,45 @@ def test_trace_equals_standalone_at_chunk_boundaries(config, monkeypatch):
         start = i * config.lag
         standalone = estimate_window(values[start:start + config.window],
                                      config)
-        assert trace.measurements[i].h == standalone.h
-        assert trace.measurements[i].r_squared == standalone.r_squared
+        assert trace.h[i] == standalone.h
+        assert trace.r_squared[i] == standalone.r_squared
+
+
+@pytest.mark.parametrize("config", [
+    RollingConfig(window=250, lag=1),
+    RollingConfig(window=256, lag=7, estimator=DFA),
+])
+def test_trace_columns_and_their_view(config):
+    # One entry per window in each column: the date of the window's last
+    # return, None in h and r_squared exactly where a note names the error
+    returns = make_returns(with_constant_block(1300, seed=config.lag))
+    trace = sweep(returns, config)
+    assert trace.end_dates == returns.dates[config.window - 1::config.lag]
+    assert trace.count == len(trace.h) == len(trace.r_squared) == len(
+        trace.notes) == (1300 - config.window) // config.lag + 1
+    gaps = [h is None for h in trace.h]
+    assert 0 < sum(gaps) < trace.count
+    assert gaps == [r is None for r in trace.r_squared]
+    assert gaps == [note != "" for note in trace.notes]
+    assert trace.measurements == tuple(
+        RollingMeasurement(end_date=d, h=h, r_squared=r, note=note)
+        for d, h, r, note in zip(trace.end_dates, trace.h, trace.r_squared,
+                                 trace.notes))
+    assert [m.is_gap for m in trace.measurements] == gaps
+    assert trace.h_values().tolist() == [h for h in trace.h if h is not None]
+
+
+@pytest.mark.parametrize("columns", [
+    dict(end_dates=(SYNTHETIC_EPOCH,), h=(0.5, 0.6), r_squared=(0.9, 0.8),
+         notes=("", "")),
+    dict(end_dates=(SYNTHETIC_EPOCH,), h=(0.5,), r_squared=(),
+         notes=("",)),
+    dict(end_dates=(SYNTHETIC_EPOCH,), h=(0.5,), r_squared=(0.9,),
+         notes=()),
+])
+def test_ragged_trace_columns_raise(columns):
+    with pytest.raises(InvalidSeriesError, match="RollingTrace columns differ"):
+        RollingTrace(RollingConfig(), **columns)
 
 
 def test_sweep_deterministic():
@@ -262,7 +299,7 @@ def test_dfa_estimator_sweep():
     config = RollingConfig(window=256, lag=50, estimator=EstimatorKind.DFA)
     trace = sweep(make_returns(white_noise(500, seed=5)), config)
     assert trace.count == (500 - 256) // 50 + 1
-    assert all(m.h is not None for m in trace.measurements)
+    assert None not in trace.h
 
 
 def test_gap_windows_recorded_not_dropped():
@@ -271,9 +308,9 @@ def test_gap_windows_recorded_not_dropped():
     config = RollingConfig(window=250, lag=250)
     trace = sweep(make_returns(values), config)
     assert trace.count == 2
-    assert not trace.measurements[0].is_gap
-    assert trace.measurements[1].is_gap
-    assert "AllSegmentsDegenerate" in trace.measurements[1].note
+    assert trace.h[0] is not None and trace.notes[0] == ""
+    assert trace.h[1] is trace.r_squared[1] is None
+    assert "AllSegmentsDegenerate" in trace.notes[1]
 
 
 @pytest.mark.parametrize("config", [
@@ -297,8 +334,8 @@ def test_gap_notes_come_from_the_sweep_without_a_second_estimate(
         monkeypatch.setattr(rolling, name, no_estimate)
     trace = sweep(make_returns(values), config)
     assert trace.count == (values.size - config.window) // config.lag + 1
-    assert [(m.h, m.r_squared, m.note) for m in trace.measurements] == expected
-    assert all(m.note for m in trace.measurements if m.is_gap)
+    assert list(zip(trace.h, trace.r_squared, trace.notes)) == expected
+    assert all(note for h, note in zip(trace.h, trace.notes) if h is None)
 
 
 @pytest.mark.parametrize("config", [
@@ -350,9 +387,8 @@ def test_dfa_windows_inside_constant_run_are_gaps():
     config = RollingConfig(window=256, lag=1, estimator=DFA)
     trace = assert_sweep_matches_reference(values, config)
     inside = range(200, 800 - 256 + 1)
-    assert all(trace.measurements[i].is_gap for i in inside)
-    assert all("DegenerateCurveError" in trace.measurements[i].note
-               for i in inside)
+    assert all(trace.h[i] is None for i in inside)
+    assert all("DegenerateCurveError" in trace.notes[i] for i in inside)
 
 
 def test_dfa_window_linear_in_every_box_is_a_gap():
@@ -365,15 +401,15 @@ def test_dfa_window_linear_in_every_box_is_a_gap():
     trace = sweep(make_returns(values), config)
     with pytest.raises(ComputationError) as raised:
         estimate_window(values[199:199 + 256], config)
-    assert trace.measurements[199].is_gap
-    assert trace.measurements[199].note == (
+    assert trace.h[199] is None
+    assert trace.notes[199] == (
         f"{type(raised.value).__name__}: {raised.value}")
 
 
 def test_summarize_single_measurement():
     trace = sweep(make_returns(white_noise(250, seed=7)),
                   RollingConfig(window=250, lag=5))
-    h = trace.measurements[0].h
+    h = trace.h[0]
     summary = summarize(trace, cut_points=(0.5, 0.7))
     assert summary.count == 1
     assert summary.h_min == summary.h_max == summary.h_mean == h
@@ -385,10 +421,10 @@ def test_summarize_strict_tie_rule():
     # measurements exactly at a cut point count for neither side
     trace = sweep(make_returns(white_noise(250, seed=8)),
                   RollingConfig(window=250, lag=5))
-    m = trace.measurements[0]
-    summary = summarize(trace, cut_points=(m.h,))
-    assert summary.proportions[m.h] == 0.0
-    assert summary.fraction_below_half == (1.0 if m.h < 0.5 else 0.0)
+    h = trace.h[0]
+    summary = summarize(trace, cut_points=(h,))
+    assert summary.proportions[h] == 0.0
+    assert summary.fraction_below_half == (1.0 if h < 0.5 else 0.0)
 
 
 def test_summary_invariants_on_long_trace():
@@ -440,7 +476,7 @@ def test_crash_persistence_rise():
         quiet = 0.01 * white_noise(1000, seed=8000 + seed)
         selloff = 0.01 * fgn(600, 0.85, seed=9000 + seed) - 0.002
         trace = sweep(make_returns(np.concatenate([quiet, selloff])), config)
-        h = np.array([m.h for m in trace.measurements])
+        h = np.array(trace.h)
         pre = h[:151].mean()       # windows ending inside the quiet stretch
         inside = h[200:271].mean()  # windows fully inside the sell-off
         votes += (inside - pre) >= 0.1

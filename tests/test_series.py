@@ -395,6 +395,48 @@ def test_parse_return_csv_allows_negatives():
     assert returns.transform is Transform.RAW
 
 
+_DATES = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=i) for i in range(3))
+
+
+@pytest.mark.parametrize("build", [
+    lambda values: PriceSeries(_DATES, values),
+    lambda values: ReturnSeries(Transform.RAW, _DATES, values),
+])
+def test_series_own_a_copy_of_the_callers_array(build):
+    values = np.array([1.0, 2.0, 3.0])
+    series = build(values)
+    owned = series._values()[-1]
+    assert not owned.flags.writeable
+    values[0] = 5.0  # the caller's array stays writable
+    assert owned.tolist() == [1.0, 2.0, 3.0]
+    assert not np.shares_memory(owned, values)
+    with pytest.raises(ValueError, match="read-only"):
+        owned[0] = 5.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda values, dates=_DATES: PriceSeries(dates, values),
+    lambda values, dates=_DATES: ReturnSeries(Transform.RAW, dates, values),
+])
+def test_series_compare_by_value(build):
+    values = np.array([1.0, 2.0, 3.0])
+    series = build(values)
+    assert series == build(values.copy()) == build([1.0, 2.0, 3.0])
+    assert not series != build(values.copy())
+    assert series != build(np.array([1.0, 2.0, 3.5]))
+    later = tuple(d + dt.timedelta(days=1) for d in _DATES)
+    assert series != build(values, dates=later)
+    assert series != (_DATES, values)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(series)
+
+
+def test_return_series_compare_their_transform():
+    values = np.array([0.1, 0.2, 0.3])
+    assert (ReturnSeries(Transform.ABSOLUTE, _DATES, values)
+            != ReturnSeries(Transform.SQUARED, _DATES, values))
+
+
 def test_price_series_requires_positive_and_ordered():
     with pytest.raises(NonPositivePriceError):
         make_prices([100.0, -1.0])

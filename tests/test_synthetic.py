@@ -79,6 +79,39 @@ def test_autocov_matches_mpmath():
             assert abs(got - want) <= 4 * eps * max(k, 1) * abs(want) + eps, (h, k)
 
 
+def test_autocov_series_lags_match_mpmath_to_rounding():
+    # From SERIES_FROM_LAG on, the 1/k^2 series carries no error that
+    # grows with k: within a few eps of gamma(k) at every lag, h near 1
+    # included.
+    import mpmath
+
+    eps = np.finfo(np.float64).eps
+    lags = np.array([synthetic.SERIES_FROM_LAG, 65, 100, 1000, 4097, 65535,
+                     65536, 131072])
+    for h in (1e-9, 0.01, 0.2, 0.49, 0.5000001, 0.51, 0.8, 0.99, 0.9999999,
+              0.99999999999, 0.9999999999933364, 1.0 - 2.0 ** -40):
+        gamma = synthetic._fgn_gamma(h, lags)
+        with mpmath.workdps(50):
+            e = 2 * mpmath.mpf(h)
+            ref = [float((mpmath.mpf(k + 1) ** e - 2 * mpmath.mpf(k) ** e
+                          + mpmath.mpf(k - 1) ** e) / 2)
+                   for k in lags.tolist()]
+        for k, got, want in zip(lags.tolist(), gamma.tolist(), ref):
+            assert abs(got - want) <= 4 * eps * abs(want), (h, k)
+
+
+@pytest.mark.parametrize("h", [0.99, 0.999999, 0.99999999999,
+                               0.9999999999933364, 1.0 - 2.0 ** -40])
+def test_circulant_embedding_non_negative_near_one_at_max_length(h):
+    # The embedding is exactly non-negative definite; with the series the
+    # computed eigenvalues stay within rounding of that at the longest draw.
+    n = MAX_EXACT_LENGTH
+    gamma = synthetic._fgn_gamma(h, np.arange(n + 1))
+    eigs = np.fft.fft(np.concatenate([gamma, gamma[n - 1:0:-1]])).real
+    assert eigs.min() > -1e-10
+    assert np.isfinite(fgn(n, h, seed=0)).all()
+
+
 def test_autocov_rejects_bad_h():
     with pytest.raises(HOutOfRangeError):
         fgn_autocovariance(0.0, 1)
