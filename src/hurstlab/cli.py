@@ -114,36 +114,38 @@ def build_parser() -> _Parser:
         p.add_argument("--date-format", default="%Y-%m-%d")
         p.add_argument("--format", choices=("json", "table"), default="json")
 
-    def add_estimator_flags(p, default_estimator=None):
-        # Without a default estimator (vstat, always R/S) there is neither
-        # --estimator nor --fit-target.
+    def add_estimator_flags(p, *estimators):
+        # The settings of each estimator the command runs, and --estimator
+        # where it runs more than one.
         p.add_argument("--transform", default="raw",
                        choices=sorted(t.value for t in Transform))
-        if default_estimator is not None:
-            p.add_argument("--estimator", choices=sorted(_ESTIMATORS),
-                           default=default_estimator)
-        p.add_argument("--plan", choices=("auto", "divisors", "preset250"),
-                       default="auto")
-        p.add_argument("--min-segment", type=int, default=DEFAULT_MIN_SEGMENT)
-        p.add_argument("--std", default="population",
-                       choices=sorted(m.value for m in StdMode))
-        if default_estimator is not None:
+        if len(estimators) > 1:
+            p.add_argument("--estimator", choices=sorted(estimators),
+                           default=estimators[0])
+        if "rs" in estimators:
+            p.add_argument("--plan", choices=("auto", "divisors", "preset250"),
+                           default="auto")
+            p.add_argument("--min-segment", type=int,
+                           default=DEFAULT_MIN_SEGMENT)
+            p.add_argument("--std", default="population",
+                           choices=sorted(m.value for m in StdMode))
+        if "dfa" in estimators:
             p.add_argument("--fit-target", default="rms", help="DFA fit target",
                            choices=sorted(t.value for t in FitTarget))
 
-    p_hurst = sub.add_parser("hurst", help="full-series Hurst estimate")
+    p_hurst = sub.add_parser("hurst", help="full-series R/S Hurst estimate")
     add_input_flags(p_hurst)
-    add_estimator_flags(p_hurst, default_estimator="rs")
-    p_hurst.set_defaults(func=cmd_hurst)
+    add_estimator_flags(p_hurst, "rs")
+    p_hurst.set_defaults(func=cmd_hurst, estimator="rs")
 
-    p_dfa = sub.add_parser("dfa", help="alias of hurst --estimator dfa")
+    p_dfa = sub.add_parser("dfa", help="full-series DFA Hurst estimate")
     add_input_flags(p_dfa)
-    add_estimator_flags(p_dfa, default_estimator="dfa")
-    p_dfa.set_defaults(func=cmd_hurst)
+    add_estimator_flags(p_dfa, "dfa")
+    p_dfa.set_defaults(func=cmd_hurst, estimator="dfa")
 
     p_roll = sub.add_parser("rolling", help="sliding-window Hurst trace")
     add_input_flags(p_roll)
-    add_estimator_flags(p_roll, default_estimator="rs")
+    add_estimator_flags(p_roll, "rs", "dfa")
     p_roll.add_argument("--window", type=int, default=250)
     p_roll.add_argument("--lag", type=int, default=5)
     p_roll.add_argument("--cuts", type=float, nargs="+",
@@ -152,11 +154,11 @@ def build_parser() -> _Parser:
 
     p_vstat = sub.add_parser("vstat", help="V statistic cycle test")
     add_input_flags(p_vstat)
-    add_estimator_flags(p_vstat)
+    # The V statistic is defined on the R/S curve.
+    add_estimator_flags(p_vstat, "rs")
     p_vstat.add_argument("--flat-tolerance", type=float,
                          default=DEFAULT_FLAT_TOLERANCE)
-    # The V statistic is defined on the R/S curve.
-    p_vstat.set_defaults(func=cmd_vstat, estimator="rs", fit_target="rms")
+    p_vstat.set_defaults(func=cmd_vstat)
 
     p_down = sub.add_parser("downfalls", help="downfall episodes and "
                                               "kurtosis regimes")
@@ -215,23 +217,28 @@ def _load_returns(args) -> tuple[ReturnSeries, PriceSeries | None, str]:
     return log_returns(prices), prices, fingerprint
 
 
+#: Each estimator flag's RollingConfig field, and its value there.
+_SETTINGS = (("estimator", "estimator", _ESTIMATORS.__getitem__),
+             ("plan", "plan_policy", PartitionPolicy),
+             ("min_segment", "min_segment_length", int),
+             ("std", "std_mode", StdMode),
+             ("fit_target", "dfa_fit_target", FitTarget))
+
+
 def _rolling_config(args, window: int, lag: int = 1) -> RollingConfig:
-    """The estimator flags, for estimate_window (one window) or sweep."""
-    return RollingConfig(
-        window=window,
-        lag=lag,
-        estimator=_ESTIMATORS[args.estimator],
-        plan_policy=PartitionPolicy(args.plan),
-        min_segment_length=args.min_segment,
-        std_mode=StdMode(args.std),
-        dfa_fit_target=FitTarget(args.fit_target),
-    )
+    """The estimator flags the command has, for estimate_window (one
+    window) or sweep; RollingConfig's defaults stand for the rest."""
+    return RollingConfig(window=window, lag=lag, **{
+        field: value(getattr(args, flag))
+        for flag, field, value in _SETTINGS if hasattr(args, flag)})
 
 
 # -- report rendering --------------------------------------------------------
 
 def _echo(args, keys: tuple[str, ...]) -> dict:
-    return {"command": args.command, **{key: getattr(args, key) for key in keys}}
+    """The command and the values of those keys that it has."""
+    return {"command": args.command, **{key: getattr(args, key)
+                                        for key in keys if hasattr(args, key)}}
 
 
 def _emit(report: dict, fmt: str, tables: list[tuple]) -> None:

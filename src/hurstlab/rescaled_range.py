@@ -264,23 +264,29 @@ def rs_fits(x: np.ndarray, window: int, lag: int, plan: PartitionPlan,
 
 def build_partition_plan(total_length: int,
                          policy: PartitionPolicy,
-                         min_segment_length: int = DEFAULT_MIN_SEGMENT,
-                         explicit: Sequence[int] | None = None) -> PartitionPlan:
+                         min_segment_length: int = DEFAULT_MIN_SEGMENT
+                         ) -> PartitionPlan:
     """Choose the segment lengths for a series of the given length.
 
     DIVISORS_ONLY takes every divisor n of the length with
     min_segment_length <= n <= length/2. PRESET_250 is the fixed
     ten-value fragmentation and is only valid for 250 returns (where
     several lengths deliberately do not divide 250; the trailing
-    remainder is discarded at estimation time). EXPLICIT validates a
-    caller-supplied list. AUTO is PRESET_250 at exactly 250 values, else
-    DIVISORS_ONLY, else (below 3 divisors, at a prime say) the doubling
-    lengths min_segment_length * 2^k <= length/2, recorded as EXPLICIT.
+    remainder is discarded at estimation time). AUTO is PRESET_250 at
+    exactly 250 values, else DIVISORS_ONLY, else (below 3 divisors, at a
+    prime say) the doubling lengths min_segment_length * 2^k <= length/2,
+    recorded as EXPLICIT. EXPLICIT itself is not chosen here: a caller's
+    own lengths are a hand-built PartitionPlan, which checks them.
     """
     total_length = require_int(total_length, "length", InvalidPlanError)
     min_segment_length = require_int(min_segment_length, "min_segment_length",
                                      InvalidPlanError)
     require_instance(policy, PartitionPolicy, "policy", InvalidPlanError)
+    if policy is PartitionPolicy.EXPLICIT:
+        raise InvalidPlanError(
+            "build_partition_plan chooses no explicit lengths; build them as "
+            "PartitionPlan(total_length, segment_lengths, "
+            "PartitionPolicy.EXPLICIT)")
     if min_segment_length < 2:
         raise InvalidPlanError("min_segment_length must be >= 2")
     if total_length < 2 * min_segment_length:
@@ -302,18 +308,12 @@ def build_partition_plan(total_length: int,
                 min_segment_length * 2 ** k
                 for k in range(total_length.bit_length())
                 if min_segment_length * 2 ** k <= total_length // 2)
-    elif policy is PartitionPolicy.PRESET_250:
+    else:
         if total_length != 250:
             raise InvalidPlanError(
                 f"preset250 plan requires exactly 250 values, got {total_length}"
             )
-        lengths = tuple(sorted(PRESET_250_SEGMENTS))
-    else:
-        lengths = tuple(sorted(set(require_ints(
-            () if explicit is None else explicit, "segment length",
-            InvalidPlanError))))
-        if not lengths:
-            raise InvalidPlanError("explicit policy needs a segment list")
+        lengths = PRESET_250_SEGMENTS
     plan = PartitionPlan(total_length=total_length,
                          segment_lengths=lengths, policy=policy)
     if lengths[0] < min_segment_length:

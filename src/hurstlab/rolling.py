@@ -52,7 +52,13 @@ from .series import ReturnSeries, finite_values
 
 
 class RollingConfig(Record):
-    """Window size, lag and estimator for one sweep."""
+    """Window size, lag and estimator for one sweep.
+
+    The plan policy, minimum segment length and std mode are read by R/S
+    only, and the fit target by DFA only; a config whose estimator does not
+    read a field must leave it at its default. The policy is one that
+    build_partition_plan takes, so not EXPLICIT.
+    """
 
     window: int = 250
     lag: int = 5
@@ -75,6 +81,24 @@ class RollingConfig(Record):
             require_instance(getattr(self, name), kind, name)
         require_instance(self.plan_policy, PartitionPolicy, "policy",
                          InvalidPlanError)
+        if self.plan_policy is PartitionPolicy.EXPLICIT:
+            raise InvalidPlanError("a rolling config builds its own plans "
+                                   "and takes no explicit policy")
+        object.__setattr__(self, "min_segment_length", require_int(
+            self.min_segment_length, "min_segment_length", InvalidPlanError))
+        for name in _IGNORED_FIELDS[self.estimator]:
+            value, default = getattr(self, name), self._defaults[name]
+            if value != default:
+                raise ConfigError(
+                    f"the {self.estimator.value} estimator does not read "
+                    f"{name}; got {value}, leave it at {default}")
+
+
+#: The RollingConfig fields that each estimator does not read.
+_IGNORED_FIELDS = {
+    EstimatorKind.RESCALED_RANGE: ("dfa_fit_target",),
+    EstimatorKind.DFA: ("plan_policy", "min_segment_length", "std_mode"),
+}
 
 
 class RollingMeasurement(Record):

@@ -228,25 +228,36 @@ def random_walk_prices(length: int, seed: int, drift: float = 0.0,
 
 
 def generate(spec: GeneratorSpec):
-    """Dispatch on spec.kind; returns an array or a PriceSeries."""
+    """Dispatch on spec.kind; returns an array or a PriceSeries.
+
+    h is read by fgn and fbm only, drift and volatility by prices only;
+    a spec must leave a field its kind does not read at its default.
+    """
     require_instance(spec, GeneratorSpec, "generator spec")
+    kind = require_instance(spec.kind, GeneratorKind, "kind", UnknownKindError)
     _check_calendar_length(spec.length)
     _rng(spec.seed)  # a negative seed fails here, ahead of the checks below
     drift = require_float(spec.drift, "drift")
     volatility = require_float(spec.volatility, "volatility")
     if not (np.isfinite(drift) and np.isfinite(volatility)):
         raise ConfigError("drift and volatility must be finite")
-    if spec.kind is GeneratorKind.WHITE_NOISE:
+    if spec.h is not None and kind in (GeneratorKind.WHITE_NOISE,
+                                       GeneratorKind.RANDOM_WALK_PRICES):
+        raise ConfigError(f"kind {kind.value} does not read h; leave it at "
+                          "None")
+    if ((drift, volatility) != (0.0, 1.0)
+            and kind is not GeneratorKind.RANDOM_WALK_PRICES):
+        raise ConfigError(f"kind {kind.value} does not read drift or "
+                          f"volatility; got {drift!r} and {volatility!r}, "
+                          "leave them at 0.0 and 1.0")
+    if kind is GeneratorKind.WHITE_NOISE:
         return white_noise(spec.length, spec.seed)
-    if spec.kind is GeneratorKind.FGN:
+    if kind is GeneratorKind.FGN:
         return fgn(spec.length, _require_h(spec), spec.seed)
-    if spec.kind is GeneratorKind.FBM:
+    if kind is GeneratorKind.FBM:
         return fbm(spec.length, _require_h(spec), spec.seed)
-    if spec.kind is GeneratorKind.RANDOM_WALK_PRICES:
-        return random_walk_prices(spec.length, spec.seed,
-                                  drift=spec.drift,
-                                  volatility=spec.volatility)
-    raise UnknownKindError(f"unknown kind {spec.kind}")
+    return random_walk_prices(spec.length, spec.seed, drift=drift,
+                              volatility=volatility)
 
 
 def _require_h(spec: GeneratorSpec) -> float:

@@ -67,8 +67,16 @@ def test_synth_fgn_requires_h(capsys):
     assert json.loads(err.strip())["error"] == "ConfigError"
 
 
-@pytest.mark.parametrize("argv", [("--n", "1"), ("--n", "64", "--vol", "nan"),
-                                  ("--n", "64", "--vol", "inf")])
+@pytest.mark.parametrize("argv", [
+    ("--n", "1"), ("--n", "64", "--vol", "nan"), ("--n", "64", "--vol", "inf"),
+    # a flag that the kind does not read
+    ("--kind", "prices", "--n", "50", "--h", "0.7"),
+    ("--kind", "white-noise", "--n", "50", "--h", "0.2"),
+    ("--kind", "white-noise", "--n", "50", "--vol", "50"),
+    ("--kind", "white-noise", "--n", "50", "--drift", "3"),
+    ("--kind", "fgn", "--n", "50", "--h", "0.7", "--drift", "0.1"),
+    ("--kind", "fbm", "--n", "50", "--h", "0.7", "--vol", "2"),
+])
 def test_synth_invalid_config_exit_4(capsys, argv):
     code, out, err = run_cli(capsys, "synth", *argv)
     assert code == 4
@@ -339,7 +347,6 @@ def test_divisors_plan_without_divisors_exit_4(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, flag, values", [
-    (("hurst", "--estimator", "dfa"), "--fit-target", ("rms", "squared")),
     (("dfa",), "--fit-target", ("rms", "squared")),
     (("vstat",), "--std", ("population", "sample")),
     (("rolling", "--window", "300", "--lag", "100"), "--min-segment",
@@ -384,19 +391,70 @@ def test_vstat_persistent_increasing(tmp_path, capsys):
     assert json.loads(out)["results"]["trend"] == "increasing"
 
 
-@pytest.mark.parametrize("flag, value", [("--estimator", "dfa"),
-                                         ("--fit-target", "squared")])
-def test_vstat_has_no_estimator_flags(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("command, flag, value", [
     # The V statistic is defined on the R/S curve only
+    ("vstat", "--estimator", "dfa"), ("vstat", "--fit-target", "squared"),
+    ("hurst", "--estimator", "dfa"), ("hurst", "--fit-target", "squared"),
+    ("dfa", "--estimator", "rs"), ("dfa", "--plan", "preset250"),
+    ("dfa", "--min-segment", "99"), ("dfa", "--std", "sample"),
+])
+def test_commands_take_no_flags_of_another_estimator(tmp_path, capsys,
+                                                     command, flag, value):
     csv_text = synth_csv(capsys, "--kind", "prices", "--n", "513",
                          "--seed", "17", "--vol", "0.02")
     path = write_fixture(tmp_path, "px.csv", csv_text)
-    code, out, err = run_cli(capsys, "vstat", path, flag, value)
+    code, out, err = run_cli(capsys, command, path, flag, value)
     assert code == 4
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "UsageError"
     assert f"unrecognized arguments: {flag} {value}" in error["message"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("--estimator", "dfa", "--plan", "divisors"), "plan_policy"),
+    (("--estimator", "dfa", "--min-segment", "16"), "min_segment_length"),
+    (("--estimator", "dfa", "--std", "sample"), "std_mode"),
+    (("--fit-target", "squared"), "dfa_fit_target"),
+    (("--estimator", "rs", "--fit-target", "squared"), "dfa_fit_target"),
+])
+def test_rolling_rejects_settings_its_estimator_does_not_read(
+        tmp_path, capsys, argv, field):
+    csv_text = synth_csv(capsys, "--kind", "prices", "--n", "513",
+                         "--seed", "17", "--vol", "0.02")
+    path = write_fixture(tmp_path, "px.csv", csv_text)
+    code, out, err = run_cli(capsys, "rolling", path, *argv)
+    assert (code, out) == (4, "")
+    error = json.loads(err)
+    assert error["error"] == "ConfigError"
+    assert f"does not read {field};" in error["message"]
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("hurst", {"transform", "estimator", "plan", "min_segment", "std",
+               "returns"}),
+    ("dfa", {"transform", "estimator", "fit_target", "returns"}),
+    ("vstat", {"transform", "plan", "min_segment", "std", "flat_tolerance",
+               "returns"}),
+    ("rolling", {"transform", "estimator", "plan", "min_segment", "std",
+                 "fit_target", "window", "lag", "cuts", "returns"}),
+])
+def test_command_echo_holds_exactly_the_commands_settings(tmp_path, capsys,
+                                                          command, keys):
+    # Every parsed setting but those that only say how to read the input;
+    # hurst and dfa each fix their estimator, and echo it.
+    csv_text = synth_csv(capsys, "--kind", "prices", "--n", "513",
+                         "--seed", "17", "--vol", "0.02")
+    path = write_fixture(tmp_path, "px.csv", csv_text)
+    args = cli.build_parser().parse_args([command, path])
+    reading = {"command", "func", "input", "delimiter", "date_column",
+               "close_column", "date_format", "format"}
+    assert set(vars(args)) - reading == keys
+    code, out, err = run_cli(capsys, command, path)
+    assert code == 0, err
+    echo = json.loads(out)["command"]
+    assert echo.pop("command") == command
+    assert set(echo) == keys
 
 
 # -- downfalls ---------------------------------------------------------------

@@ -34,6 +34,11 @@ _SEEDS = st.one_of(st.integers(0, 10),
                    st.integers(-2 ** 80, -1))
 
 
+def _rarely(draw) -> bool:
+    """True one draw in ten."""
+    return draw(st.sampled_from([False] * 9 + [True]))
+
+
 @st.composite
 def synth_argv(draw):
     kind = draw(st.sampled_from(["prices", "white-noise", "fgn", "fbm",
@@ -41,11 +46,13 @@ def synth_argv(draw):
     n = draw(st.integers(-3, 70000))
     argv = ["synth", f"--kind={kind}", f"--n={n}",
             f"--seed={draw(_SEEDS)}"]
-    if draw(st.booleans()):
+    # A kind's own flags half the time each, and rarely one it does not read
+    takes_h, takes_walk = kind in ("fgn", "fbm"), kind == "prices"
+    if draw(st.booleans()) and (takes_h or _rarely(draw)):
         argv.append(f"--h={draw(_H_VALUES)!r}")
-    if draw(st.booleans()):
+    if draw(st.booleans()) and (takes_walk or _rarely(draw)):
         argv.append(f"--vol={draw(_BIG_FLOATS)!r}")
-    if draw(st.booleans()):
+    if draw(st.booleans()) and (takes_walk or _rarely(draw)):
         argv.append(f"--drift={draw(_BIG_FLOATS)!r}")
     return argv
 
@@ -158,16 +165,27 @@ def analysis_argv(draw):
     if returns or draw(st.sampled_from([False, False, False, True])):
         flags.append("--returns")
     if command != "downfalls":
-        flags += [
-            f"--min-segment={_often(draw, 8, st.integers(-2, 200))}",
-            f"--plan={draw(st.sampled_from(['auto', 'divisors', 'preset250']))}",
-            f"--transform={draw(st.sampled_from(['raw', 'absolute', 'squared']))}",
-        ]
+        estimator = ({"hurst": "rs", "dfa": "dfa", "vstat": "rs"}.get(command)
+                     or draw(st.sampled_from(["rs", "dfa"])))
+        flags.append(
+            f"--transform={draw(st.sampled_from(['raw', 'absolute', 'squared']))}")
+        # The estimator's own flags, and rarely one of the other's, which
+        # every command rejects: an unknown flag, or for rolling a setting
+        # its estimator does not read unless it is the default.
+        if estimator == "rs" or _rarely(draw):
+            flags += [
+                f"--min-segment={_often(draw, 8, st.integers(-2, 200))}",
+                f"--plan={draw(st.sampled_from(['auto', 'divisors', 'preset250']))}",
+                f"--std={draw(st.sampled_from(['population', 'sample']))}",
+            ]
+        if estimator == "dfa" or _rarely(draw):
+            flags.append(
+                f"--fit-target={draw(st.sampled_from(['rms', 'squared']))}")
     if command == "rolling":
         flags += [
             f"--window={_often(draw, 250, st.integers(-2, 320))}",
             f"--lag={_often(draw, 5, st.integers(-1, 60))}",
-            f"--estimator={draw(st.sampled_from(['rs', 'dfa']))}",
+            f"--estimator={estimator}",
             "--cuts",
             *(_often(draw, "0.5", _FLOAT_TEXT)
               for _ in range(draw(st.integers(1, 3)))),

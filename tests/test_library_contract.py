@@ -106,6 +106,13 @@ _SCALES = st.one_of(
 )
 
 
+def _rarely(draw) -> bool:
+    """True one draw in ten: a setting that the chosen kind does not read,
+    which its config rejects, is added that rarely, so that most cases
+    still reach the estimate or the generator."""
+    return draw(st.sampled_from([False] * 9 + [True]))
+
+
 @st.composite
 def sweep_cases(draw):
     """Raw returns with constant runs, a transform and a rolling config for
@@ -123,19 +130,23 @@ def sweep_cases(draw):
     if length >= 250:  # the preset plan's window
         valid = st.one_of(valid, st.just(250))
     window = draw(st.one_of(valid, valid, st.integers(-1, length + 5)))
+    estimator = draw(st.sampled_from(list(EstimatorKind)))
     config = dict(
         window=window,
         lag=draw(st.one_of(st.integers(-1, 12), st.integers(1, length))),
-        estimator=draw(st.sampled_from(list(EstimatorKind))),
-        plan_policy=draw(st.sampled_from([PartitionPolicy.AUTO,
-                                          PartitionPolicy.AUTO,
-                                          PartitionPolicy.AUTO,
-                                          PartitionPolicy.DIVISORS_ONLY,
-                                          PartitionPolicy.PRESET_250])),
-        min_segment_length=draw(st.sampled_from([8, 8, 8, 2, 4, 30])),
-        std_mode=draw(st.sampled_from(list(StdMode))),
-        dfa_fit_target=draw(st.sampled_from(list(FitTarget))),
+        estimator=estimator,
     )
+    if estimator is EstimatorKind.RESCALED_RANGE or _rarely(draw):
+        config.update(
+            plan_policy=draw(st.sampled_from([PartitionPolicy.AUTO,
+                                              PartitionPolicy.AUTO,
+                                              PartitionPolicy.AUTO,
+                                              PartitionPolicy.DIVISORS_ONLY,
+                                              PartitionPolicy.PRESET_250])),
+            min_segment_length=draw(st.sampled_from([8, 8, 8, 2, 4, 30])),
+            std_mode=draw(st.sampled_from(list(StdMode))))
+    if estimator is EstimatorKind.DFA or _rarely(draw):
+        config.update(dfa_fit_target=draw(st.sampled_from(list(FitTarget))))
     return values, draw(st.sampled_from(list(Transform))), config
 
 
@@ -308,8 +319,14 @@ def generator_calls(draw):
     h = draw(st.one_of(_H_GRID, _H_GRID, _NON_FLOATS))
     drift, volatility = (draw(st.one_of(
         st.sampled_from([0.0, 1e-3, -0.5, 1e300]), _FLOATS)) for _ in "dv")
-    spec = GeneratorSpec(draw(st.sampled_from(list(GeneratorKind))), length,
-                         seed, h, drift, volatility)
+    kind = draw(st.sampled_from(list(GeneratorKind)))
+    # The spec sets the fields its kind reads, and rarely one it does not.
+    takes_h = kind in (GeneratorKind.FGN, GeneratorKind.FBM)
+    takes_walk = kind is GeneratorKind.RANDOM_WALK_PRICES
+    spec = GeneratorSpec(kind, length, seed,
+                         h if takes_h or _rarely(draw) else None,
+                         drift if takes_walk or _rarely(draw) else 0.0,
+                         volatility if takes_walk or _rarely(draw) else 1.0)
     return draw(st.sampled_from([
         ("white_noise", white_noise, (length, seed)),
         ("fgn", fgn, (length, h, seed)),
@@ -398,12 +415,9 @@ def test_csv_parsers_raise_only_hurstlab_errors(call):
 @pytest.mark.parametrize("call", [
     lambda: build_partition_plan(300, PartitionPolicy.DIVISORS_ONLY, 8.5),
     lambda: build_partition_plan(300.0, PartitionPolicy.DIVISORS_ONLY),
-    lambda: build_partition_plan(300, PartitionPolicy.EXPLICIT,
-                                 explicit=[math.nan, 30, 60]),
-    lambda: build_partition_plan(300, PartitionPolicy.EXPLICIT,
-                                 explicit=[10.5, 30, 60]),
-    lambda: build_partition_plan(300, PartitionPolicy.EXPLICIT,
-                                 explicit=["10", 30, 60]),
+    lambda: PartitionPlan(300, [math.nan, 30, 60], PartitionPolicy.EXPLICIT),
+    lambda: PartitionPlan(300, [10.5, 30, 60], PartitionPolicy.EXPLICIT),
+    lambda: PartitionPlan(300, ["10", 30, 60], PartitionPolicy.EXPLICIT),
 ])
 def test_plan_non_integers_raise_invalid_plan(call):
     with pytest.raises(InvalidPlanError):
@@ -411,18 +425,19 @@ def test_plan_non_integers_raise_invalid_plan(call):
 
 
 def test_plan_accepts_numpy_integers():
-    plan = build_partition_plan(np.int64(300), PartitionPolicy.EXPLICIT,
-                                np.int32(10), explicit=np.array([10, 30, 60]))
+    plan = build_partition_plan(np.int64(300), PartitionPolicy.DIVISORS_ONLY,
+                                np.int32(50))
     assert plan.total_length == 300 and type(plan.total_length) is int
-    assert plan.segment_lengths == (10, 30, 60)
+    assert plan.segment_lengths == (50, 60, 75, 100, 150)
     assert all(type(n) is int for n in plan.segment_lengths)
-    assert plan == build_partition_plan(np.uint16(300), PartitionPolicy.EXPLICIT,
-                                        10, explicit=[60, 10, 30])
+    assert plan == build_partition_plan(np.uint16(300),
+                                        PartitionPolicy.DIVISORS_ONLY, 50)
 
 
 @pytest.mark.parametrize("options", [
     dict(window=250.5), dict(window="250"), dict(window=None),
-    dict(lag="5"), dict(lag=5.0),
+    dict(lag="5"), dict(lag=5.0), dict(min_segment_length="8"),
+    dict(min_segment_length=8.0, estimator=EstimatorKind.DFA),
 ])
 def test_rolling_config_non_integers_raise_config_error(options):
     with pytest.raises(ConfigError, match="must be an integer"):
@@ -430,8 +445,10 @@ def test_rolling_config_non_integers_raise_config_error(options):
 
 
 def test_rolling_config_accepts_numpy_integers():
-    config = RollingConfig(window=np.int64(250), lag=np.int32(50))
-    assert (config.window, config.lag) == (250, 50)
+    config = RollingConfig(window=np.int64(250), lag=np.int32(50),
+                           min_segment_length=np.uint8(8))
+    assert (config.window, config.lag, config.min_segment_length) == (250, 50, 8)
+    assert type(config.min_segment_length) is int
     values = white_noise(400, seed=2)
     returns = ReturnSeries(
         transform=Transform.RAW,
@@ -439,6 +456,30 @@ def test_rolling_config_accepts_numpy_integers():
                     for i in range(values.size)),
         values=values)
     assert sweep(returns, config) == sweep(returns, RollingConfig(lag=50))
+
+
+@pytest.mark.parametrize("estimator, field, value", [
+    (EstimatorKind.RESCALED_RANGE, "dfa_fit_target",
+     FitTarget.FLUCTUATION_SQUARED),
+    (EstimatorKind.DFA, "plan_policy", PartitionPolicy.PRESET_250),
+    (EstimatorKind.DFA, "min_segment_length", 500),
+    (EstimatorKind.DFA, "std_mode", StdMode.SAMPLE),
+])
+def test_rolling_config_rejects_fields_its_estimator_does_not_read(
+        estimator, field, value):
+    # Each was silently ignored: the config estimated what the default did.
+    with pytest.raises(ConfigError, match=f"the {estimator.value} estimator "
+                                          f"does not read {field};"):
+        RollingConfig(estimator=estimator, **{field: value})
+    default = RollingConfig._defaults[field]
+    assert RollingConfig(estimator=estimator, **{field: default}) == (
+        RollingConfig(estimator=estimator))
+
+
+def test_rolling_config_takes_no_explicit_policy():
+    # It builds every plan, and build_partition_plan takes no such policy
+    with pytest.raises(InvalidPlanError, match="takes no explicit policy"):
+        RollingConfig(plan_policy=PartitionPolicy.EXPLICIT)
 
 
 def test_none_plan_policy_raises_invalid_plan():
@@ -494,7 +535,7 @@ def test_dfa_box_sizes_take_numpy_integers():
     lambda: DfaConfig(8),
     lambda: DfaConfig((8, 16.5, 32)),
     lambda: DfaConfig((8, "16", 32)),
-    lambda: build_partition_plan(300, PartitionPolicy.EXPLICIT, explicit=5),
+    lambda: PartitionPlan(300, 5, PartitionPolicy.EXPLICIT),
 ])
 def test_non_integer_sizes_raise_invalid_plan(call):
     with pytest.raises(InvalidPlanError, match="must be"):

@@ -41,7 +41,9 @@ _CURVE = ScalingCurve(scales=(8, 16, 32), statistics=(1.0, 2.0, 4.0),
 
 #: (record class, every field in declared order with a valid value, the
 #: default of each field that has one). Each default differs from the
-#: example's value, so a default that is not applied shows.
+#: example's value, so a default that is not applied shows; a
+#: RollingConfig's fields of the estimator it does not run are the one
+#: exception, as they must stay at their defaults.
 RECORDS = [
     (GeneratorSpec, dict(kind=GeneratorKind.FGN, length=64, seed=1, h=0.7,
                          drift=0.5, volatility=2.0),
@@ -53,10 +55,11 @@ RECORDS = [
                      date_format="%d/%m/%Y"),
      dict(delimiter=",", date_column=0, close_column=1,
           date_format="%Y-%m-%d")),
-    (RollingConfig, dict(window=100, lag=2, estimator=EstimatorKind.DFA,
+    (RollingConfig, dict(window=100, lag=2,
+                         estimator=EstimatorKind.RESCALED_RANGE,
                          plan_policy=PartitionPolicy.DIVISORS_ONLY,
                          min_segment_length=16, std_mode=StdMode.SAMPLE,
-                         dfa_fit_target=FitTarget.FLUCTUATION_SQUARED),
+                         dfa_fit_target=FitTarget.FLUCTUATION_RMS),
      dict(window=250, lag=5, estimator=EstimatorKind.RESCALED_RANGE,
           plan_policy=PartitionPolicy.AUTO,
           min_segment_length=DEFAULT_MIN_SEGMENT,

@@ -21,6 +21,7 @@ from hurstlab.regression import ScalingCurve, fit_rows
 from hurstlab.rescaled_range import (
     EstimatorKind,
     HurstEstimate,
+    PartitionPlan,
     PartitionPolicy,
     Persistence,
     StdMode,
@@ -226,14 +227,17 @@ def test_divisor_plans():
 
 
 def test_explicit_plan_validated():
-    plan = build_partition_plan(300, PartitionPolicy.EXPLICIT,
-                                explicit=[10, 30, 60, 100])
+    # Explicit lengths are a hand-built plan, which checks them; the
+    # builder only chooses lengths and names that constructor.
+    plan = PartitionPlan(300, [10, 30, 60, 100], PartitionPolicy.EXPLICIT)
     assert plan.segment_lengths == (10, 30, 60, 100)
     with pytest.raises(InvalidPlanError):
-        build_partition_plan(300, PartitionPolicy.EXPLICIT, explicit=[10, 30])
+        PartitionPlan(300, [10, 30], PartitionPolicy.EXPLICIT)
     with pytest.raises(InvalidPlanError):
-        build_partition_plan(300, PartitionPolicy.EXPLICIT,
-                             explicit=[4, 30, 60])
+        PartitionPlan(300, [1, 30, 60], PartitionPolicy.EXPLICIT)
+    with pytest.raises(InvalidPlanError, match=r"PartitionPlan\(total_length, "
+                       r"segment_lengths, PartitionPolicy\.EXPLICIT\)"):
+        build_partition_plan(300, PartitionPolicy.EXPLICIT)
 
 
 @pytest.mark.parametrize("length, policy, lengths", [

@@ -145,6 +145,23 @@ def test_generate_dispatch_matches_direct_calls():
     assert np.array_equal(generate(spec), fgn(256, 0.6, seed=3))
     spec = GeneratorSpec(kind=GeneratorKind.WHITE_NOISE, length=256, seed=3)
     assert np.array_equal(generate(spec), white_noise(256, seed=3))
+    # The fields a kind does not read, at their defaults, are accepted
+    spec = GeneratorSpec(GeneratorKind.FBM, 256, 3, 0.6, -0.0, 1.0)
+    assert np.array_equal(generate(spec), fbm(256, 0.6, seed=3))
+
+
+@pytest.mark.parametrize("kind, fields", [
+    (GeneratorKind.RANDOM_WALK_PRICES, dict(h=0.7)),
+    (GeneratorKind.WHITE_NOISE, dict(h=0.2)),
+    (GeneratorKind.WHITE_NOISE, dict(volatility=50.0)),
+    (GeneratorKind.WHITE_NOISE, dict(drift=3.0)),
+    (GeneratorKind.FGN, dict(h=0.7, drift=0.1)),
+    (GeneratorKind.FBM, dict(h=0.7, volatility=2.0)),
+])
+def test_generate_rejects_fields_its_kind_does_not_read(kind, fields):
+    # Each was silently ignored: the spec drew what the default did.
+    with pytest.raises(ConfigError, match=f"kind {kind.value} does not read"):
+        generate(GeneratorSpec(kind, 64, 1, **fields))
 
 
 # -- fgn exactness -----------------------------------------------------------
@@ -280,6 +297,6 @@ def test_prices_log_returns_recover_white_noise():
 def test_unknown_kind_raises_typed_config_error():
     with pytest.raises(UnknownKindError) as info:
         generate(GeneratorSpec(kind="brownian", length=10, seed=0))
-    assert str(info.value) == "unknown kind brownian"
+    assert str(info.value) == "unknown kind 'brownian', expected a GeneratorKind"
     assert isinstance(info.value, ConfigError)
     assert isinstance(info.value, ValueError)

@@ -68,6 +68,7 @@ MATRIX = [
            "synth --n 3000000",
            "synth --n 10 --drift inf",
            "synth --kind fgn --n 1 --seed -1 --h 2",
+           "synth --kind prices --n 50 --h 0.7",
            "synth",
            "synth --kind nope --n 5", code=4),
     # hurst and its plans
@@ -130,8 +131,12 @@ MATRIX = [
            "dfa F.csv --returns",
            "dfa G.csv --returns",
            "dfa F.csv --returns --transform absolute",
-           "hurst F.csv --returns --estimator dfa"),
+           "dfa F.csv --returns --fit-target squared"),
     *_runs("dfa flat.csv", code=3),
+    # each command takes only the flags of the estimator it runs
+    *_runs("dfa P.csv --plan divisors",
+           "hurst P.csv --fit-target squared",
+           "rolling P.csv --estimator dfa --std sample", code=4),
     # vstat
     *_runs("vstat P.csv",
            "vstat D.csv --format table",
