@@ -123,8 +123,8 @@ def build_parser() -> _Parser:
             p.add_argument("--estimator", choices=sorted(estimators),
                            default=estimators[0])
         if "rs" in estimators:
-            p.add_argument("--plan", choices=("auto", "divisors", "preset250"),
-                           default="auto")
+            p.add_argument("--plan", default="auto",
+                           choices=sorted(x.value for x in PartitionPolicy))
             p.add_argument("--min-segment", type=int,
                            default=DEFAULT_MIN_SEGMENT)
             p.add_argument("--std", default="population",
@@ -225,10 +225,11 @@ _SETTINGS = (("estimator", "estimator", _ESTIMATORS.__getitem__),
              ("fit_target", "dfa_fit_target", FitTarget))
 
 
-def _rolling_config(args, window: int, lag: int = 1) -> RollingConfig:
-    """The estimator flags the command has, for estimate_window (one
-    window) or sweep; RollingConfig's defaults stand for the rest."""
-    return RollingConfig(window=window, lag=lag, **{
+def _rolling_config(args, **geometry) -> RollingConfig:
+    """The estimator flags the command has, and the window and lag that
+    sweep reads (estimate_window reads neither); RollingConfig's defaults
+    stand for the rest."""
+    return RollingConfig(**geometry, **{
         field: value(getattr(args, flag))
         for flag, field, value in _SETTINGS if hasattr(args, flag)})
 
@@ -317,8 +318,7 @@ def _cell(value) -> str:
 def cmd_hurst(args) -> int:
     returns, _, fingerprint = _load_returns(args)
     transformed = transform_returns(returns, Transform(args.transform))
-    est = estimate_window(transformed.values,
-                          _rolling_config(args, len(transformed)))
+    est = estimate_window(transformed.values, _rolling_config(args))
     results = {
         "h": est.h,
         "r_squared": est.r_squared,
@@ -350,8 +350,7 @@ def cmd_hurst(args) -> int:
 def cmd_vstat(args) -> int:
     returns, _, fingerprint = _load_returns(args)
     transformed = transform_returns(returns, Transform(args.transform))
-    est = estimate_window(transformed.values,
-                          _rolling_config(args, len(transformed)))
+    est = estimate_window(transformed.values, _rolling_config(args))
     curve = v_statistic(est.curve, flat_tolerance=args.flat_tolerance)
     results = {
         "trend": curve.trend.value,
@@ -376,7 +375,8 @@ def cmd_vstat(args) -> int:
 
 def cmd_rolling(args) -> int:
     returns, prices, fingerprint = _load_returns(args)
-    config = _rolling_config(args, args.window, args.lag)  # before the transform
+    # built before the transform
+    config = _rolling_config(args, window=args.window, lag=args.lag)
     trace = sweep(transform_returns(returns, Transform(args.transform)),
                   config)
     end_dates = list(map(dt.date.isoformat, trace.end_dates))
@@ -502,11 +502,9 @@ def cmd_downfalls(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    kind = GeneratorKind(args.kind)
-    if kind in (GeneratorKind.FGN, GeneratorKind.FBM) and args.h is None:
-        raise ConfigError(f"--kind {args.kind} requires --h")
-    spec = GeneratorSpec(kind=kind, length=args.n, seed=args.seed,
-                         h=args.h, drift=args.drift, volatility=args.vol)
+    spec = GeneratorSpec(kind=GeneratorKind(args.kind), length=args.n,
+                         seed=args.seed, h=args.h, drift=args.drift,
+                         volatility=args.vol)
     result = generate(spec)
     if isinstance(result, PriceSeries):
         print(serialize_price_csv(result), end="")

@@ -52,7 +52,6 @@ class PartitionPolicy(Enum):
     AUTO = "auto"
     DIVISORS_ONLY = "divisors"
     PRESET_250 = "preset250"
-    EXPLICIT = "explicit"
 
 
 class StdMode(Enum):
@@ -72,7 +71,6 @@ class PartitionPlan(Record):
 
     total_length: int
     segment_lengths: tuple[int, ...]
-    policy: PartitionPolicy
 
     def __post_init__(self):
         total = require_int(self.total_length, "length", InvalidPlanError)
@@ -80,8 +78,6 @@ class PartitionPlan(Record):
                                InvalidPlanError)
         object.__setattr__(self, "total_length", total)
         object.__setattr__(self, "segment_lengths", lengths)
-        require_instance(self.policy, PartitionPolicy, "policy",
-                         InvalidPlanError)
         if len(lengths) < 3:
             raise InvalidPlanError(
                 f"plan yields only {len(lengths)} scales; need at least 3"
@@ -274,19 +270,14 @@ def build_partition_plan(total_length: int,
     several lengths deliberately do not divide 250; the trailing
     remainder is discarded at estimation time). AUTO is PRESET_250 at
     exactly 250 values, else DIVISORS_ONLY, else (below 3 divisors, at a
-    prime say) the doubling lengths min_segment_length * 2^k <= length/2,
-    recorded as EXPLICIT. EXPLICIT itself is not chosen here: a caller's
-    own lengths are a hand-built PartitionPlan, which checks them.
+    prime say) the doubling lengths min_segment_length * 2^k <= length/2.
+    A caller's own lengths are a hand-built PartitionPlan, which checks
+    them.
     """
     total_length = require_int(total_length, "length", InvalidPlanError)
     min_segment_length = require_int(min_segment_length, "min_segment_length",
                                      InvalidPlanError)
     require_instance(policy, PartitionPolicy, "policy", InvalidPlanError)
-    if policy is PartitionPolicy.EXPLICIT:
-        raise InvalidPlanError(
-            "build_partition_plan chooses no explicit lengths; build them as "
-            "PartitionPlan(total_length, segment_lengths, "
-            "PartitionPolicy.EXPLICIT)")
     if min_segment_length < 2:
         raise InvalidPlanError("min_segment_length must be >= 2")
     if total_length < 2 * min_segment_length:
@@ -294,28 +285,23 @@ def build_partition_plan(total_length: int,
             f"length {total_length} too short for segments of {min_segment_length}"
         )
     auto = policy is PartitionPolicy.AUTO
-    if auto:
-        policy = (PartitionPolicy.PRESET_250 if total_length == 250
-                  else PartitionPolicy.DIVISORS_ONLY)
-    if policy is PartitionPolicy.DIVISORS_ONLY:
-        lengths = tuple(
-            n for n in range(min_segment_length, total_length // 2 + 1)
-            if total_length % n == 0
-        )
-        if auto and len(lengths) < 3:
-            policy = PartitionPolicy.EXPLICIT
-            lengths = tuple(
-                min_segment_length * 2 ** k
-                for k in range(total_length.bit_length())
-                if min_segment_length * 2 ** k <= total_length // 2)
-    else:
+    if policy is PartitionPolicy.PRESET_250 or (auto and total_length == 250):
         if total_length != 250:
             raise InvalidPlanError(
                 f"preset250 plan requires exactly 250 values, got {total_length}"
             )
         lengths = PRESET_250_SEGMENTS
-    plan = PartitionPlan(total_length=total_length,
-                         segment_lengths=lengths, policy=policy)
+    else:
+        lengths = tuple(
+            n for n in range(min_segment_length, total_length // 2 + 1)
+            if total_length % n == 0
+        )
+        if auto and len(lengths) < 3:
+            lengths = tuple(
+                min_segment_length * 2 ** k
+                for k in range(total_length.bit_length())
+                if min_segment_length * 2 ** k <= total_length // 2)
+    plan = PartitionPlan(total_length, lengths)
     if lengths[0] < min_segment_length:
         raise InvalidPlanError(
             f"segment lengths {lengths[0]}..{lengths[-1]} out of bounds "

@@ -56,8 +56,7 @@ class RollingConfig(Record):
 
     The plan policy, minimum segment length and std mode are read by R/S
     only, and the fit target by DFA only; a config whose estimator does not
-    read a field must leave it at its default. The policy is one that
-    build_partition_plan takes, so not EXPLICIT.
+    read a field must leave it at its default.
     """
 
     window: int = 250
@@ -81,9 +80,6 @@ class RollingConfig(Record):
             require_instance(getattr(self, name), kind, name)
         require_instance(self.plan_policy, PartitionPolicy, "policy",
                          InvalidPlanError)
-        if self.plan_policy is PartitionPolicy.EXPLICIT:
-            raise InvalidPlanError("a rolling config builds its own plans "
-                                   "and takes no explicit policy")
         object.__setattr__(self, "min_segment_length", require_int(
             self.min_segment_length, "min_segment_length", InvalidPlanError))
         for name in _IGNORED_FIELDS[self.estimator]:
@@ -118,7 +114,6 @@ class RollingTrace(Record):
     """A sweep's columns, an entry per window: its last return's date, its
     fit (None at a gap) and the gap's error, "" where it was fitted."""
 
-    config: RollingConfig
     end_dates: tuple[dt.date, ...]
     h: tuple[float | None, ...]
     r_squared: tuple[float | None, ...]
@@ -192,7 +187,9 @@ def _scheme(config: RollingConfig, length: int) -> PartitionPlan | DfaConfig:
 
 
 def estimate_window(values: np.ndarray, config: RollingConfig):
-    """Standalone estimate of one window under a rolling config."""
+    """Standalone estimate of one window under a rolling config: the
+    window is the values given, so the config's window and lag are not
+    read."""
     require_instance(config, RollingConfig, "rolling config")
     x = finite_values(values)
     scheme = _scheme(config, x.size)
@@ -224,7 +221,7 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
     for i, exc in errors.items():
         h[i] = r_squared[i] = None
         notes[i] = f"{type(exc).__name__}: {exc}"
-    return RollingTrace(config, returns.dates[window - 1::lag], tuple(h),
+    return RollingTrace(returns.dates[window - 1::lag], tuple(h),
                         tuple(r_squared), tuple(notes))
 
 

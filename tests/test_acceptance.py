@@ -6,13 +6,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 import datetime as dt
 import functools
-import io
-import json
-import math
 import time
 
 import numpy as np
-import pytest
 
 from hurstlab import cli
 from hurstlab.dfa import DfaConfig, default_box_sizes, dfa_fluctuation, estimate_hurst_dfa

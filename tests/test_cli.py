@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurstlab import cli
+from hurstlab.rescaled_range import PartitionPolicy
 
 
 def run_cli(capsys, *argv):
@@ -64,7 +65,8 @@ def test_synth_deterministic(capsys):
 def test_synth_fgn_requires_h(capsys):
     code, _, err = run_cli(capsys, "synth", "--kind", "fgn", "--n", "64")
     assert code == 4
-    assert json.loads(err.strip())["error"] == "ConfigError"
+    assert json.loads(err.strip()) == {
+        "error": "HOutOfRangeError", "message": "fgn requires an h parameter"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -455,6 +457,30 @@ def test_command_echo_holds_exactly_the_commands_settings(tmp_path, capsys,
     echo = json.loads(out)["command"]
     assert echo.pop("command") == command
     assert set(echo) == keys
+
+
+@pytest.mark.parametrize("command", ["hurst", "vstat", "rolling"])
+def test_plan_choices_are_the_partition_policies(command):
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    plan = commands[command]._option_string_actions["--plan"]
+    assert plan.choices == sorted(p.value for p in PartitionPolicy) == [
+        "auto", "divisors", "preset250"]
+
+
+@pytest.mark.parametrize("command, message", [
+    ("hurst", "length 1 too short for segments of 8"),
+    ("vstat", "length 1 too short for segments of 8"),
+    ("dfa", "length 1 too short for a box schedule from 8"),
+])
+def test_short_input_error_names_no_flag_the_command_lacks(
+        tmp_path, capsys, command, message):
+    # One return: the estimator's own minimum is what fails, not a
+    # window, which these commands do not take.
+    path = write_fixture(tmp_path, "two.csv",
+                         "date,close\n2020-01-02,100.0\n2020-01-03,101.0\n")
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "InvalidPlanError", "message": message}
 
 
 # -- downfalls ---------------------------------------------------------------

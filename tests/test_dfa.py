@@ -15,7 +15,6 @@ from hurstlab.dfa import (
 from hurstlab.errors import (
     BoxTooLargeError,
     DegenerateCurveError,
-    InputError,
     InvalidPlanError,
     InvalidSeriesError,
 )

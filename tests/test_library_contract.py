@@ -415,9 +415,9 @@ def test_csv_parsers_raise_only_hurstlab_errors(call):
 @pytest.mark.parametrize("call", [
     lambda: build_partition_plan(300, PartitionPolicy.DIVISORS_ONLY, 8.5),
     lambda: build_partition_plan(300.0, PartitionPolicy.DIVISORS_ONLY),
-    lambda: PartitionPlan(300, [math.nan, 30, 60], PartitionPolicy.EXPLICIT),
-    lambda: PartitionPlan(300, [10.5, 30, 60], PartitionPolicy.EXPLICIT),
-    lambda: PartitionPlan(300, ["10", 30, 60], PartitionPolicy.EXPLICIT),
+    lambda: PartitionPlan(300, [math.nan, 30, 60]),
+    lambda: PartitionPlan(300, [10.5, 30, 60]),
+    lambda: PartitionPlan(300, ["10", 30, 60]),
 ])
 def test_plan_non_integers_raise_invalid_plan(call):
     with pytest.raises(InvalidPlanError):
@@ -476,12 +476,6 @@ def test_rolling_config_rejects_fields_its_estimator_does_not_read(
         RollingConfig(estimator=estimator))
 
 
-def test_rolling_config_takes_no_explicit_policy():
-    # It builds every plan, and build_partition_plan takes no such policy
-    with pytest.raises(InvalidPlanError, match="takes no explicit policy"):
-        RollingConfig(plan_policy=PartitionPolicy.EXPLICIT)
-
-
 def test_none_plan_policy_raises_invalid_plan():
     with pytest.raises(InvalidPlanError, match="unknown policy None"):
         estimate_window(white_noise(250, seed=1),
@@ -535,7 +529,7 @@ def test_dfa_box_sizes_take_numpy_integers():
     lambda: DfaConfig(8),
     lambda: DfaConfig((8, 16.5, 32)),
     lambda: DfaConfig((8, "16", 32)),
-    lambda: PartitionPlan(300, 5, PartitionPolicy.EXPLICIT),
+    lambda: PartitionPlan(300, 5),
 ])
 def test_non_integer_sizes_raise_invalid_plan(call):
     with pytest.raises(InvalidPlanError, match="must be"):
@@ -551,6 +545,15 @@ _RETURNS = ReturnSeries(
     values=_X)
 
 
+@pytest.mark.parametrize("policy", PartitionPolicy)
+def test_every_partition_policy_is_accepted(policy):
+    # 250 values fit each policy: preset250, and 4 divisors from 8 up.
+    config = RollingConfig(plan_policy=policy)
+    plan = build_partition_plan(250, policy)
+    assert (config.plan_policy, plan.total_length) == (policy, 250)
+    assert estimate_window(_X, config) == estimate_hurst_rs(_X, plan)
+
+
 @pytest.mark.parametrize("kind, call", [
     (EstimatorKind, lambda bad: RollingConfig(estimator=bad)),
     (Transform, lambda bad: ReturnSeries(bad, _RETURNS.dates, _X)),
@@ -560,7 +563,6 @@ _RETURNS = ReturnSeries(
     (FitTarget, lambda bad: DfaConfig((8, 16, 32), fit_target=bad)),
     (FitTarget, lambda bad: dfa_fit_rows((8, 16, 32), np.ones(3), bad)),
     (PartitionPolicy, lambda bad: build_partition_plan(250, bad)),
-    (PartitionPolicy, lambda bad: PartitionPlan(250, (8, 16, 32), bad)),
     (StdMode, lambda bad: estimate_hurst_rs(
         _X, build_partition_plan(250, PartitionPolicy.AUTO), bad)),
     (StdMode, lambda bad: segment_stats(_X[:25], bad)),
@@ -701,14 +703,12 @@ def test_window_estimate_reads_a_list_as_its_values():
 ])
 def test_hand_built_plans_check_their_segment_lengths(lengths, message):
     with pytest.raises(InvalidPlanError) as info:
-        estimate_hurst_rs(_X, PartitionPlan(250, lengths,
-                                            PartitionPolicy.EXPLICIT))
+        estimate_hurst_rs(_X, PartitionPlan(250, lengths))
     assert str(info.value) == message
 
 
 def test_hand_built_plan_takes_numpy_integers():
-    plan = PartitionPlan(np.int64(250), np.array([25, 50, 125]),
-                         PartitionPolicy.EXPLICIT)
+    plan = PartitionPlan(np.int64(250), np.array([25, 50, 125]))
     assert (plan.total_length, plan.segment_lengths) == (250, (25, 50, 125))
     assert all(type(n) is int for n in (plan.total_length,
                                         *plan.segment_lengths))

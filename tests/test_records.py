@@ -68,8 +68,8 @@ RECORDS = [
     (RollingMeasurement, dict(end_date=_DAYS[0], h=None, r_squared=None,
                               note="TooFewError: 2 values"),
      dict(note="")),
-    (RollingTrace, dict(config=RollingConfig(), end_dates=_DAYS[:2],
-                        h=(0.6, None), r_squared=(0.9, None),
+    (RollingTrace, dict(end_dates=_DAYS[:2], h=(0.6, None),
+                        r_squared=(0.9, None),
                         notes=("", "TooFewError: 2 values")), {}),
     (TraceSummary, dict(h_min=0.4, h_max=0.6, h_mean=0.5,
                         first_measurement_date=_DAYS[0], count=3,
@@ -92,8 +92,7 @@ RECORDS = [
      dict(skipped_subsets=())),
     (CriticalLevel, dict(cutoff_depth=0.3, cutoff_index=10,
                          kurtosis_at_cutoff=2.0), {}),
-    (PartitionPlan, dict(total_length=64, segment_lengths=(8, 16, 32),
-                         policy=PartitionPolicy.EXPLICIT), {}),
+    (PartitionPlan, dict(total_length=64, segment_lengths=(8, 16, 32)), {}),
     (RSSegmentStats, dict(mean=0.0, std_dev=1.0, range=3.0, ratio=3.0), {}),
     (HurstEstimate, dict(h=0.6, r_squared=0.9, curve=_CURVE,
                          skipped_segments=((8, 1),),
@@ -114,6 +113,13 @@ def test_every_record_class_is_listed():
 
     assert len(RECORDS) == 19
     assert set(Record.__subclasses__()) == {cls for cls, _, _ in RECORDS}
+
+
+def test_plan_and_trace_keep_only_what_is_read():
+    # A plan is its segment lengths, a trace its columns; neither keeps
+    # the policy or the config that made it.
+    assert PartitionPlan._fields == ("total_length", "segment_lengths")
+    assert RollingTrace._fields == ("end_dates", "h", "r_squared", "notes")
 
 
 @pytest.mark.parametrize("cls, fields, defaults", RECORDS,

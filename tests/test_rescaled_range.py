@@ -227,35 +227,29 @@ def test_divisor_plans():
 
 
 def test_explicit_plan_validated():
-    # Explicit lengths are a hand-built plan, which checks them; the
-    # builder only chooses lengths and names that constructor.
-    plan = PartitionPlan(300, [10, 30, 60, 100], PartitionPolicy.EXPLICIT)
+    # A caller's own lengths are a hand-built plan, which checks them.
+    plan = PartitionPlan(300, [10, 30, 60, 100])
     assert plan.segment_lengths == (10, 30, 60, 100)
     with pytest.raises(InvalidPlanError):
-        PartitionPlan(300, [10, 30], PartitionPolicy.EXPLICIT)
+        PartitionPlan(300, [10, 30])
     with pytest.raises(InvalidPlanError):
-        PartitionPlan(300, [1, 30, 60], PartitionPolicy.EXPLICIT)
-    with pytest.raises(InvalidPlanError, match=r"PartitionPlan\(total_length, "
-                       r"segment_lengths, PartitionPolicy\.EXPLICIT\)"):
-        build_partition_plan(300, PartitionPolicy.EXPLICIT)
+        PartitionPlan(300, [1, 30, 60])
 
 
-@pytest.mark.parametrize("length, policy, lengths", [
-    (250, PartitionPolicy.PRESET_250, (16, 20, 25, 31, 35, 41, 50, 62, 83, 125)),
-    (500, PartitionPolicy.DIVISORS_ONLY, (10, 20, 25, 50, 100, 125, 250)),
-    (40, PartitionPolicy.DIVISORS_ONLY, (8, 10, 20)),
-    (251, PartitionPolicy.EXPLICIT, (8, 16, 32, 64)),
-    (1009, PartitionPolicy.EXPLICIT, (8, 16, 32, 64, 128, 256)),
-    (2999, PartitionPolicy.EXPLICIT, (8, 16, 32, 64, 128, 256, 512, 1024)),
-    (4096, PartitionPolicy.DIVISORS_ONLY, (8, 16, 32, 64, 128, 256, 512,
-                                           1024, 2048)),
+@pytest.mark.parametrize("length, lengths", [
+    (250, (16, 20, 25, 31, 35, 41, 50, 62, 83, 125)),
+    (500, (10, 20, 25, 50, 100, 125, 250)),
+    (40, (8, 10, 20)),
+    (251, (8, 16, 32, 64)),
+    (1009, (8, 16, 32, 64, 128, 256)),
+    (2999, (8, 16, 32, 64, 128, 256, 512, 1024)),
+    (4096, (8, 16, 32, 64, 128, 256, 512, 1024, 2048)),
 ])
-def test_auto_plan(length, policy, lengths):
+def test_auto_plan(length, lengths):
     # preset250 at 250 values, divisors elsewhere, and the doubling
-    # lengths, recorded as explicit, when there are fewer than 3 divisors
+    # lengths when there are fewer than 3 divisors
     plan = build_partition_plan(length, PartitionPolicy.AUTO)
-    assert (plan.total_length, plan.policy, plan.segment_lengths) == (
-        length, policy, lengths)
+    assert (plan.total_length, plan.segment_lengths) == (length, lengths)
 
 
 @pytest.mark.parametrize("length, min_segment, message", [

@@ -14,6 +14,7 @@ from hurstlab.errors import (
     TraceTooShortError,
 )
 from hurstlab.rescaled_range import (
+    PRESET_250_SEGMENTS,
     EstimatorKind,
     PartitionPolicy,
     StdMode,
@@ -274,7 +275,7 @@ def test_trace_columns_and_their_view(config):
 ])
 def test_ragged_trace_columns_raise(columns):
     with pytest.raises(InvalidSeriesError, match="RollingTrace columns differ"):
-        RollingTrace(RollingConfig(), **columns)
+        RollingTrace(**columns)
 
 
 def test_sweep_deterministic():
@@ -291,8 +292,10 @@ def test_too_short_series_rejected():
 
 
 def test_preset_plan_resolved_for_250_windows():
-    assert _scheme(RollingConfig(window=250), 250).policy is PartitionPolicy.PRESET_250
-    assert _scheme(RollingConfig(window=500), 500).policy is PartitionPolicy.DIVISORS_ONLY
+    assert _scheme(RollingConfig(window=250), 250).segment_lengths == (
+        PRESET_250_SEGMENTS)
+    assert _scheme(RollingConfig(window=500), 500).segment_lengths == (
+        10, 20, 25, 50, 100, 125, 250)
 
 
 def test_dfa_estimator_sweep():

@@ -147,6 +147,11 @@ MATRIX = [
            "vstat P.csv --plan divisors",
            # vstat is always R/S and takes no estimator flags
            "vstat P.csv --estimator dfa", code=4),
+    # two prices, one return: shorter than the smallest segment or box,
+    # which is what the error names, as none of these takes --window
+    *_runs("hurst two.csv",
+           "dfa two.csv",
+           "vstat two.csv", code=4),
     # rolling
     *_runs("rolling P.csv",
            "rolling P.csv --lag 1",
@@ -265,6 +270,7 @@ def write_derived_inputs(work: str) -> None:
     write("dup.csv", ["date,close", "2000-01-03,1.0", "2000-01-03,1.1",
                       "2000-01-04,1.2"])
     write("header.csv", ["date,close"])
+    write("two.csv", prices[:3])
     with open(os.path.join(work, "empty.csv"), "wb"):
         pass
 
