@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 #: Submodule -> the names hurstlab exports from it. Each resolves on first
 #: use (PEP 562), so `import hurstlab` imports no submodule and no numpy.
 _EXPORTS = {
-    "dfa": ("DfaConfig", "FitTarget", "default_box_sizes", "dfa_fluctuation",
+    "dfa": ("DfaConfig", "default_box_sizes", "dfa_fluctuation",
             "estimate_hurst_dfa"),
     "downfalls": ("CriticalLevel", "Downfall", "KurtosisScan", "Regime",
                   "classify_episode", "critical_cutoff", "excess_kurtosis",

@@ -27,8 +27,7 @@ import sys
 # imports none).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .dfa import FitTarget  # noqa: E402
-from .downfalls import (
+from .downfalls import (  # noqa: E402
     DEFAULT_LOOKBACK_DAYS,
     classify_episode,
     critical_cutoff,
@@ -44,12 +43,7 @@ from .errors import (
     InputError,
     TraceTooShortError,
 )
-from .rescaled_range import (
-    DEFAULT_MIN_SEGMENT,
-    EstimatorKind,
-    PartitionPolicy,
-    StdMode,
-)
+from .rescaled_range import EstimatorKind, PartitionPolicy, StdMode
 from .rolling import (
     RollingConfig,
     classify_market,
@@ -104,65 +98,62 @@ def build_parser() -> _Parser:
                                  "of daily price series")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_flags(p):
+    def add_flags(p, *estimators):
+        # The input flags, --returns where an estimator reads the series,
+        # then the settings of each estimator the command runs and
+        # --estimator where it runs more than one. A default is the one of
+        # the record that the flag sets.
         p.add_argument("input", help="CSV path, or - for stdin")
-        p.add_argument("--returns", action="store_true",
-                       help="input holds returns, not prices")
-        p.add_argument("--delimiter", default=",")
-        p.add_argument("--date-column", type=int, default=0)
-        p.add_argument("--close-column", type=int, default=1)
-        p.add_argument("--date-format", default="%Y-%m-%d")
+        if estimators:
+            p.add_argument("--returns", action="store_true",
+                           help="input holds returns, not prices")
+        p.add_argument("--delimiter", default=CsvConfig.delimiter)
+        p.add_argument("--date-column", type=int, default=CsvConfig.date_column)
+        p.add_argument("--close-column", type=int,
+                       default=CsvConfig.close_column)
+        p.add_argument("--date-format", default=CsvConfig.date_format)
         p.add_argument("--format", choices=("json", "table"), default="json")
-
-    def add_estimator_flags(p, *estimators):
-        # The settings of each estimator the command runs, and --estimator
-        # where it runs more than one.
+        if not estimators:
+            return
         p.add_argument("--transform", default="raw",
                        choices=sorted(t.value for t in Transform))
         if len(estimators) > 1:
             p.add_argument("--estimator", choices=sorted(estimators),
                            default=estimators[0])
         if "rs" in estimators:
-            p.add_argument("--plan", default="auto",
+            p.add_argument("--plan", default=RollingConfig.plan_policy.value,
                            choices=sorted(x.value for x in PartitionPolicy))
             p.add_argument("--min-segment", type=int,
-                           default=DEFAULT_MIN_SEGMENT)
-            p.add_argument("--std", default="population",
+                           default=RollingConfig.min_segment_length)
+            p.add_argument("--std", default=RollingConfig.std_mode.value,
                            choices=sorted(m.value for m in StdMode))
-        if "dfa" in estimators:
-            p.add_argument("--fit-target", default="rms", help="DFA fit target",
-                           choices=sorted(t.value for t in FitTarget))
 
     p_hurst = sub.add_parser("hurst", help="full-series R/S Hurst estimate")
-    add_input_flags(p_hurst)
-    add_estimator_flags(p_hurst, "rs")
+    add_flags(p_hurst, "rs")
     p_hurst.set_defaults(func=cmd_hurst, estimator="rs")
 
     p_dfa = sub.add_parser("dfa", help="full-series DFA Hurst estimate")
-    add_input_flags(p_dfa)
-    add_estimator_flags(p_dfa, "dfa")
+    add_flags(p_dfa, "dfa")
     p_dfa.set_defaults(func=cmd_hurst, estimator="dfa")
 
     p_roll = sub.add_parser("rolling", help="sliding-window Hurst trace")
-    add_input_flags(p_roll)
-    add_estimator_flags(p_roll, "rs", "dfa")
-    p_roll.add_argument("--window", type=int, default=250)
-    p_roll.add_argument("--lag", type=int, default=5)
+    add_flags(p_roll, "rs", "dfa")
+    p_roll.add_argument("--window", type=int, default=RollingConfig.window)
+    p_roll.add_argument("--lag", type=int, default=RollingConfig.lag)
     p_roll.add_argument("--cuts", type=float, nargs="+",
                         default=[0.5, 0.6, 0.7])
     p_roll.set_defaults(func=cmd_rolling)
 
     p_vstat = sub.add_parser("vstat", help="V statistic cycle test")
-    add_input_flags(p_vstat)
     # The V statistic is defined on the R/S curve.
-    add_estimator_flags(p_vstat, "rs")
+    add_flags(p_vstat, "rs")
     p_vstat.add_argument("--flat-tolerance", type=float,
                          default=DEFAULT_FLAT_TOLERANCE)
     p_vstat.set_defaults(func=cmd_vstat)
 
     p_down = sub.add_parser("downfalls", help="downfall episodes and "
                                               "kurtosis regimes")
-    add_input_flags(p_down)
+    add_flags(p_down)
     p_down.add_argument("--lookback", type=int, default=DEFAULT_LOOKBACK_DAYS)
     p_down.add_argument("--min-depth", type=float, default=0.0)
     p_down.add_argument("--include-open", action="store_true")
@@ -173,10 +164,11 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--kind", default="prices",
                          choices=sorted(k.value for k in GeneratorKind))
     p_synth.add_argument("--n", type=int, required=True)
-    p_synth.add_argument("--h", type=float, default=None)
+    p_synth.add_argument("--h", type=float, default=GeneratorSpec.h)
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--drift", type=float, default=0.0)
-    p_synth.add_argument("--vol", type=float, default=1.0)
+    p_synth.add_argument("--drift", type=float, default=GeneratorSpec.drift)
+    p_synth.add_argument("--vol", type=float,
+                         default=GeneratorSpec.volatility)
     p_synth.set_defaults(func=cmd_synth)
 
     return parser
@@ -185,15 +177,17 @@ def build_parser() -> _Parser:
 # -- input handling ----------------------------------------------------------
 
 def _read_input(args) -> tuple[str, str]:
-    """(text, sha256 fingerprint of the raw bytes)."""
+    """(text, sha256 fingerprint of the raw bytes). A file and stdin are
+    both read as bytes and decoded as UTF-8, whatever the locale."""
     try:
         if args.input == "-":
-            text = sys.stdin.read()
-            raw = text.encode("utf-8")
+            if sys.stdin is None:  # the process started with fd 0 closed
+                raise OSError("stdin is closed")
+            raw = sys.stdin.buffer.read()
         else:
             with open(args.input, "rb") as handle:
                 raw = handle.read()
-            text = raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {args.input}: {exc}") from exc
     except UnicodeError as exc:
@@ -221,8 +215,7 @@ def _load_returns(args) -> tuple[ReturnSeries, PriceSeries | None, str]:
 _SETTINGS = (("estimator", "estimator", _ESTIMATORS.__getitem__),
              ("plan", "plan_policy", PartitionPolicy),
              ("min_segment", "min_segment_length", int),
-             ("std", "std_mode", StdMode),
-             ("fit_target", "dfa_fit_target", FitTarget))
+             ("std", "std_mode", StdMode))
 
 
 def _rolling_config(args, **geometry) -> RollingConfig:
@@ -331,8 +324,7 @@ def cmd_hurst(args) -> int:
     }
     report = {
         "command": _echo(args, ("transform", "estimator", "plan",
-                                "min_segment", "std", "returns",
-                                "fit_target")),
+                                "min_segment", "std", "returns")),
         "input": {"fingerprint": fingerprint, "returns": len(transformed)},
         "results": results,
         "diagnostics": {
@@ -415,7 +407,7 @@ def cmd_rolling(args) -> int:
     report = {
         "command": _echo(args, ("window", "lag", "estimator", "transform",
                                 "plan", "cuts", "returns", "min_segment",
-                                "std", "fit_target")),
+                                "std")),
         "input": {"fingerprint": fingerprint, "returns": len(returns)},
         "results": results,
         "diagnostics": diagnostics,
@@ -443,8 +435,6 @@ def _summary_rows(results: dict) -> list | None:
 
 
 def cmd_downfalls(args) -> int:
-    if args.returns:
-        raise ConfigError("downfalls requires a price series input")
     text, fingerprint = _read_input(args)
     prices = parse_price_csv(text, _csv_config(args))
     episodes = extract_downfalls(prices, lookback_days=args.lookback,

@@ -5,9 +5,9 @@ cumulative sum of its mean-centred values, which differs from the whole
 profile there by a constant and a linear term only). A
 straight line is least-squares fitted in each box and the mean squared
 residual averaged across boxes gives <F^2(tau)>, whose scaling with tau
-carries the Hurst exponent: by default the slope of log sqrt(<F^2>) on
-log tau is reported, so white noise comes out near 0.5; fit_target
-gives the literal squared-fluctuation reading.
+carries the Hurst exponent: h is the slope of log sqrt(<F^2>) on log tau,
+so white noise comes out near 0.5. The slope of log <F^2> is exactly 2h
+and is not reported apart.
 
 ``dfa_curve_rows(x, window, lag, config)`` gives the curves of the
 windows of a series from one box table per scale, as R/S does; a
@@ -15,7 +15,6 @@ standalone estimate is row 0 of the sweep's ``dfa_fits`` call on its series.
 """
 from __future__ import annotations
 
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -33,21 +32,14 @@ from .rescaled_range import HurstEstimate, estimate_from_fits
 from .series import finite_values
 
 
-class FitTarget(Enum):
-    FLUCTUATION_RMS = "rms"          # fit log sqrt(<F^2>) on log tau
-    FLUCTUATION_SQUARED = "squared"  # fit log <F^2> on log tau
-
-
 class DfaConfig(Record):
-    """Box schedule and fitting choices for DFA."""
+    """Box schedule for DFA."""
 
     box_sizes: tuple[int, ...]
-    fit_target: FitTarget = FitTarget.FLUCTUATION_RMS
 
     def __post_init__(self):
         object.__setattr__(self, "box_sizes", require_ints(
             self.box_sizes, "box size", InvalidPlanError))
-        require_instance(self.fit_target, FitTarget, "fit_target")
         if len(self.box_sizes) < 3:
             raise InvalidPlanError(
                 f"need at least 3 box sizes, got {len(self.box_sizes)}"
@@ -114,23 +106,13 @@ def _mean_fsq(x: np.ndarray, window: int, lag: int, tau: int) -> np.ndarray:
     return total / boxes
 
 
-def dfa_fit_rows(scales: tuple[int, ...], fsq: np.ndarray,
-                 fit_target: FitTarget = FitTarget.FLUCTUATION_RMS,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise fit of <F^2> curves (..., k); the rms target halves the
-    log ordinate. Returns fit_rows' (slope, intercept, r_squared, flat)."""
-    rms = require_instance(fit_target, FitTarget,
-                           "fit_target") is FitTarget.FLUCTUATION_RMS
-    return fit_rows(scales, fsq, 0.5 if rms else 1.0)
-
-
 def dfa_fits(x: np.ndarray, window: int, lag: int, config: DfaConfig
              ) -> tuple:
     """(curves, fit, errors) of every window x[i*lag : i*lag + window]: its
-    <F^2> curve, its fit and, by window, the error of each unfittable one."""
+    <F^2> curve, its fit of log sqrt(<F^2>) and, by window, the error of
+    each unfittable one."""
     fsq = dfa_curve_rows(x, window, lag, config)
-    return (fsq, dfa_fit_rows(config.box_sizes, fsq, config.fit_target),
-            unfittable_rows(fsq))
+    return fsq, fit_rows(config.box_sizes, fsq, 0.5), unfittable_rows(fsq)
 
 
 def estimate_hurst_dfa(series: Sequence[float], config: DfaConfig) -> HurstEstimate:

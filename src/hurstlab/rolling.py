@@ -22,7 +22,6 @@ import numpy as np
 from ._record import Record
 from .dfa import (
     DfaConfig,
-    FitTarget,
     default_box_sizes,
     dfa_fits,
     estimate_hurst_dfa,
@@ -55,8 +54,7 @@ class RollingConfig(Record):
     """Window size, lag and estimator for one sweep.
 
     The plan policy, minimum segment length and std mode are read by R/S
-    only, and the fit target by DFA only; a config whose estimator does not
-    read a field must leave it at its default.
+    only; a DFA config must leave them at their defaults.
     """
 
     window: int = 250
@@ -65,7 +63,6 @@ class RollingConfig(Record):
     plan_policy: PartitionPolicy = PartitionPolicy.AUTO
     min_segment_length: int = DEFAULT_MIN_SEGMENT
     std_mode: StdMode = StdMode.POPULATION
-    dfa_fit_target: FitTarget = FitTarget.FLUCTUATION_RMS
 
     def __post_init__(self):
         for name in ("window", "lag"):
@@ -75,26 +72,23 @@ class RollingConfig(Record):
             raise ConfigError("window must be >= 2")
         if self.lag < 1:
             raise ConfigError("lag must be >= 1")
-        for name, kind in (("estimator", EstimatorKind), ("std_mode", StdMode),
-                           ("dfa_fit_target", FitTarget)):
+        for name, kind in (("estimator", EstimatorKind), ("std_mode", StdMode)):
             require_instance(getattr(self, name), kind, name)
         require_instance(self.plan_policy, PartitionPolicy, "policy",
                          InvalidPlanError)
         object.__setattr__(self, "min_segment_length", require_int(
             self.min_segment_length, "min_segment_length", InvalidPlanError))
-        for name in _IGNORED_FIELDS[self.estimator]:
-            value, default = getattr(self, name), self._defaults[name]
-            if value != default:
-                raise ConfigError(
-                    f"the {self.estimator.value} estimator does not read "
-                    f"{name}; got {value}, leave it at {default}")
+        if self.estimator is EstimatorKind.DFA:
+            for name in _RS_ONLY_FIELDS:
+                value, default = getattr(self, name), self._defaults[name]
+                if value != default:
+                    raise ConfigError(
+                        f"the {self.estimator.value} estimator does not read "
+                        f"{name}; got {value}, leave it at {default}")
 
 
-#: The RollingConfig fields that each estimator does not read.
-_IGNORED_FIELDS = {
-    EstimatorKind.RESCALED_RANGE: ("dfa_fit_target",),
-    EstimatorKind.DFA: ("plan_policy", "min_segment_length", "std_mode"),
-}
+#: The RollingConfig fields that R/S reads and DFA does not.
+_RS_ONLY_FIELDS = ("plan_policy", "min_segment_length", "std_mode")
 
 
 class RollingMeasurement(Record):
@@ -180,8 +174,7 @@ class MarketClass(Record):
 def _scheme(config: RollingConfig, length: int) -> PartitionPlan | DfaConfig:
     """The R/S partition plan or DFA box schedule for windows of a length."""
     if config.estimator is EstimatorKind.DFA:
-        return DfaConfig(box_sizes=default_box_sizes(length),
-                         fit_target=config.dfa_fit_target)
+        return DfaConfig(default_box_sizes(length))
     return build_partition_plan(length, config.plan_policy,
                                 config.min_segment_length)
 

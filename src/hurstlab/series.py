@@ -156,19 +156,21 @@ _ZERO_DIGITS = str.maketrans("123456789", "000000000")
 
 def _iso_shaped(cells: Sequence[str]) -> bool:
     """Whether every cell has the ASCII YYYY-MM-DD shape, on which
-    date.fromisoformat and strptime("%Y-%m-%d") agree; each also reads
-    spellings the other rejects (20000103, 2000-1-3). The digits of the
-    joined cells map to 0 in one pass (a regex repeat holds ~270 bytes a
-    row)."""
+    date.fromisoformat and strptime with the default ISO format agree;
+    each also reads spellings the other rejects (20000103, 2000-1-3). The
+    digits of the joined cells map to 0 in one pass (a regex repeat holds
+    ~270 bytes a row)."""
     return ("\n".join(cells).translate(_ZERO_DIGITS)
             == "\n".join(["0000-00-00"] * len(cells)))
 
 
-def _parse_date(text: str, fmt: str) -> dt.date:
-    """datetime.strptime(text, fmt).date(), ~10x faster on ISO dates."""
-    if fmt == "%Y-%m-%d" and _iso_shaped([text]):
-        return dt.date.fromisoformat(text)
-    return dt.datetime.strptime(text, fmt).date()
+def _date_reader(cells: Sequence[str], fmt: str):
+    """The reader of a column of date cells: date.fromisoformat, ~10x
+    faster, when fmt is the default ISO format and every cell has its
+    shape, else datetime.strptime(text, fmt).date()."""
+    if fmt == CsvConfig.date_format and _iso_shaped(cells):
+        return dt.date.fromisoformat
+    return lambda text: dt.datetime.strptime(text, fmt).date()
 
 
 def _tokenise(raw_text: str, delimiter: str) -> list[list[str]]:
@@ -203,10 +205,8 @@ def _parse_rows(raw_text: str, config: CsvConfig, what: str,
     try:
         date_text = [row[config.date_column].strip() for row in rows]
         value_text = [row[config.close_column].strip() for row in rows]
-        if config.date_format == "%Y-%m-%d" and _iso_shaped(date_text):
-            dates = tuple(map(dt.date.fromisoformat, date_text))
-        else:
-            dates = tuple(_parse_date(text, config.date_format) for text in date_text)
+        dates = tuple(map(_date_reader(date_text, config.date_format),
+                          date_text))
         values = np.fromiter(map(float, value_text), np.float64, len(rows))
         failed = not np.isfinite(values).all() or positive and (values <= 0.0).any()
     except (IndexError, ValueError):
@@ -226,6 +226,8 @@ def _raise_row_error(rows: list[list[str]], config: CsvConfig, what: str,
     when positive is set). These are the column pass's checks row by row,
     so some row fails whenever that pass does."""
     needed = max(config.date_column, config.close_column)
+    read_date = _date_reader([row[config.date_column].strip() for row in rows
+                              if len(row) > needed], config.date_format)
     for lineno, row in enumerate(rows, start=2):
         if len(row) <= needed:
             raise MalformedRowError(f"row {lineno}: expected at least "
@@ -233,7 +235,7 @@ def _raise_row_error(rows: list[list[str]], config: CsvConfig, what: str,
         date_text = row[config.date_column].strip()
         value_text = row[config.close_column].strip()
         try:
-            date = _parse_date(date_text, config.date_format)
+            date = read_date(date_text)
         except ValueError as exc:
             raise MalformedRowError(f"row {lineno}: bad date {date_text!r}") from exc
         try:

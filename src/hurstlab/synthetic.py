@@ -245,11 +245,12 @@ def generate(spec: GeneratorSpec):
                                        GeneratorKind.RANDOM_WALK_PRICES):
         raise ConfigError(f"kind {kind.value} does not read h; leave it at "
                           "None")
-    if ((drift, volatility) != (0.0, 1.0)
+    defaults = (GeneratorSpec.drift, GeneratorSpec.volatility)
+    if ((drift, volatility) != defaults
             and kind is not GeneratorKind.RANDOM_WALK_PRICES):
         raise ConfigError(f"kind {kind.value} does not read drift or "
                           f"volatility; got {drift!r} and {volatility!r}, "
-                          "leave them at 0.0 and 1.0")
+                          f"leave them at {defaults[0]!r} and {defaults[1]!r}")
     if kind is GeneratorKind.WHITE_NOISE:
         return white_noise(spec.length, spec.seed)
     if kind is GeneratorKind.FGN:

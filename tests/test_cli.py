@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurstlab import cli
+from hurstlab.regression import EstimatorKind
 from hurstlab.rescaled_range import PartitionPolicy
+from hurstlab.rolling import RollingConfig
+from hurstlab.series import CsvConfig
+from hurstlab.synthetic import GeneratorKind, GeneratorSpec
 
 
 def run_cli(capsys, *argv):
@@ -199,10 +204,46 @@ def test_hurst_non_utf8_input_exit_2(tmp_path, capsys):
 def test_hurst_stdin(tmp_path, capsys, monkeypatch):
     csv_text = synth_csv(capsys, "--kind", "white-noise", "--n", "512",
                          "--seed", "9")
-    monkeypatch.setattr("sys.stdin", io.StringIO(csv_text))
+    monkeypatch.setattr("sys.stdin",
+                        io.TextIOWrapper(io.BytesIO(csv_text.encode())))
     code, out, _ = run_cli(capsys, "hurst", "-", "--returns")
     assert code == 0
     assert "results" in json.loads(out)
+
+
+def test_closed_stdin_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run_cli(capsys, "hurst", "-")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "InputError",
+                               "message": "cannot read -: stdin is closed"}
+
+
+def test_stdin_is_read_as_the_file_bytes(tmp_path, capsys, monkeypatch):
+    # Under a latin-1 text layer, stdin was decoded as latin-1 and encoded
+    # again as UTF-8: a UTF-8 header got another fingerprint, and latin-1
+    # bytes were parsed instead of refused.
+    csv_text = synth_csv(capsys, "--n", "300", "--seed", "9")
+    good = csv_text.replace("date,close", "dat\u00e9,close", 1).encode()
+    bad = b"date,close\n2000-01-03,1\xe9\n2000-01-04,2\n"
+    reports = []
+    for raw in (good, bad):
+        path = tmp_path / "input.csv"
+        path.write_bytes(raw)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(raw), encoding="latin-1"))
+        piped = run_cli(capsys, "hurst", "-")
+        by_path = run_cli(capsys, "hurst", str(path))
+        assert piped[0] == by_path[0]
+        reports.append((piped, by_path))
+    (code, out, _), (_, file_out, _) = reports[0]
+    assert code == 0
+    fingerprint = json.loads(out)["input"]["fingerprint"]
+    assert fingerprint == hashlib.sha256(good).hexdigest()
+    assert out == file_out
+    (code, _, err), (_, _, file_err) = reports[1]
+    assert code == 2
+    assert json.loads(err) == json.loads(file_err.replace(str(path), "-"))
 
 
 def test_hurst_table_format(tmp_path, capsys):
@@ -349,13 +390,10 @@ def test_divisors_plan_without_divisors_exit_4(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, flag, values", [
-    (("dfa",), "--fit-target", ("rms", "squared")),
     (("vstat",), "--std", ("population", "sample")),
     (("rolling", "--window", "300", "--lag", "100"), "--min-segment",
      ("8", "20")),
     (("rolling", "--lag", "100"), "--std", ("population", "sample")),
-    (("rolling", "--estimator", "dfa", "--window", "256", "--lag", "100"),
-     "--fit-target", ("rms", "squared")),
 ])
 def test_command_echo_tells_apart_flags_that_change_results(
         tmp_path, capsys, argv, flag, values):
@@ -395,10 +433,13 @@ def test_vstat_persistent_increasing(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flag, value", [
     # The V statistic is defined on the R/S curve only
-    ("vstat", "--estimator", "dfa"), ("vstat", "--fit-target", "squared"),
-    ("hurst", "--estimator", "dfa"), ("hurst", "--fit-target", "squared"),
+    ("vstat", "--estimator", "dfa"), ("hurst", "--estimator", "dfa"),
     ("dfa", "--estimator", "rs"), ("dfa", "--plan", "preset250"),
     ("dfa", "--min-segment", "99"), ("dfa", "--std", "sample"),
+    # DFA has one reading, h from log sqrt(<F^2>), so no command takes a
+    # fit target: the slope of log <F^2> is exactly 2h
+    ("dfa", "--fit-target", "rms"), ("rolling", "--fit-target", "rms"),
+    ("hurst", "--fit-target", "squared"), ("vstat", "--fit-target", "squared"),
 ])
 def test_commands_take_no_flags_of_another_estimator(tmp_path, capsys,
                                                      command, flag, value):
@@ -417,8 +458,6 @@ def test_commands_take_no_flags_of_another_estimator(tmp_path, capsys,
     (("--estimator", "dfa", "--plan", "divisors"), "plan_policy"),
     (("--estimator", "dfa", "--min-segment", "16"), "min_segment_length"),
     (("--estimator", "dfa", "--std", "sample"), "std_mode"),
-    (("--fit-target", "squared"), "dfa_fit_target"),
-    (("--estimator", "rs", "--fit-target", "squared"), "dfa_fit_target"),
 ])
 def test_rolling_rejects_settings_its_estimator_does_not_read(
         tmp_path, capsys, argv, field):
@@ -435,11 +474,11 @@ def test_rolling_rejects_settings_its_estimator_does_not_read(
 @pytest.mark.parametrize("command, keys", [
     ("hurst", {"transform", "estimator", "plan", "min_segment", "std",
                "returns"}),
-    ("dfa", {"transform", "estimator", "fit_target", "returns"}),
+    ("dfa", {"transform", "estimator", "returns"}),
     ("vstat", {"transform", "plan", "min_segment", "std", "flat_tolerance",
                "returns"}),
     ("rolling", {"transform", "estimator", "plan", "min_segment", "std",
-                 "fit_target", "window", "lag", "cuts", "returns"}),
+                 "window", "lag", "cuts", "returns"}),
 ])
 def test_command_echo_holds_exactly_the_commands_settings(tmp_path, capsys,
                                                           command, keys):
@@ -465,6 +504,27 @@ def test_plan_choices_are_the_partition_policies(command):
     plan = commands[command]._option_string_actions["--plan"]
     assert plan.choices == sorted(p.value for p in PartitionPolicy) == [
         "auto", "divisors", "preset250"]
+
+
+@pytest.mark.parametrize("command", ["hurst", "dfa", "vstat", "rolling",
+                                     "downfalls"])
+def test_flag_defaults_are_the_defaults_of_the_records_they_set(command):
+    args = cli.build_parser().parse_args([command, "px.csv"])
+    assert cli._csv_config(args) == CsvConfig()
+    if command == "downfalls":
+        return
+    geometry = (dict(window=args.window, lag=args.lag)
+                if command == "rolling" else {})
+    assert cli._rolling_config(args, **geometry) == (
+        RollingConfig(estimator=EstimatorKind.DFA) if command == "dfa"
+        else RollingConfig())
+
+
+def test_synth_flag_defaults_are_the_generator_spec_defaults():
+    args = cli.build_parser().parse_args(["synth", "--n", "5"])
+    kind = GeneratorKind(args.kind)
+    assert GeneratorSpec(kind, args.n, args.seed, args.h, args.drift,
+                         args.vol) == GeneratorSpec(kind, args.n, args.seed)
 
 
 @pytest.mark.parametrize("command, message", [
@@ -518,9 +578,11 @@ def test_downfalls_rejects_returns_mode(tmp_path, capsys):
     csv_text = synth_csv(capsys, "--kind", "white-noise", "--n", "64",
                          "--seed", "16")
     path = write_fixture(tmp_path, "wn.csv", csv_text)
-    code, _, err = run_cli(capsys, "downfalls", path, "--returns")
-    assert code == 4
-    assert json.loads(err.strip())["error"] == "ConfigError"
+    code, out, err = run_cli(capsys, "downfalls", path, "--returns")
+    assert (code, out) == (4, "")
+    error = json.loads(err)
+    assert error["error"] == "UsageError"
+    assert "unrecognized arguments: --returns" in error["message"]
 
 
 def test_downfalls_table_format(tmp_path, capsys):
@@ -708,7 +770,7 @@ def _flat_prices():
 @pytest.mark.parametrize("argv", [
     ("hurst", "px.csv"),
     ("hurst", "px.csv", "--plan", "divisors", "--std", "sample"),
-    ("dfa", "px.csv", "--fit-target", "squared"),
+    ("dfa", "px.csv"),
     ("vstat", "px.csv"),
     ("rolling", "px.csv", "--lag", "25"),
     ("rolling", "flat.csv", "--lag", "10"),

@@ -162,25 +162,25 @@ def analysis_argv(draw):
              f"--delimiter={_often(draw, ',', delimiters)}",
              f"--date-column={_often(draw, 0, columns)}",
              f"--close-column={_often(draw, 1, columns)}"]
-    if returns or draw(st.sampled_from([False, False, False, True])):
+    # downfalls reads prices only: --returns is rarely drawn for it, as a
+    # flag it lacks
+    if (_rarely(draw) if command == "downfalls"
+            else returns or draw(st.sampled_from([False, False, False, True]))):
         flags.append("--returns")
     if command != "downfalls":
         estimator = ({"hurst": "rs", "dfa": "dfa", "vstat": "rs"}.get(command)
                      or draw(st.sampled_from(["rs", "dfa"])))
         flags.append(
             f"--transform={draw(st.sampled_from(['raw', 'absolute', 'squared']))}")
-        # The estimator's own flags, and rarely one of the other's, which
-        # every command rejects: an unknown flag, or for rolling a setting
-        # its estimator does not read unless it is the default.
+        # The R/S flags, and rarely for DFA, which rejects them: dfa as
+        # unknown flags, rolling as settings DFA does not read unless each
+        # is its default.
         if estimator == "rs" or _rarely(draw):
             flags += [
                 f"--min-segment={_often(draw, 8, st.integers(-2, 200))}",
                 f"--plan={draw(st.sampled_from(['auto', 'divisors', 'preset250']))}",
                 f"--std={draw(st.sampled_from(['population', 'sample']))}",
             ]
-        if estimator == "dfa" or _rarely(draw):
-            flags.append(
-                f"--fit-target={draw(st.sampled_from(['rms', 'squared']))}")
     if command == "rolling":
         flags += [
             f"--window={_often(draw, 250, st.integers(-2, 320))}",

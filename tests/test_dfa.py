@@ -6,9 +6,7 @@ import pytest
 
 from hurstlab.dfa import (
     DfaConfig,
-    FitTarget,
     default_box_sizes,
-    dfa_fit_rows,
     dfa_fluctuation,
     estimate_hurst_dfa,
 )
@@ -18,6 +16,7 @@ from hurstlab.errors import (
     InvalidPlanError,
     InvalidSeriesError,
 )
+from hurstlab.regression import fit_loglog
 from hurstlab.rescaled_range import EstimatorKind
 from hurstlab.synthetic import fgn, white_noise
 
@@ -100,22 +99,21 @@ def test_white_noise_rms_slope_near_half():
 
 # -- estimate_hurst_dfa ------------------------------------------------------
 
-def test_exact_squared_curve_slope_one():
-    taus = (8, 16, 32, 64)
-    h, _, r_squared, _ = dfa_fit_rows(taus, np.array(taus, dtype=float),
-                                      FitTarget.FLUCTUATION_SQUARED)
-    assert h == pytest.approx(1.0, abs=1e-12)
-    assert r_squared == pytest.approx(1.0, abs=1e-12)
+def test_config_is_its_box_schedule():
+    assert DfaConfig._fields == ("box_sizes",)
 
 
-def test_fit_targets_differ_by_factor_two():
-    x = fgn(2048, 0.7, seed=99)
-    config_rms = DfaConfig(box_sizes=default_box_sizes(2048))
-    config_sq = DfaConfig(box_sizes=default_box_sizes(2048),
-                          fit_target=FitTarget.FLUCTUATION_SQUARED)
-    h_rms = estimate_hurst_dfa(x, config_rms).h
-    h_sq = estimate_hurst_dfa(x, config_sq).h
-    assert h_sq == pytest.approx(2.0 * h_rms, abs=1e-12)
+@pytest.mark.parametrize("h, n, seed", [
+    (0.3, 1000, 1), (0.5, 1111, 2), (0.7, 2048, 99), (0.9, 1199, 4)])
+def test_squared_fluctuation_slope_is_exactly_twice_h(h, n, seed):
+    """h is the slope of log sqrt(<F^2>); the slope of log <F^2>, the fit
+    of the curve as given, is 2h bit for bit, as halving the log ordinate
+    is exact."""
+    est = estimate_hurst_dfa(fgn(n, h, seed=seed),
+                             DfaConfig(default_box_sizes(n)))
+    fit = fit_loglog(est.curve)
+    assert fit.exponent == 2 * est.h
+    assert fit.r_squared == est.r_squared
 
 
 def test_fgn_07_recovery():

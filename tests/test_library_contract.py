@@ -34,8 +34,6 @@ from hypothesis import strategies as st
 
 from hurstlab.dfa import (
     DfaConfig,
-    FitTarget,
-    dfa_fit_rows,
     dfa_fluctuation,
     estimate_hurst_dfa,
 )
@@ -145,8 +143,6 @@ def sweep_cases(draw):
                                               PartitionPolicy.PRESET_250])),
             min_segment_length=draw(st.sampled_from([8, 8, 8, 2, 4, 30])),
             std_mode=draw(st.sampled_from(list(StdMode))))
-    if estimator is EstimatorKind.DFA or _rarely(draw):
-        config.update(dfa_fit_target=draw(st.sampled_from(list(FitTarget))))
     return values, draw(st.sampled_from(list(Transform))), config
 
 
@@ -459,8 +455,6 @@ def test_rolling_config_accepts_numpy_integers():
 
 
 @pytest.mark.parametrize("estimator, field, value", [
-    (EstimatorKind.RESCALED_RANGE, "dfa_fit_target",
-     FitTarget.FLUCTUATION_SQUARED),
     (EstimatorKind.DFA, "plan_policy", PartitionPolicy.PRESET_250),
     (EstimatorKind.DFA, "min_segment_length", 500),
     (EstimatorKind.DFA, "std_mode", StdMode.SAMPLE),
@@ -559,9 +553,6 @@ def test_every_partition_policy_is_accepted(policy):
     (Transform, lambda bad: ReturnSeries(bad, _RETURNS.dates, _X)),
     (PartitionPolicy, lambda bad: RollingConfig(plan_policy=bad)),
     (StdMode, lambda bad: RollingConfig(std_mode=bad)),
-    (FitTarget, lambda bad: RollingConfig(dfa_fit_target=bad)),
-    (FitTarget, lambda bad: DfaConfig((8, 16, 32), fit_target=bad)),
-    (FitTarget, lambda bad: dfa_fit_rows((8, 16, 32), np.ones(3), bad)),
     (PartitionPolicy, lambda bad: build_partition_plan(250, bad)),
     (StdMode, lambda bad: estimate_hurst_rs(
         _X, build_partition_plan(250, PartitionPolicy.AUTO), bad)),
@@ -572,9 +563,9 @@ def test_every_partition_policy_is_accepted(policy):
 ])
 def test_settings_that_are_not_members_raise_config_error(kind, call):
     # Before these checks, std_mode "population" gave the sample std,
-    # estimator "dfa" ran R/S, fit target "rms" fitted <F^2> and the
-    # transform "absolute" squared the returns.
-    others = [m for k in (StdMode, Transform, FitTarget) if k is not kind
+    # estimator "dfa" ran R/S and the transform "absolute" squared the
+    # returns.
+    others = [m for k in (StdMode, Transform) if k is not kind
               for m in k]
     for bad in ([m.value for m in kind] + [m.name for m in kind] + others
                 + [None, 0, 1.0]):

@@ -8,7 +8,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from hurstlab.dfa import DfaConfig, FitTarget
+from hurstlab.dfa import DfaConfig
 from hurstlab.downfalls import (
     CriticalLevel,
     Downfall,
@@ -42,8 +42,8 @@ _CURVE = ScalingCurve(scales=(8, 16, 32), statistics=(1.0, 2.0, 4.0),
 #: (record class, every field in declared order with a valid value, the
 #: default of each field that has one). Each default differs from the
 #: example's value, so a default that is not applied shows; a
-#: RollingConfig's fields of the estimator it does not run are the one
-#: exception, as they must stay at their defaults.
+#: RollingConfig's estimator is the one exception, as R/S, the default,
+#: is the estimator that reads every field.
 RECORDS = [
     (GeneratorSpec, dict(kind=GeneratorKind.FGN, length=64, seed=1, h=0.7,
                          drift=0.5, volatility=2.0),
@@ -58,13 +58,11 @@ RECORDS = [
     (RollingConfig, dict(window=100, lag=2,
                          estimator=EstimatorKind.RESCALED_RANGE,
                          plan_policy=PartitionPolicy.DIVISORS_ONLY,
-                         min_segment_length=16, std_mode=StdMode.SAMPLE,
-                         dfa_fit_target=FitTarget.FLUCTUATION_RMS),
+                         min_segment_length=16, std_mode=StdMode.SAMPLE),
      dict(window=250, lag=5, estimator=EstimatorKind.RESCALED_RANGE,
           plan_policy=PartitionPolicy.AUTO,
           min_segment_length=DEFAULT_MIN_SEGMENT,
-          std_mode=StdMode.POPULATION,
-          dfa_fit_target=FitTarget.FLUCTUATION_RMS)),
+          std_mode=StdMode.POPULATION)),
     (RollingMeasurement, dict(end_date=_DAYS[0], h=None, r_squared=None,
                               note="TooFewError: 2 values"),
      dict(note="")),
@@ -98,9 +96,7 @@ RECORDS = [
                          skipped_segments=((8, 1),),
                          flags=("flat_curve",)),
      dict(skipped_segments=(), flags=())),
-    (DfaConfig, dict(box_sizes=(4, 8, 16),
-                     fit_target=FitTarget.FLUCTUATION_SQUARED),
-     dict(fit_target=FitTarget.FLUCTUATION_RMS)),
+    (DfaConfig, dict(box_sizes=(4, 8, 16)), {}),
 ]
 
 #: Records holding an array or a dict, which are unhashable

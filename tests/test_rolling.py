@@ -6,7 +6,7 @@ import pytest
 
 from hurstlab import _kernels, dfa, rescaled_range, rolling
 from hurstlab._kernels import _TABLE_VALUES
-from hurstlab.dfa import FitTarget, dfa_curve_rows, estimate_hurst_dfa
+from hurstlab.dfa import dfa_curve_rows, estimate_hurst_dfa
 from hurstlab.errors import (
     ComputationError,
     InvalidSeriesError,
@@ -124,8 +124,7 @@ def assert_sweep_matches_reference(values, config):
     (1400, RollingConfig(window=500, lag=3)),
     (900, RollingConfig(window=250, lag=2, std_mode=StdMode.SAMPLE)),
     (1200, RollingConfig(window=256, lag=1, estimator=DFA)),
-    (1200, RollingConfig(window=256, lag=3, estimator=DFA,
-                         dfa_fit_target=FitTarget.FLUCTUATION_SQUARED)),
+    (1200, RollingConfig(window=256, lag=3, estimator=DFA)),
     (1400, RollingConfig(window=250, lag=300)),  # disjoint windows
     (1100, RollingConfig(window=251, lag=1)),  # doubling plan
     (1500, RollingConfig(window=250, lag=5)),  # gcd(5, n) is 1 or 5

@@ -19,7 +19,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 
 #: Every name hurstlab exported by eager import, by defining submodule.
 EXPORTS = {
-    "dfa": ["DfaConfig", "FitTarget", "default_box_sizes", "dfa_fluctuation",
+    "dfa": ["DfaConfig", "default_box_sizes", "dfa_fluctuation",
             "estimate_hurst_dfa"],
     "downfalls": ["CriticalLevel", "Downfall", "KurtosisScan", "Regime",
                   "classify_episode", "critical_cutoff", "excess_kurtosis",

@@ -97,6 +97,7 @@ MATRIX = [
            "hurst P.csv --delimiter ;;",
            "hurst P.csv --date-column -1", code=4),
     Run(0, ("hurst", "-"), stdin="P.csv"),
+    Run(2, ("hurst", "-"), stdin="latin1.csv"),
     Run(0, ("hurst", "S.csv", *SEMI)),
     Run(0, ("rolling", "S.csv", *SEMI, "--format", "table")),
     *_runs("hurst nope.csv",
@@ -127,14 +128,16 @@ MATRIX = [
     Run(2, ("hurst", "S31.csv", *SEMI)),
     # dfa
     *_runs("dfa P.csv",
-           "dfa P.csv --fit-target squared --format table",
+           "dfa P.csv --format table",
            "dfa F.csv --returns",
            "dfa G.csv --returns",
            "dfa F.csv --returns --transform absolute",
-           "dfa F.csv --returns --fit-target squared"),
+           "dfa F.csv --returns --format table"),
     *_runs("dfa flat.csv", code=3),
-    # each command takes only the flags of the estimator it runs
+    # each command takes only the flags of the estimator it runs, and DFA
+    # has one reading, so no command takes a fit target
     *_runs("dfa P.csv --plan divisors",
+           "dfa P.csv --fit-target squared",
            "hurst P.csv --fit-target squared",
            "rolling P.csv --estimator dfa --std sample", code=4),
     # vstat
@@ -159,8 +162,7 @@ MATRIX = [
            "rolling Q.csv --window 1009 --lag 1",
            "rolling P.csv --window 300 --plan divisors --format table",
            "rolling P.csv --estimator dfa --window 256 --lag 5 --format table",
-           "rolling P.csv --estimator dfa --fit-target squared --window 128 "
-           "--lag 20",
+           "rolling P.csv --estimator dfa --window 128 --lag 20",
            "rolling F.csv --returns --transform absolute --lag 20 "
            "--cuts 0.55 0.65",
            "rolling F.csv --returns --std sample --min-segment 10 "
