@@ -29,6 +29,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .downfalls import (  # noqa: E402
     DEFAULT_LOOKBACK_DAYS,
+    DEFAULT_MIN_DEPTH,
     classify_episode,
     critical_cutoff,
     extract_downfalls,
@@ -45,6 +46,7 @@ from .errors import (
 )
 from .rescaled_range import EstimatorKind, PartitionPolicy, StdMode
 from .rolling import (
+    DEFAULT_CUT_POINTS,
     RollingConfig,
     classify_market,
     estimate_window,
@@ -102,7 +104,7 @@ def build_parser() -> _Parser:
         # The input flags, --returns where an estimator reads the series,
         # then the settings of each estimator the command runs and
         # --estimator where it runs more than one. A default is the one of
-        # the record that the flag sets.
+        # the record that the flag sets, or of the function it calls.
         p.add_argument("input", help="CSV path, or - for stdin")
         if estimators:
             p.add_argument("--returns", action="store_true",
@@ -115,11 +117,13 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("json", "table"), default="json")
         if not estimators:
             return
-        p.add_argument("--transform", default="raw",
+        p.add_argument("--transform", default=Transform.RAW.value,
                        choices=sorted(t.value for t in Transform))
         if len(estimators) > 1:
+            default, = (name for name in estimators
+                        if _ESTIMATORS[name] is RollingConfig.estimator)
             p.add_argument("--estimator", choices=sorted(estimators),
-                           default=estimators[0])
+                           default=default)
         if "rs" in estimators:
             p.add_argument("--plan", default=RollingConfig.plan_policy.value,
                            choices=sorted(x.value for x in PartitionPolicy))
@@ -141,7 +145,7 @@ def build_parser() -> _Parser:
     p_roll.add_argument("--window", type=int, default=RollingConfig.window)
     p_roll.add_argument("--lag", type=int, default=RollingConfig.lag)
     p_roll.add_argument("--cuts", type=float, nargs="+",
-                        default=[0.5, 0.6, 0.7])
+                        default=list(DEFAULT_CUT_POINTS))
     p_roll.set_defaults(func=cmd_rolling)
 
     p_vstat = sub.add_parser("vstat", help="V statistic cycle test")
@@ -155,7 +159,7 @@ def build_parser() -> _Parser:
                                               "kurtosis regimes")
     add_flags(p_down)
     p_down.add_argument("--lookback", type=int, default=DEFAULT_LOOKBACK_DAYS)
-    p_down.add_argument("--min-depth", type=float, default=0.0)
+    p_down.add_argument("--min-depth", type=float, default=DEFAULT_MIN_DEPTH)
     p_down.add_argument("--include-open", action="store_true")
     p_down.set_defaults(func=cmd_downfalls)
 
@@ -293,17 +297,14 @@ def _json(value, indent: str) -> str:
 def _table_lines(rows: list) -> list[str]:
     """Each row's _cell values joined by commas. Rows have one length, the
     header's; cells are formatted a column at a time."""
-    columns = [map(float.__repr__, column) if set(map(type, column)) == {float}
-               else map(_cell, column) for column in zip(*rows)]
+    columns = [map(_cell, column) for column in zip(*rows)]
     return list(map(",".join, zip(*columns)))
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    """A value as str prints it, which for a float is its repr; None is
+    an empty cell."""
+    return "" if value is None else str(value)
 
 
 # -- subcommands -------------------------------------------------------------

@@ -34,6 +34,9 @@ from .series import PriceSeries, finite_values
 #: Six calendar months of daily closes, in trading days.
 DEFAULT_LOOKBACK_DAYS = 126
 
+#: Episodes of every depth are kept.
+DEFAULT_MIN_DEPTH = 0.0
+
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
@@ -103,7 +106,7 @@ def _trailing_max(closes: np.ndarray, lookback: int) -> np.ndarray:
 
 def extract_downfalls(prices: PriceSeries,
                       lookback_days: int = DEFAULT_LOOKBACK_DAYS,
-                      min_depth: float = 0.0) -> list[Downfall]:
+                      min_depth: float = DEFAULT_MIN_DEPTH) -> list[Downfall]:
     """Scan the price series left to right for downfall episodes.
 
     Any decline from the running maximum opens an episode (min_depth

@@ -131,8 +131,8 @@ class HOutOfRangeError(ConfigError):
 
 
 class LengthTooLargeError(ConfigError):
-    """Requested length exceeds the exact fGn/fBm bound or the synthetic
-    calendar, whose last date is date.max."""
+    """Requested length exceeds the synthetic calendar, whose last date is
+    date.max."""
 
 
 #: The rejected value as the checks below print it: its repr, with a long

@@ -49,6 +49,9 @@ from .rescaled_range import (
 )
 from .series import ReturnSeries, finite_values
 
+#: The h levels whose exceedance share a trace summary reports.
+DEFAULT_CUT_POINTS = (0.5, 0.6, 0.7)
+
 
 class RollingConfig(Record):
     """Window size, lag and estimator for one sweep.
@@ -218,8 +221,8 @@ def sweep(returns: ReturnSeries, config: RollingConfig) -> RollingTrace:
                         tuple(r_squared), tuple(notes))
 
 
-def summarize(trace: RollingTrace, cut_points: tuple[float, ...] = (0.5, 0.6, 0.7)
-              ) -> TraceSummary:
+def summarize(trace: RollingTrace,
+              cut_points: tuple[float, ...] = DEFAULT_CUT_POINTS) -> TraceSummary:
     """Extrema/mean/proportions of the usable measurements."""
     cut_points = require_floats(cut_points, "cut point")
     if not all(math.isfinite(c) for c in cut_points):

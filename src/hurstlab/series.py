@@ -44,49 +44,48 @@ def finite_values(series) -> np.ndarray:
     return x
 
 
-def _own_values(values) -> np.ndarray:
-    """A read-only copy of finite_values(values): a series keeps its own
-    array, which no caller can write."""
-    x = finite_values(values).copy()
-    x.flags.writeable = False
-    return x
+class _DatedSeries(Record):
+    """The shared part of a dated series: its last field is an array of
+    finite values, one per date, held as a read-only copy of the array it
+    is given. Dates strictly increase; a repeat is a duplicate. Series
+    compare their other fields, then their arrays by value, and are
+    unhashable."""
+
+    def __post_init__(self):
+        name = self._fields[-1]
+        values = finite_values(self.__dict__[name]).copy()
+        values.flags.writeable = False
+        object.__setattr__(self, name, values)
+        if len(self.dates) != values.size:
+            raise InvalidSeriesError(f"dates and {name} differ in length")
+        for d1, d2 in zip(self.dates, self.dates[1:]):
+            if d2 == d1:
+                raise DuplicateDateError(f"duplicate date {d1}")
+            if d2 < d1:
+                raise InvalidSeriesError("dates must be strictly increasing")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        *fields, values = self._values()
+        *other_fields, other_values = other._values()
+        return fields == other_fields and np.array_equal(values, other_values)
+
+    __hash__ = None
+
+    def __len__(self) -> int:
+        return self.__dict__[self._fields[-1]].size
 
 
-def _series_eq(self, other):
-    """Series are equal when their other fields are and their arrays, the
-    last field, hold equal values."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    *fields, values = self._values()
-    *other_fields, other_values = other._values()
-    return fields == other_fields and np.array_equal(values, other_values)
-
-
-def _check_dates(dates: tuple[dt.date, ...]) -> None:
-    """Raise unless the dates strictly increase; a repeat is a duplicate."""
-    for d1, d2 in zip(dates, dates[1:]):
-        if d2 == d1:
-            raise DuplicateDateError(f"duplicate date {d1}")
-        if d2 < d1:
-            raise InvalidSeriesError("dates must be strictly increasing")
-
-
-class PriceSeries(Record):
-    """Daily closing prices, strictly ordered by date. A series holds a
-    read-only copy of the closes it is given, and is unhashable."""
+class PriceSeries(_DatedSeries):
+    """Daily closing prices, strictly ordered by date."""
 
     dates: tuple[dt.date, ...]
     closes: np.ndarray
 
-    __eq__ = _series_eq
-    __hash__ = None
-
     def __post_init__(self):
-        closes = _own_values(self.closes)
-        object.__setattr__(self, "closes", closes)
-        if len(self.dates) != closes.size:
-            raise InvalidSeriesError("dates and closes differ in length")
-        _check_dates(self.dates)
+        super().__post_init__()
+        closes = self.closes
         if closes.size < 2:
             raise TooShortError(f"need at least 2 observations, got {closes.size}")
         if not np.all(closes > 0.0):
@@ -95,39 +94,25 @@ class PriceSeries(Record):
                 f"close {closes[bad]} on {self.dates[bad]} is not positive"
             )
 
-    def __len__(self) -> int:
-        return self.closes.size
 
-
-class ReturnSeries(Record):
+class ReturnSeries(_DatedSeries):
     """Log-returns of a price series under one of three transforms.
 
     Each value is dated at the later of the two prices it compares, so a
-    series of N prices yields N-1 returns. Like a PriceSeries, it holds a
-    read-only copy of its values and compares them by value.
+    series of N prices yields N-1 returns.
     """
 
     transform: Transform
     dates: tuple[dt.date, ...]
     values: np.ndarray
 
-    __eq__ = _series_eq
-    __hash__ = None
-
     def __post_init__(self):
         require_instance(self.transform, Transform, "transform")
-        values = _own_values(self.values)
-        object.__setattr__(self, "values", values)
-        if len(self.dates) != values.size:
-            raise InvalidSeriesError("dates and values differ in length")
-        _check_dates(self.dates)
+        super().__post_init__()
         if self.transform in (Transform.ABSOLUTE, Transform.SQUARED):
-            if values.size and float(values.min()) < 0.0:
+            if self.values.size and float(self.values.min()) < 0.0:
                 raise InvalidSeriesError(
                     f"{self.transform.value} returns must be >= 0")
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 class CsvConfig(Record):

@@ -30,9 +30,6 @@ from .errors import (
 )
 from .series import PriceSeries
 
-#: Hard bound for exact fGn/fBm generation.
-MAX_EXACT_LENGTH = 2 ** 16
-
 #: Synthetic calendars start here (a Monday), one observation per day.
 SYNTHETIC_EPOCH = dt.date(2000, 1, 3)
 
@@ -158,10 +155,6 @@ def fgn(length: int, h: float, seed: int) -> np.ndarray:
     length = require_int(length, "length")
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
-    if length > MAX_EXACT_LENGTH:
-        raise LengthTooLargeError(
-            f"exact generation bounded at {MAX_EXACT_LENGTH}, got {length}"
-        )
     rng = _rng(seed)
     if h == 0.5:
         # Covariance is exactly the identity.

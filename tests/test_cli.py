@@ -1,5 +1,6 @@
 import datetime as dt
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -15,10 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hurstlab import cli
+from hurstlab.downfalls import (
+    extract_downfalls,
+    progressive_kurtosis,
+    rank_size_points,
+)
 from hurstlab.regression import EstimatorKind
 from hurstlab.rescaled_range import PartitionPolicy
-from hurstlab.rolling import RollingConfig
-from hurstlab.series import CsvConfig
+from hurstlab.rolling import RollingConfig, summarize
+from hurstlab.series import CsvConfig, Transform
 from hurstlab.synthetic import GeneratorKind, GeneratorSpec
 
 
@@ -42,7 +48,7 @@ def write_fixture(tmp_path, name, text):
 
 # -- synth -------------------------------------------------------------------
 
-def test_synth_fgn_at_max_length_near_h_one(capsys):
+def test_synth_fgn_near_h_one(capsys):
     # Its circulant eigenvalue was -1.141e-08 with the factored
     # autocovariance alone, past the -1e-8 bound, so it exited 3.
     code, out, err = run_cli(capsys, "synth", "--kind", "fgn", "--n", "65536",
@@ -509,15 +515,28 @@ def test_plan_choices_are_the_partition_policies(command):
 @pytest.mark.parametrize("command", ["hurst", "dfa", "vstat", "rolling",
                                      "downfalls"])
 def test_flag_defaults_are_the_defaults_of_the_records_they_set(command):
+    # ... or of the library function the flag's value is passed to.
+    def default(function, parameter):
+        return inspect.signature(function).parameters[parameter].default
+
     args = cli.build_parser().parse_args([command, "px.csv"])
     assert cli._csv_config(args) == CsvConfig()
     if command == "downfalls":
+        assert args.lookback == default(extract_downfalls, "lookback_days")
+        assert args.min_depth == default(extract_downfalls, "min_depth")
+        # --include-open is a switch: its off state is the library's False.
+        assert args.include_open is default(progressive_kurtosis,
+                                            "include_open")
+        assert args.include_open is default(rank_size_points, "include_open")
         return
+    assert Transform(args.transform) is Transform.RAW
     geometry = (dict(window=args.window, lag=args.lag)
                 if command == "rolling" else {})
     assert cli._rolling_config(args, **geometry) == (
         RollingConfig(estimator=EstimatorKind.DFA) if command == "dfa"
         else RollingConfig())
+    if command == "rolling":
+        assert tuple(args.cuts) == default(summarize, "cut_points")
 
 
 def test_synth_flag_defaults_are_the_generator_spec_defaults():

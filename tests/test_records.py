@@ -107,8 +107,16 @@ def test_every_record_class_is_listed():
     import hurstlab.cli  # noqa: F401 - imports every module
     from hurstlab._record import Record
 
+    from hurstlab.series import _DatedSeries
+
+    # The two series share one base that has no fields of its own; every
+    # other record subclasses Record directly.
     assert len(RECORDS) == 19
-    assert set(Record.__subclasses__()) == {cls for cls, _, _ in RECORDS}
+    assert _DatedSeries._fields == ()
+    assert set(_DatedSeries.__subclasses__()) == {PriceSeries, ReturnSeries}
+    assert set(Record.__subclasses__()) == ({cls for cls, _, _ in RECORDS}
+                                            - {PriceSeries, ReturnSeries}
+                                            | {_DatedSeries})
 
 
 def test_plan_and_trace_keep_only_what_is_read():

@@ -64,3 +64,66 @@ def test_no_unused_imports():
              for path in SOURCES
              for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+def private_definitions(text: str) -> list[tuple[int, str]]:
+    """(line, name) of each private name the module's top level defines:
+    a function, class or assigned name with a leading underscore that is
+    not a dunder."""
+    found = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target]
+            names = [name.id for target in targets for name in ast.walk(target)
+                     if isinstance(name, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_")
+                  and not (name.startswith("__") and name.endswith("__"))]
+    return found
+
+
+def names_read(text: str) -> set[str]:
+    """Every name the module loads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def orphaned_helpers(texts: list[str]) -> list[tuple[int, int, str]]:
+    """(text index, line, name) of each private top-level name that no
+    text reads."""
+    read = set().union(*map(names_read, texts))
+    return [(index, line, name) for index, text in enumerate(texts)
+            for line, name in private_definitions(text) if name not in read]
+
+
+@pytest.mark.parametrize("texts, names", [
+    (["def _f(): pass\n"], ["_f"]),
+    (["def _f(): pass\n_f()\n"], []),
+    (["_X = 1\nclass _C: pass\ndef f(): pass\n"], ["_X", "_C"]),
+    (["_X: int = 1\n", "import m\nm._X\n"], []),
+    (["from m import _f\n", "def _f(): pass\n"], ["_f"]),
+    (["from m import _f\n_f()\n", "def _f(): pass\n"], []),
+    (["_a, _b = 1, 2\nprint(_a)\n"], ["_b"]),
+    (["__all__ = []\ndef __getattr__(name): pass\n"], []),
+    (["def f():\n    _local = 1\n"], []),
+    (["class C:\n    _field = 1\n"], []),
+])
+def test_orphaned_helpers_finds_private_names_nothing_reads(texts, names):
+    assert [name for _, _, name in orphaned_helpers(texts)] == names
+
+
+def test_every_private_helper_is_read():
+    paths = sorted((ROOT / "src" / "hurstlab").glob("*.py"))
+    assert paths
+    texts = [path.read_text() for path in paths]
+    found = [f"{paths[index].relative_to(ROOT)}:{line}: {name}"
+             for index, line, name in orphaned_helpers(texts)]
+    assert found == []

@@ -59,12 +59,12 @@ MATRIX = [
         save="N.csv"),
     *_runs("synth --kind fbm --n 300 --h 0.3 --seed 2",
            "synth --n 50 --seed 0 --drift -1e-3 --vol 0.05",
-           "synth --kind fgn --n 4096 --h 0.999999999999 --seed 0"),
+           "synth --kind fgn --n 4096 --h 0.999999999999 --seed 0",
+           "synth --kind fgn --n 70000 --h 0.7"),
     *_runs("synth --kind fgn --n 100",
            "synth --n 1",
            "synth --n 100 --seed -1",
            "synth --kind fgn --n 100 --h 1.5",
-           "synth --kind fgn --n 70000 --h 0.7",
            "synth --n 3000000",
            "synth --n 10 --drift inf",
            "synth --kind fgn --n 1 --seed -1 --h 2",
